@@ -5,10 +5,14 @@ sweeps can be evaluated in parallel without coordination.
 
 The central objects are time integrals against the effective measure
 (sampling density times kappa^2).  With those moments in hand, the optimal
-single-linear-layer weight splits into a coefficient on the manifold
-projector and one on its complement, and the loss at that optimum splits into
-an intra-manifold part proportional to the intrinsic dimension d and a
-residual part proportional to the codimension D - d.
+single-linear-layer weight and the loss at that optimum decouple over the
+eigenmodes of the data second moment: a mode with eigenvalue lam has its own
+coefficient and loss, each a function of lam and the moments alone
+(``colored_mode_coefficients``, ``colored_mode_losses``).  Manifold data is
+the spectrum with d unit and D - d zero eigenvalues, so its weight is one
+coefficient on the manifold projector and one on its complement, and its
+loss is d times the unit-mode loss (parallel) plus D - d times the zero-mode
+loss (perpendicular).
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .schedule import (
 )
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# the two eigenvalues of manifold data: 1 on the subspace, 0 off it
+_MANIFOLD_MODES = np.array([1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -180,38 +187,22 @@ def optimal_weight_coeffs(moments: MomentSet) -> tuple[float, float]:
     """Equilibrium coefficients (c_par, c_perp) of the optimal linear weight.
 
     The optimal weight is c_par on the manifold projector plus c_perp on its
-    orthogonal complement.
+    orthogonal complement: the per-mode coefficients at eigenvalues 1 and 0.
     """
-    den_par = moments.alpha_sq + moments.sigma_sq
-    den_perp = moments.sigma_sq
-    if den_par <= 0.0 or den_perp <= 0.0:
-        raise SingularEquilibrium(
-            f"equilibrium denominators must be positive (parallel {den_par:.3e}, "
-            f"perpendicular {den_perp:.3e})"
-        )
-    c_par = (moments.phi_alpha + moments.psi_sigma) / den_par
-    c_perp = moments.psi_sigma / den_perp
-    return c_par, c_perp
+    c_par, c_perp = colored_mode_coefficients(_MANIFOLD_MODES, moments)
+    return float(c_par), float(c_perp)
 
 
 def optimal_loss(moments: MomentSet, dims: DimensionPair) -> OptimalLoss:
     """Loss at the equilibrium weight, split into parallel and perpendicular parts.
 
-    Both parts are non-negative (Cauchy-Schwarz) up to roundoff.
+    The per-mode losses at eigenvalues 1 and 0, weighted by the d unit and
+    D - d zero modes of the manifold's spectrum.  Both parts are non-negative
+    (Cauchy-Schwarz) up to roundoff.
     """
-    den_par = moments.alpha_sq + moments.sigma_sq
-    den_perp = moments.sigma_sq
-    if den_par <= 0.0 or den_perp <= 0.0:
-        raise SingularEquilibrium(
-            f"equilibrium denominators must be positive (parallel {den_par:.3e}, "
-            f"perpendicular {den_perp:.3e})"
-        )
-    d = dims.intrinsic
-    codim = dims.ambient - dims.intrinsic
-    parallel = 0.5 * d * (
-        moments.phi_sq + moments.psi_sq - (moments.phi_alpha + moments.psi_sigma) ** 2 / den_par
-    )
-    perpendicular = 0.5 * codim * (moments.psi_sq - moments.psi_sigma**2 / den_perp)
+    unit, zero = colored_mode_losses(_MANIFOLD_MODES, moments)
+    parallel = dims.intrinsic * float(unit)
+    perpendicular = (dims.ambient - dims.intrinsic) * float(zero)
     return OptimalLoss(parallel + perpendicular, parallel, perpendicular)
 
 
@@ -257,18 +248,24 @@ def argmin_k(loss_fn, tol: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def colored_mode_coefficients(eigenvalues, moments: MomentSet) -> np.ndarray:
-    """Per-eigenmode equilibrium coefficients for colored data.
-
-    Mode i with eigenvalue lam: (lam * phi_alpha + psi_sigma) / (lam * alpha_sq + sigma_sq).
-    A unit eigenvalue reproduces c_par and a zero eigenvalue c_perp.
-    """
+def _mode_denominators(eigenvalues, moments: MomentSet) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues as an array and the per-mode denominators lam * alpha_sq + sigma_sq."""
     lam = np.asarray(eigenvalues, dtype=np.float64)
     den = lam * moments.alpha_sq + moments.sigma_sq
     if np.any(den <= 0.0):
         raise SingularEquilibrium(
             f"per-mode denominator not positive (min {np.min(den):.3e})"
         )
+    return lam, den
+
+
+def colored_mode_coefficients(eigenvalues, moments: MomentSet) -> np.ndarray:
+    """Per-eigenmode equilibrium coefficients for colored data.
+
+    Mode i with eigenvalue lam: (lam * phi_alpha + psi_sigma) / (lam * alpha_sq + sigma_sq).
+    A unit eigenvalue gives c_par and a zero eigenvalue c_perp.
+    """
+    lam, den = _mode_denominators(eigenvalues, moments)
     return (lam * moments.phi_alpha + moments.psi_sigma) / den
 
 
@@ -287,12 +284,7 @@ def colored_optimal_weight(spectrum: Spectrum, moments: MomentSet) -> np.ndarray
 
 def colored_mode_losses(eigenvalues, moments: MomentSet) -> np.ndarray:
     """Per-eigenmode equilibrium loss contributions for colored data."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    den = lam * moments.alpha_sq + moments.sigma_sq
-    if np.any(den <= 0.0):
-        raise SingularEquilibrium(
-            f"per-mode denominator not positive (min {np.min(den):.3e})"
-        )
+    lam, den = _mode_denominators(eigenvalues, moments)
     num = lam * moments.phi_alpha + moments.psi_sigma
     return 0.5 * (lam * moments.phi_sq + moments.psi_sq - num * num / den)
 

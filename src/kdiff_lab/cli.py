@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, geometry, kdiff, lindyn, sampler
-from .errors import ConfigError, KDiffLabError
+from .errors import ConfigError, DimError, KDiffLabError
 from .schedule import (
     EPSILON_LOSS,
     EPSILON_TARGET,
@@ -193,55 +193,81 @@ def _closed_form_applies(cfg) -> bool:
     )
 
 
+def _data_spectrum(cfg: dict) -> analytic.Spectrum:
+    """The eigenvalues of the data second moment, checked against the config.
+
+    Manifold data is the spectrum with d unit and D - d zero eigenvalues; a
+    ``data.spectrum`` is taken as given, and must have D entries when the
+    config sets ``data.D``.
+    """
+    data = _data_section(cfg)
+    if data.get("spectrum") is None:
+        ambient, intrinsic = int(data["D"]), int(data["d"])
+        if not 1 <= intrinsic <= ambient:
+            raise DimError(f"need 1 <= d <= D, got d={intrinsic}, D={ambient}")
+        return analytic.Spectrum(np.repeat([1.0, 0.0], [intrinsic, ambient - intrinsic]))
+    try:
+        spectrum = analytic.Spectrum(np.asarray(data["spectrum"], dtype=np.float64))
+    except ValueError as exc:
+        raise ConfigError(f"data.spectrum: {exc}") from exc
+    if "D" in cfg.get("data", {}) and spectrum.dim != int(data["D"]):
+        raise DimError(f"data.spectrum has {spectrum.dim} eigenvalues but data.D is {data['D']}")
+    return spectrum
+
+
+def _theory(cfg: dict):
+    """A config's equilibrium-loss theory: (spectrum, CSV name, header, k -> row, k*).
+
+    Manifold and colored data run the same per-mode losses.  A manifold row
+    also splits the total into its parallel and perpendicular parts: the d
+    unit modes and the D - d zero modes, each loss computed once and
+    weighted by its count.  k* is D / (D + trace) where that closed form
+    holds, and a golden-section search of the rows' totals elsewhere.
+    """
+    process, loss, measure = _build_process(cfg), _build_loss(cfg), _build_measure(cfg)
+    spectrum = _data_spectrum(cfg)
+    if _data_section(cfg).get("spectrum") is None:
+        csv_name, parts = "theory.csv", ["delta_parallel", "delta_perpendicular"]
+        modes = np.array([1.0, 0.0])
+        weights = np.array([spectrum.trace, spectrum.dim - spectrum.trace])
+    else:
+        csv_name, parts = "theory_colored.csv", []
+        modes, weights = spectrum.eigenvalues, 1.0
+
+    def row(k: float) -> tuple:
+        moments = analytic.compute_moments(process, k_target(k), loss, measure)
+        losses = weights * analytic.colored_mode_losses(modes, moments)
+        return (k, float(np.sum(losses)), *losses[: len(parts)])
+
+    if _closed_form_applies(cfg):
+        k_star = analytic.colored_optimal_k(spectrum)
+    else:
+        k_star = analytic.argmin_k(lambda k: row(k)[1])
+    return spectrum, csv_name, ["k", "delta_total", *parts], row, k_star
+
+
+def _data_source(cfg: dict, seed: int, command: str):
+    """What a command draws data from: a random D x d manifold basis made from
+    the data seed, or the colored covariance of ``data.spectrum``, which only
+    ``train`` accepts."""
+    data = _data_section(cfg)
+    spectrum = _data_spectrum(cfg)
+    if data.get("spectrum") is not None:
+        if command != "train":
+            raise ConfigError(f"{command} runs on manifold data only; drop data.spectrum")
+        return geometry.ColoredCovariance.from_spectrum(spectrum.eigenvalues)
+    basis_rng = derive_rng(int(data.get("seed", seed)), "geometry", "basis")
+    return geometry.random_orthonormal_basis(spectrum.dim, int(data["d"]), basis_rng)
+
+
 def cmd_theory(cfg: dict, out: Path, seed: int) -> int:
     """Sweep the equilibrium loss over a k grid and report its minimiser."""
-    process = _build_process(cfg)
-    loss = _build_loss(cfg)
-    measure = _build_measure(cfg)
-    data = _data_section(cfg)
     k_points = int(cfg.get("theory", {}).get("k_points", 101))
-    ks = np.linspace(0.0, 1.0, k_points)
-
-    if data.get("spectrum") is not None:
-        spectrum = analytic.Spectrum(np.asarray(data["spectrum"], dtype=np.float64))
-
-        def total(k: float) -> float:
-            return analytic.colored_optimal_loss(
-                spectrum, k, process=process, loss=loss, measure=measure
-            ).total
-
-        rows = [(k, total(k)) for k in ks]
-        write_csv(out / "theory_colored.csv", ["k", "delta_total"], rows)
-        if _closed_form_applies(cfg):
-            k_star = analytic.colored_optimal_k(spectrum)
-        else:
-            k_star = analytic.argmin_k(total)
-        summary = {"k_star": k_star, "delta_at_k_star": total(k_star)}
-        write_json(out / "theory_summary.json", summary)
-        print(f"theory: colored k_star = {k_star:.6f}")
-        return _EXIT_OK
-
-    dims = analytic.DimensionPair(int(data["D"]), int(data["d"]))
-
-    def delta(k: float) -> analytic.OptimalLoss:
-        moments = analytic.compute_moments(process, k_target(k), loss, measure)
-        return analytic.optimal_loss(moments, dims)
-
-    rows = []
-    for k in ks:
-        dl = delta(k)
-        rows.append((k, dl.total, dl.parallel, dl.perpendicular))
-    write_csv(
-        out / "theory.csv",
-        ["k", "delta_total", "delta_parallel", "delta_perpendicular"],
-        rows,
-    )
-    if _closed_form_applies(cfg):
-        k_star = analytic.optimal_k(dims)
-    else:
-        k_star = analytic.argmin_k(lambda k: delta(k).total)
-    summary = {"k_star": k_star, "delta_at_k_star": delta(k_star).total}
-    write_json(out / "theory_summary.json", summary)
+    if k_points < 2:
+        raise ConfigError(f"theory.k_points must be >= 2, got {k_points}")
+    _, csv_name, header, row, k_star = _theory(cfg)
+    write_csv(out / csv_name, header, [row(k) for k in np.linspace(0.0, 1.0, k_points)])
+    write_json(out / "theory_summary.json", {"k_star": k_star, "delta_at_k_star": row(k_star)[1]})
     print(f"theory: k_star = {k_star:.6f}")
     return _EXIT_OK
 
@@ -251,7 +277,6 @@ def cmd_dynamics(cfg: dict, out: Path, seed: int) -> int:
     process = _build_process(cfg)
     loss = _build_loss(cfg)
     measure = _build_measure(cfg)
-    data = _data_section(cfg)
     target = _build_target(cfg, default_k=1.0)
     dyn = cfg.get("dynamics", {})
     flow = lindyn.FlowConfig(
@@ -262,8 +287,7 @@ def cmd_dynamics(cfg: dict, out: Path, seed: int) -> int:
     )
     tol = float(dyn.get("tol", 1e-6))
 
-    basis_rng = derive_rng(int(data.get("seed", seed)), "geometry", "basis")
-    basis = geometry.random_orthonormal_basis(int(data["D"]), int(data["d"]), basis_rng)
+    basis = _data_source(cfg, seed, "dynamics")
     weight0 = np.zeros((basis.ambient_dim, basis.ambient_dim))
     rng = derive_rng(seed, "lindyn", "stochastic") if flow.mode == "stochastic" else None
     trajectory = lindyn.run_gradient_flow(
@@ -294,9 +318,10 @@ def cmd_dynamics(cfg: dict, out: Path, seed: int) -> int:
     return _EXIT_OK
 
 
-def _train_config(cfg: dict, seed: int) -> kdiff.TrainConfig:
+def _trainer(cfg: dict, seed: int) -> tuple[kdiff.TrainConfig, kdiff.KParam]:
+    """The training run a config describes and the k parameter it learns."""
     tr = cfg.get("train", {})
-    return kdiff.TrainConfig(
+    config = kdiff.TrainConfig(
         loss_mode=tr.get("loss_mode", "u"),
         optimizer=tr.get("optimizer", "adam"),
         lr=float(tr.get("lr", 1e-2)),
@@ -312,45 +337,16 @@ def _train_config(cfg: dict, seed: int) -> kdiff.TrainConfig:
         stop_grad_target=bool(tr.get("stop_grad_target", False)),
         measure=_build_measure(cfg),
     )
-
-
-def _theory_k_star(cfg: dict, data: dict) -> float:
-    if data.get("spectrum") is not None:
-        spectrum = analytic.Spectrum(np.asarray(data["spectrum"], dtype=np.float64))
-        if _closed_form_applies(cfg):
-            return analytic.colored_optimal_k(spectrum)
-        return analytic.argmin_k(
-            lambda k: analytic.colored_optimal_loss(
-                spectrum, k, loss=_build_loss(cfg), measure=_build_measure(cfg)
-            ).total
-        )
-    dims = analytic.DimensionPair(int(data["D"]), int(data["d"]))
-    if _closed_form_applies(cfg):
-        return analytic.optimal_k(dims)
-    process, loss, measure = _build_process(cfg), _build_loss(cfg), _build_measure(cfg)
-
-    def total(k: float) -> float:
-        moments = analytic.compute_moments(process, k_target(k), loss, measure)
-        return analytic.optimal_loss(moments, dims).total
-
-    return analytic.argmin_k(total)
+    k_bins = tr.get("k_bins")
+    return config, kdiff.make_kparam(config, n_bins=None if k_bins is None else int(k_bins))
 
 
 def cmd_train(cfg: dict, out: Path, seed: int) -> int:
     """Train the toy model (optionally with a trainable k) and summarise the fixed point."""
-    data = _data_section(cfg)
-    config = _train_config(cfg, seed)
-    k_bins = cfg.get("train", {}).get("k_bins")
-    kparam = kdiff.make_kparam(config, n_bins=None if k_bins is None else int(k_bins))
-
-    basis_rng = derive_rng(int(data.get("seed", seed)), "geometry", "basis")
-    if data.get("spectrum") is not None:
-        source = geometry.ColoredCovariance.from_spectrum(np.asarray(data["spectrum"], dtype=np.float64))
-        dim = source.dim
-    else:
-        source = geometry.random_orthonormal_basis(int(data["D"]), int(data["d"]), basis_rng)
-        dim = source.ambient_dim
-    net = kdiff.PureLinear.zeros(dim)
+    config, kparam = _trainer(cfg, seed)
+    spectrum, _, _, _, k_star = _theory(cfg)
+    source = _data_source(cfg, seed, "train")
+    net = kdiff.PureLinear.zeros(spectrum.dim)
     history = kdiff.train(net, kparam, source, config)
 
     if kparam.is_binned:
@@ -367,7 +363,7 @@ def cmd_train(cfg: dict, out: Path, seed: int) -> int:
         final_k = float(history.k_values[-1])
     write_csv(out / "history.csv", header, rows)
 
-    summary = {"final_k": final_k, "theory_k_star": _theory_k_star(cfg, data)}
+    summary = {"final_k": final_k, "theory_k_star": k_star}
     if config.k_trainable:
         summary["abs_gap"] = abs(final_k - summary["theory_k_star"])
     write_json(out / "train_summary.json", summary)
@@ -381,17 +377,17 @@ def cmd_train(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_sample(cfg: dict, out: Path, seed: int) -> int:
     """Integrate the sampling ODE and report off-manifold energy diagnostics."""
-    data = _data_section(cfg)
     smp = cfg.get("sample", {})
     n_samples = int(smp.get("n_samples", 1000))
+    if n_samples < 0:
+        raise ConfigError(f"sample.n_samples must be >= 0, got {n_samples}")
     run = sampler.SampleRun(
         steps=int(smp.get("steps", 50)),
         solver=smp.get("solver", "heun"),
         clamp_floor=float(smp.get("clamp_floor", 0.05)),
     )
 
-    basis_rng = derive_rng(int(data.get("seed", seed)), "geometry", "basis")
-    basis = geometry.random_orthonormal_basis(int(data["D"]), int(data["d"]), basis_rng)
+    basis = _data_source(cfg, seed, "sample")
 
     net_kind = smp.get("net", "optimal_linear")
     if net_kind == "optimal_linear":
@@ -402,9 +398,7 @@ def cmd_sample(cfg: dict, out: Path, seed: int) -> int:
         net = kdiff.PureLinear(lindyn.equilibrium_weight(basis, moments))
         kparam = k
     elif net_kind == "train":
-        config = _train_config(cfg, seed)
-        k_bins = cfg.get("train", {}).get("k_bins")
-        kparam = kdiff.make_kparam(config, n_bins=None if k_bins is None else int(k_bins))
+        config, kparam = _trainer(cfg, seed)
         net = kdiff.PureLinear.zeros(basis.ambient_dim)
         kdiff.train(net, kparam, basis, config)
     else:

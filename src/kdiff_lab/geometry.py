@@ -1,10 +1,12 @@
-"""Synthetic data generation on linear manifolds.
+"""Synthetic data generation on linear manifolds and colored Gaussians.
 
-Data lives on a d-dimensional linear subspace of R^D spanned by an
-orthonormal basis; intrinsic latents are whitened (unit second moment) and
-ambient noise is standard normal.  All samplers take an explicit generator
-handle, so independent handles may run in parallel; the basis itself is
-immutable and shareable.
+Every data source is Gaussian with second moment F @ F.T for a covariance
+factor F, and one sampler serves them all.  Manifold data lives on a
+d-dimensional linear subspace of R^D: F is its D x d orthonormal basis, so
+intrinsic latents are whitened (unit second moment).  Colored data has a
+D x D factor built from a spectrum.  Ambient noise is standard normal.  All
+samplers take an explicit generator handle, so independent handles may run
+in parallel; the sources themselves are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ class ManifoldBasis:
     def intrinsic_dim(self) -> int:
         return self.matrix.shape[1]
 
+    @property
+    def factor(self) -> np.ndarray:
+        """Covariance factor: the basis itself, whose outer product is the projector."""
+        return self.matrix
+
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace."""
         return self.matrix @ self.matrix.T
@@ -51,10 +58,15 @@ def random_orthonormal_basis(ambient: int, intrinsic: int, rng: np.random.Genera
     return ManifoldBasis(q * signs)
 
 
-def sample_data(basis: ManifoldBasis, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw data rows with whitened intrinsic latents, embedded in ambient space."""
-    latents = rng.standard_normal((batch, basis.intrinsic_dim))
-    return latents @ basis.matrix.T
+def sample_data(source, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw Gaussian data rows with second moment ``source.factor @ source.factor.T``.
+
+    The source is a ``ManifoldBasis`` (whitened intrinsic latents embedded in
+    ambient space) or a ``ColoredCovariance``; either way the draw is one
+    standard-normal latent per column of the factor.
+    """
+    factor = source.factor
+    return rng.standard_normal((batch, factor.shape[1])) @ factor.T
 
 
 def sample_noise(dim: int, batch: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,8 +111,3 @@ class ColoredCovariance:
             raise ValueError(f"covariance not positive semi-definite (min eigenvalue {np.min(lam):.2e})")
         lam = np.clip(lam, 0.0, None)
         return cls(q * np.sqrt(lam), Spectrum(lam, q))
-
-
-def sample_colored(cov: ColoredCovariance, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw Gaussian rows with second moment equal to the colored covariance."""
-    return rng.standard_normal((batch, cov.dim)) @ cov.factor.T

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NonFiniteLoss
-from .geometry import ColoredCovariance, ManifoldBasis, sample_colored, sample_data
+from .geometry import sample_data
 from .schedule import UNIFORM_MEASURE, TimeMeasure, sample_t
 from .seeding import derive_rng
 
@@ -103,11 +103,6 @@ class KParam:
         np.add.at(grad, left, dloss_dk * (1.0 - frac) * dsig[left])
         np.add.at(grad, left + 1, dloss_dk * frac * dsig[left + 1])
         return grad
-
-
-def k_value(param: KParam, t):
-    """k(t) for a scalar or vector of times."""
-    return param.value(t)
 
 
 def u_to_v(u, z, t, k, clamp_floor: float = 0.05):
@@ -385,19 +380,11 @@ class TrainHistory:
         return np.asarray(last)
 
 
-def _draw_batch(data_source, batch: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(data_source, ManifoldBasis):
-        return sample_data(data_source, batch, rng)
-    if isinstance(data_source, ColoredCovariance):
-        return sample_colored(data_source, batch, rng)
-    return data_source(batch, rng)
-
-
 def train(net, kparam: KParam, data_source, config: TrainConfig) -> TrainHistory:
     """Run the training loop on fresh batches from the data source.
 
-    data_source is a manifold basis, a colored covariance, or a callable
-    (batch, rng) -> rows.  Deterministic given config.seed.
+    data_source is a manifold basis or a colored covariance; batches come
+    from ``geometry.sample_data``.  Deterministic given config.seed.
     """
     rng = derive_rng(config.seed, "kdiff", "train")
     params = {f"net.{name}": p for name, p in net.params().items()}
@@ -413,7 +400,7 @@ def train(net, kparam: KParam, data_source, config: TrainConfig) -> TrainHistory
         k_values = np.empty(config.steps)
         probes = None
     for i in range(config.steps):
-        x = _draw_batch(data_source, config.batch, rng)
+        x = sample_data(data_source, config.batch, rng)
         loss, grads = training_step(net, kparam, x, config, rng)
         optimizer_step(params, grads, state, config)
         losses[i] = loss

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdiff_lab import (
     EPSILON_LOSS,
@@ -9,6 +11,7 @@ from kdiff_lab import (
     U_LOSS,
     UNIFORM_MEASURE,
     V_LOSS,
+    X_LOSS,
     DimensionPair,
     ProcessSpec,
     QuadratureDivergence,
@@ -249,6 +252,25 @@ class TestColored:
             assert np.sum(per_mode[:d]) == pytest.approx(split.parallel, abs=1e-10)
             assert np.sum(per_mode[d:]) == pytest.approx(split.perpendicular, abs=1e-10)
             assert np.sum(per_mode) == pytest.approx(split.total, abs=1e-10)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.integers(1, 256).flatmap(lambda D: st.tuples(st.just(D), st.integers(1, D))),
+        k=st.floats(0.0, 1.0),
+        loss=st.sampled_from([U_LOSS, X_LOSS, EPSILON_LOSS, V_LOSS]),
+        measure=st.one_of(
+            st.just(UNIFORM_MEASURE),
+            st.builds(logit_normal_measure, st.floats(-2.0, 2.0), st.floats(0.3, 2.0)),
+        ),
+    )
+    def test_zero_one_spectrum_is_the_manifold_case(self, dims, k, loss, measure):
+        ambient, d = dims
+        spectrum = Spectrum(np.repeat([1.0, 0.0], [d, ambient - d]))
+        colored = colored_optimal_loss(spectrum, k, loss=loss, measure=measure)
+        moments = compute_moments(FLOW_MATCHING, k_target(k), loss, measure)
+        manifold = optimal_loss(moments, DimensionPair(ambient, d))
+        assert colored.total == pytest.approx(manifold.total, rel=1e-12, abs=0.0)
+        assert colored_optimal_k(spectrum) == optimal_k(DimensionPair(ambient, d))
 
     def test_unit_spectrum_matches_poly(self):
         for D in (1, 4, 9):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from kdiff_lab import analytic
 from kdiff_lab.cli import main
 
 
@@ -49,6 +50,12 @@ class TestTheory:
         summary = json.loads((tmp_path / "out" / "theory_summary.json").read_text())
         assert summary["k_star"] == pytest.approx(0.5, abs=1e-9)
         assert (tmp_path / "out" / "theory_colored.csv").exists()
+
+    def test_spectrum_without_D_sets_the_dimension(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"data": {"spectrum": [1.0, 1.0, 0.0, 0.0, 0.0]}})
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "theory_summary.json").read_text())
+        assert summary["k_star"] == pytest.approx(5.0 / 7.0, abs=1e-15)
 
     def test_logit_normal_measure_uses_numeric_minimiser(self, tmp_path):
         cfg = write_config(
@@ -148,6 +155,17 @@ class TestTrain:
         header, rows = read_csv(tmp_path / "out" / "history.csv")
         assert header == ["step", "loss", "k"]
         assert rows.shape == (200, 3)
+
+    @pytest.mark.parametrize(
+        "data", [{"D": 8, "d": 2}, {"spectrum": [2.0, 1.0, 0.0, 0.0]}], ids=["manifold", "spectrum"]
+    )
+    def test_closed_form_k_star_computes_no_moments(self, tmp_path, monkeypatch, data):
+        def fail(*args, **kwargs):
+            raise AssertionError("compute_moments called on a closed-form config")
+
+        monkeypatch.setattr(analytic, "compute_moments", fail)
+        cfg = write_config(tmp_path, "c.json", {"data": data, "train": {"steps": 20, "batch": 16}})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     def test_frozen_k_summary_omits_gap(self, tmp_path):
         cfg = write_config(
@@ -256,6 +274,46 @@ class TestConfigValidation:
     def test_unsupported_process(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"process": "ddpm"})
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            pytest.param("theory", {"data": {"D": 2, "d": 3}}, "DimError: need 1 <= d <= D", id="d-above-D"),
+            pytest.param(
+                "theory", {"data": {"D": 4, "spectrum": [1.0, 0.5, 0.0]}}, "DimError: data.spectrum has 3",
+                id="theory-spectrum-length",
+            ),
+            pytest.param(
+                "train", {"data": {"D": 4, "spectrum": [1.0, 0.5, 0.0]}}, "DimError: data.spectrum has 3",
+                id="train-spectrum-length",
+            ),
+            pytest.param(
+                "theory", {"data": {"spectrum": [1.0, -0.5]}}, "ConfigError: data.spectrum",
+                id="negative-eigenvalue",
+            ),
+            pytest.param(
+                "dynamics", {"data": {"spectrum": [1.0, 0.0]}}, "ConfigError: dynamics runs on manifold",
+                id="dynamics-spectrum",
+            ),
+            pytest.param(
+                "sample", {"data": {"spectrum": [1.0, 0.0]}}, "ConfigError: sample runs on manifold",
+                id="sample-spectrum",
+            ),
+            pytest.param("theory", {"theory": {"k_points": 0}}, "ConfigError: theory.k_points", id="k_points-0"),
+            pytest.param("theory", {"theory": {"k_points": 1}}, "ConfigError: theory.k_points", id="k_points-1"),
+            pytest.param(
+                "sample", {"sample": {"n_samples": -3}}, "ConfigError: sample.n_samples", id="negative-n_samples"
+            ),
+        ],
+    )
+    def test_bad_input_fails_before_any_work(self, tmp_path, capsys, command, cfg, message):
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(

@@ -8,7 +8,6 @@ from kdiff_lab import (
     DimError,
     derive_rng,
     random_orthonormal_basis,
-    sample_colored,
     sample_data,
     sample_noise,
 )
@@ -93,12 +92,12 @@ class TestSampleNoise:
 class TestColoredCovariance:
     def test_zero_covariance_gives_zero_samples(self):
         cov = ColoredCovariance.from_spectrum(np.zeros(4))
-        x = sample_colored(cov, 100, np.random.default_rng(13))
+        x = sample_data(cov, 100, np.random.default_rng(13))
         np.testing.assert_array_equal(x, np.zeros((100, 4)))
 
     def test_identity_covariance_trace(self):
         cov = ColoredCovariance.from_spectrum(np.ones(6))
-        x = sample_colored(cov, 500_000, np.random.default_rng(14))
+        x = sample_data(cov, 500_000, np.random.default_rng(14))
         trace = float(np.sum(x * x) / len(x))
         # tr estimate has std sqrt(2 D / N)
         assert abs(trace - 6.0) < 3.0 * np.sqrt(2.0 * 6.0 / len(x))
@@ -112,7 +111,7 @@ class TestColoredCovariance:
     def test_projector_covariance_matches_manifold_sampler(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(16))
         cov = ColoredCovariance.from_covariance(basis.projector())
-        a = sample_colored(cov, 100_000, np.random.default_rng(17))
+        a = sample_data(cov, 100_000, np.random.default_rng(17))
         b = sample_data(basis, 100_000, np.random.default_rng(18))
         cov_a = a.T @ a / len(a)
         cov_b = b.T @ b / len(b)

@@ -20,7 +20,6 @@ from kdiff_lab import (
     compute_moments,
     equilibrium_weight,
     k_target,
-    k_value,
     kappa,
     optimizer_step,
     random_orthonormal_basis,
@@ -37,19 +36,19 @@ class TestKParam:
     def test_constant_center(self):
         param = KParam.constant(0.5)
         for t in (0.0, 0.3, 1.0):
-            assert k_value(param, t) == pytest.approx(0.5)
+            assert param.value(t) == pytest.approx(0.5)
 
     def test_binned_all_equal_knots(self):
         param = KParam(np.zeros(5))
         t = np.linspace(0, 1, 33)
-        np.testing.assert_allclose(k_value(param, t), 0.5, atol=1e-15)
+        np.testing.assert_allclose(param.value(t), 0.5, atol=1e-15)
 
     def test_binned_interpolates_sigmoid_values(self):
         # knots at t = 0, 0.5, 1 with pre-sigmoid values (0, 0, 40):
         # k(0.75) is halfway between 0.5 and ~1
         param = KParam(np.array([0.0, 0.0, 40.0]))
-        assert k_value(param, 0.75) == pytest.approx(0.75, abs=1e-9)
-        assert k_value(param, 0.25) == pytest.approx(0.5, abs=1e-15)
+        assert param.value(0.75) == pytest.approx(0.75, abs=1e-9)
+        assert param.value(0.25) == pytest.approx(0.5, abs=1e-15)
 
     def test_value_strictly_inside_unit_interval(self):
         # float64 sigmoid saturates to exactly 0.0/1.0 beyond |w| ~ 36.7,
