@@ -143,25 +143,33 @@ def _build_loss(cfg):
 
 
 def _build_measure(cfg) -> TimeMeasure:
-    interval = tuple(cfg.get("interval", (0.0, 1.0)))
     spec = cfg.get("time_sampler", {"kind": "uniform"})
     kind = spec.get("kind", "uniform")
-    if kind == "uniform":
-        return TimeMeasure(kind="uniform", interval=interval)
-    if kind == "logit_normal":
+    if kind not in ("uniform", "logit_normal"):
+        raise ConfigError(f"unknown time sampler {kind!r}")
+    try:
+        interval = tuple(cfg.get("interval", (0.0, 1.0)))
+        if kind == "uniform":
+            return TimeMeasure(kind="uniform", interval=interval)
         return TimeMeasure(
             kind="logit_normal",
             interval=interval,
             mu=float(spec.get("mu", 0.0)),
             sigma_ln=float(spec.get("sigma", 1.0)),
         )
-    raise ConfigError(f"unknown time sampler {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"interval/time_sampler: {exc}") from exc
 
 
 def _data_section(cfg) -> dict:
-    data = dict(cfg.get("data", {}))
-    data.setdefault("D", 16)
-    data.setdefault("d", 4)
+    """The data section with its defaults, and D, d and seed (when set) as ints."""
+    data = {"D": 16, "d": 4, **cfg.get("data", {})}
+    for key in ("D", "d", "seed"):
+        if key in data:
+            try:
+                data[key] = int(data[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"data: {key} must be an integer, got {data[key]!r}") from exc
     return data
 
 
@@ -202,7 +210,7 @@ def _data_spectrum(cfg: dict) -> analytic.Spectrum:
     """
     data = _data_section(cfg)
     if data.get("spectrum") is None:
-        ambient, intrinsic = int(data["D"]), int(data["d"])
+        ambient, intrinsic = data["D"], data["d"]
         if not 1 <= intrinsic <= ambient:
             raise DimError(f"need 1 <= d <= D, got d={intrinsic}, D={ambient}")
         return analytic.Spectrum(np.repeat([1.0, 0.0], [intrinsic, ambient - intrinsic]))
@@ -210,7 +218,7 @@ def _data_spectrum(cfg: dict) -> analytic.Spectrum:
         spectrum = analytic.Spectrum(np.asarray(data["spectrum"], dtype=np.float64))
     except ValueError as exc:
         raise ConfigError(f"data.spectrum: {exc}") from exc
-    if "D" in cfg.get("data", {}) and spectrum.dim != int(data["D"]):
+    if "D" in cfg.get("data", {}) and spectrum.dim != data["D"]:
         raise DimError(f"data.spectrum has {spectrum.dim} eigenvalues but data.D is {data['D']}")
     return spectrum
 
@@ -256,8 +264,8 @@ def _data_source(cfg: dict, seed: int, command: str):
         if command != "train":
             raise ConfigError(f"{command} runs on manifold data only; drop data.spectrum")
         return geometry.ColoredCovariance.from_spectrum(spectrum.eigenvalues)
-    basis_rng = derive_rng(int(data.get("seed", seed)), "geometry", "basis")
-    return geometry.random_orthonormal_basis(spectrum.dim, int(data["d"]), basis_rng)
+    basis_rng = derive_rng(data.get("seed", seed), "geometry", "basis")
+    return geometry.random_orthonormal_basis(spectrum.dim, data["d"], basis_rng)
 
 
 def cmd_theory(cfg: dict, out: Path, seed: int) -> int:
@@ -279,13 +287,16 @@ def cmd_dynamics(cfg: dict, out: Path, seed: int) -> int:
     measure = _build_measure(cfg)
     target = _build_target(cfg, default_k=1.0)
     dyn = cfg.get("dynamics", {})
-    flow = lindyn.FlowConfig(
-        step_size=float(dyn.get("step_size", 0.5)),
-        steps=int(dyn.get("steps", 200)),
-        mode=dyn.get("mode", "exact"),
-        batch=int(dyn.get("batch", 256)),
-    )
-    tol = float(dyn.get("tol", 1e-6))
+    try:
+        flow = lindyn.FlowConfig(
+            step_size=float(dyn.get("step_size", 0.5)),
+            steps=int(dyn.get("steps", 200)),
+            mode=dyn.get("mode", "exact"),
+            batch=int(dyn.get("batch", 256)),
+        )
+        tol = float(dyn.get("tol", 1e-6))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dynamics: {exc}") from exc
 
     basis = _data_source(cfg, seed, "dynamics")
     weight0 = np.zeros((basis.ambient_dim, basis.ambient_dim))
@@ -321,32 +332,39 @@ def cmd_dynamics(cfg: dict, out: Path, seed: int) -> int:
 def _trainer(cfg: dict, seed: int) -> tuple[kdiff.TrainConfig, kdiff.KParam]:
     """The training run a config describes and the k parameter it learns."""
     tr = cfg.get("train", {})
-    config = kdiff.TrainConfig(
-        loss_mode=tr.get("loss_mode", "u"),
-        optimizer=tr.get("optimizer", "adam"),
-        lr=float(tr.get("lr", 1e-2)),
-        beta1=float(tr.get("beta1", 0.9)),
-        beta2=float(tr.get("beta2", 0.95)),
-        adam_eps=float(tr.get("adam_eps", 1e-8)),
-        batch=int(tr.get("batch", 256)),
-        steps=int(tr.get("steps", 20_000)),
-        seed=seed,
-        clamp_floor=float(tr.get("clamp_floor", 0.05)),
-        k_trainable=bool(tr.get("k_trainable", True)),
-        k_init=float(tr.get("k_init", 0.5)),
-        stop_grad_target=bool(tr.get("stop_grad_target", False)),
-        measure=_build_measure(cfg),
-    )
-    k_bins = tr.get("k_bins")
-    return config, kdiff.make_kparam(config, n_bins=None if k_bins is None else int(k_bins))
+    measure = _build_measure(cfg)
+    try:
+        config = kdiff.TrainConfig(
+            loss_mode=tr.get("loss_mode", "u"),
+            optimizer=tr.get("optimizer", "adam"),
+            lr=float(tr.get("lr", 1e-2)),
+            beta1=float(tr.get("beta1", 0.9)),
+            beta2=float(tr.get("beta2", 0.95)),
+            adam_eps=float(tr.get("adam_eps", 1e-8)),
+            batch=int(tr.get("batch", 256)),
+            steps=int(tr.get("steps", 20_000)),
+            seed=seed,
+            clamp_floor=float(tr.get("clamp_floor", 0.05)),
+            k_trainable=bool(tr.get("k_trainable", True)),
+            k_init=float(tr.get("k_init", 0.5)),
+            stop_grad_target=bool(tr.get("stop_grad_target", False)),
+            measure=measure,
+        )
+        k_bins = tr.get("k_bins")
+        kparam = kdiff.make_kparam(config, n_bins=None if k_bins is None else int(k_bins))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"train: {exc}") from exc
+    return config, kparam
 
 
 def cmd_train(cfg: dict, out: Path, seed: int) -> int:
     """Train the toy model (optionally with a trainable k) and summarise the fixed point."""
     config, kparam = _trainer(cfg, seed)
-    spectrum, _, _, _, k_star = _theory(cfg)
+    # the theory's k* minimises the plain target MSE that loss_mode "u" trains;
+    # v_alg1 trains a velocity-weighted loss, which it does not cover
+    k_star = _theory(cfg)[4] if config.loss_mode == "u" else None
     source = _data_source(cfg, seed, "train")
-    net = kdiff.PureLinear.zeros(spectrum.dim)
+    net = kdiff.PureLinear.zeros(_data_spectrum(cfg).dim)
     history = kdiff.train(net, kparam, source, config)
 
     if kparam.is_binned:
@@ -363,15 +381,19 @@ def cmd_train(cfg: dict, out: Path, seed: int) -> int:
         final_k = float(history.k_values[-1])
     write_csv(out / "history.csv", header, rows)
 
-    summary = {"final_k": final_k, "theory_k_star": k_star}
-    if config.k_trainable:
-        summary["abs_gap"] = abs(final_k - summary["theory_k_star"])
+    summary = {"final_k": final_k}
+    if k_star is None:
+        report = f"theory k* does not apply (loss_mode {config.loss_mode})"
+    else:
+        summary["theory_k_star"] = k_star
+        report = f"theory k_star = {k_star:.4f}"
+        if config.k_trainable:
+            summary["abs_gap"] = abs(final_k - k_star)
+            report += f", gap = {summary['abs_gap']:.4f}"
+        else:
+            report += " (k frozen)"
     write_json(out / "train_summary.json", summary)
-    gap = summary.get("abs_gap")
-    print(
-        f"train: final_k = {final_k:.4f}, theory k_star = {summary['theory_k_star']:.4f}"
-        + (f", gap = {gap:.4f}" if gap is not None else " (k frozen)")
-    )
+    print(f"train: final_k = {final_k:.4f}, {report}")
     return _EXIT_OK
 
 

@@ -5,7 +5,11 @@ D x D weight.  Its training loss is a positive-semidefinite quadratic in W
 whose gradient-flow dynamics decouple into a mode parallel to the data
 manifold (data recovery) and one perpendicular to it (noise elimination).
 The exact expected gradient is affine in W, so it can be assembled from
-precomputed moments with no per-step quadrature.
+precomputed moments with no per-step quadrature, and its explicit Euler
+recursion has a closed form: each mode's offset from the equilibrium weight
+shrinks by a fixed factor per step.  Exact-mode flow therefore decomposes the
+initial weight once and evaluates every recorded step from scalar powers of
+the two factors; stochastic mode steps through fresh sample batches.
 
 ``monte_carlo_loss`` estimates the same training loss by simulation and is
 the independent oracle for the closed-form equilibrium loss.
@@ -15,7 +19,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -73,18 +79,29 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowRecord:
-    """Trajectory snapshot: weight components, loss, and distances to equilibrium."""
+    """Trajectory snapshot: loss and distances to equilibrium, weights on demand.
+
+    The weight components are built when read, so a trajectory holds no D x D
+    matrices per row in exact mode.
+    """
 
     step: int
-    weight_par: np.ndarray
-    weight_perp: np.ndarray
     loss: float
     dist_par: float
     dist_perp: float
+    _modes: Callable[[], ModeDecomposition] = field(repr=False, compare=False)
+
+    @property
+    def weight_par(self) -> np.ndarray:
+        return self._modes().parallel
+
+    @property
+    def weight_perp(self) -> np.ndarray:
+        return self._modes().perpendicular
 
     @property
     def weight(self) -> np.ndarray:
-        return self.weight_par + self.weight_perp
+        return self._modes().total
 
 
 def decompose(weight: np.ndarray, basis: ManifoldBasis) -> ModeDecomposition:
@@ -198,15 +215,25 @@ def run_gradient_flow(
 ) -> list[FlowRecord]:
     """Integrate the training dynamics with explicit Euler steps.
 
-    In exact mode the two modes are evolved by their own decoupled
-    recursions, so the perpendicular trajectory depends only on the noise
-    coefficient of the target and is bit-identical across runs that differ
-    only in the data coefficient.  Distances to equilibrium then contract
-    geometrically with per-step factors 1 - step*(alpha_sq + sigma_sq)
-    (parallel) and 1 - step*sigma_sq (perpendicular).
+    In exact mode the Euler recursion is solved in closed form.  Each mode's
+    offset from the equilibrium weight W* shrinks by a fixed factor per step,
+    a = 1 - step*(alpha_sq + sigma_sq) on the manifold and
+    b = 1 - step*sigma_sq off it, so at step i the weight is
+    W* + a**i * (W0_par - W*_par) + b**i * (W0_perp - W*_perp), the distances
+    are |a|**i and |b|**i times the initial ones, and the loss is
+    L* + (alpha_sq + sigma_sq) * dist_par**2 / 2 + sigma_sq * dist_perp**2 / 2.
+    ``weight0`` is decomposed once and every recorded row costs O(1).  The
+    perpendicular trajectory depends only on sigma_sq, psi_sigma and W0, so
+    it is bit-identical across runs that differ only in the data coefficient.
 
-    Raises Divergence if the exact-mode loss increases for 10 consecutive
-    steps.
+    Stochastic mode takes one Euler step per fresh batch of samples.
+
+    Raises:
+        Divergence: in exact mode, before any step, if a mode that starts
+            off its equilibrium has a factor of magnitude above 1; in
+            stochastic mode, at the first recorded row that is not finite.
+        DimError: if ``weight0`` is not D x D.
+        ValueError: if stochastic mode is given no rng.
     """
     if isinstance(target, (int, float)):
         target = k_target(float(target))
@@ -221,58 +248,87 @@ def run_gradient_flow(
         raise ValueError("stochastic mode needs an rng")
 
     proj = basis.projector()
-    eye = np.eye(basis.ambient_dim)
     c_par, c_perp = optimal_weight_coeffs(moments)
-    w_star_par = c_par * proj
-    w_star_perp = c_perp * (eye - proj)
+    equilibrium = ModeDecomposition(c_par * proj, c_perp * (np.eye(basis.ambient_dim) - proj))
+    initial = decompose(np.asarray(weight0, dtype=np.float64), basis)
+    if config.mode == "exact":
+        return _closed_form_flow(initial, equilibrium, basis, moments, config)
 
-    modes = decompose(np.asarray(weight0, dtype=np.float64), basis)
-    w_par, w_perp = modes.parallel.copy(), modes.perpendicular.copy()
-
-    def record(step: int) -> FlowRecord:
-        return FlowRecord(
+    def record(step: int, w_par: np.ndarray, w_perp: np.ndarray) -> FlowRecord:
+        rec = FlowRecord(
             step=step,
-            weight_par=w_par.copy(),
-            weight_perp=w_perp.copy(),
             loss=quadratic_loss(w_par + w_perp, basis, moments),
-            dist_par=float(np.linalg.norm(w_par - w_star_par)),
-            dist_perp=float(np.linalg.norm(w_perp - w_star_perp)),
+            dist_par=float(np.linalg.norm(w_par - equilibrium.parallel)),
+            dist_perp=float(np.linalg.norm(w_perp - equilibrium.perpendicular)),
+            _modes=partial(ModeDecomposition, w_par, w_perp),
         )
+        if not all(map(math.isfinite, (rec.loss, rec.dist_par, rec.dist_perp))):
+            raise Divergence(f"stochastic flow is not finite at step {step} (loss {rec.loss:.6g})")
+        return rec
 
     keep = _log_steps(config.steps)
-    trajectory = [record(0)]
-    step = config.step_size
-    decay_par = 1.0 - step * (moments.alpha_sq + moments.sigma_sq)
-    drive_par = step * (moments.phi_alpha + moments.psi_sigma)
-    decay_perp = 1.0 - step * moments.sigma_sq
-    drive_perp = step * moments.psi_sigma
-    prev_loss = trajectory[0].loss
-    rising = 0
-    for i in range(1, config.steps + 1):
-        if config.mode == "exact":
-            w_par = decay_par * w_par + drive_par * proj
-            w_perp = decay_perp * w_perp + drive_perp * (eye - proj)
-        else:
+    w_par, w_perp = initial.parallel, initial.perpendicular
+    trajectory = [record(0, w_par, w_perp)]
+    # an overflow surfaces as the Divergence raised by record
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, config.steps + 1):
             x = sample_data(basis, config.batch, rng)
             noise = sample_noise(basis.ambient_dim, config.batch, rng)
             t = sample_t(measure, rng, size=config.batch)
             grad = stochastic_gradient(w_par + w_perp, x, noise, t, process, target, loss)
-            modes = decompose(w_par + w_perp + step * grad, basis)
+            modes = decompose(w_par + w_perp + config.step_size * grad, basis)
             w_par, w_perp = modes.parallel, modes.perpendicular
-        if config.mode == "exact":
-            cur_loss = quadratic_loss(w_par + w_perp, basis, moments)
-            if cur_loss > prev_loss:
-                rising += 1
-                if rising >= 10:
-                    raise Divergence(
-                        f"loss increased for {rising} consecutive steps "
-                        f"(step {i}, loss {cur_loss:.6g})"
-                    )
-            else:
-                rising = 0
-            prev_loss = cur_loss
-        if i in keep:
-            trajectory.append(record(i))
+            if i in keep:
+                trajectory.append(record(i, w_par, w_perp))
+    return trajectory
+
+
+def _shifted(
+    equilibrium: ModeDecomposition, offset: ModeDecomposition, factor_par: float, factor_perp: float
+) -> ModeDecomposition:
+    return ModeDecomposition(
+        equilibrium.parallel + factor_par * offset.parallel,
+        equilibrium.perpendicular + factor_perp * offset.perpendicular,
+    )
+
+
+def _closed_form_flow(
+    initial: ModeDecomposition,
+    equilibrium: ModeDecomposition,
+    basis: ManifoldBasis,
+    moments: MomentSet,
+    config: FlowConfig,
+) -> list[FlowRecord]:
+    offset = ModeDecomposition(
+        initial.parallel - equilibrium.parallel, initial.perpendicular - equilibrium.perpendicular
+    )
+    norm_par = float(np.linalg.norm(offset.parallel))
+    norm_perp = float(np.linalg.norm(offset.perpendicular))
+    curv_par = moments.alpha_sq + moments.sigma_sq
+    curv_perp = moments.sigma_sq
+    # a mode that starts at its equilibrium stays there, whatever its factor
+    decay_par = 1.0 - config.step_size * curv_par if norm_par > 0.0 else 0.0
+    decay_perp = 1.0 - config.step_size * curv_perp if norm_perp > 0.0 else 0.0
+    for name, decay in (("parallel", decay_par), ("perpendicular", decay_perp)):
+        if abs(decay) > 1.0:
+            raise Divergence(
+                f"{name} mode grows by a factor {abs(decay):.6g} per step "
+                f"(step_size {config.step_size})"
+            )
+    loss_star = quadratic_loss(equilibrium.total, basis, moments)
+    trajectory = []
+    for i in sorted(_log_steps(config.steps)):
+        a, b = decay_par**i, decay_perp**i
+        dist_par, dist_perp = abs(a) * norm_par, abs(b) * norm_perp
+        trajectory.append(
+            FlowRecord(
+                step=i,
+                loss=loss_star + 0.5 * (curv_par * dist_par**2 + curv_perp * dist_perp**2),
+                dist_par=dist_par,
+                dist_perp=dist_perp,
+                _modes=partial(_shifted, equilibrium, offset, a, b),
+            )
+        )
     return trajectory
 
 
@@ -293,8 +349,12 @@ def monte_carlo_loss(
 
     Samples are assembled as antithetic noise pairs (n, -n) sharing data and
     time, which lowers variance without biasing the estimate; each pair mean
-    counts as one observation for the standard error.  Chunks are reduced in
-    a fixed order, so the result is reproducible for a given generator state.
+    counts as one observation for the standard error.  With the data part
+    A = alpha x W^T - phi x and the noise part N = sigma n W^T - psi n, the
+    pair's residuals are A + N and A - N, so its mean is
+    kappa^2 (|A|^2 + |N|^2) / 2 and neither residual is formed.  Chunks are
+    reduced in a fixed order, so the result is reproducible for a given
+    generator state.
     """
     if isinstance(target, (int, float)):
         target = k_target(float(target))
@@ -315,14 +375,20 @@ def monte_carlo_loss(
         p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
         q = np.asarray(target.psi(t), dtype=np.float64)[:, None]
         kap2 = np.asarray(kappa_fn(t), dtype=np.float64) ** 2
-        resid_plus = (a * x + s * noise) @ weight.T - (p * x + q * noise)
-        half = 0.5 * kap2 * np.einsum("ij,ij->i", resid_plus, resid_plus)
         if antithetic:
-            resid_minus = (a * x - s * noise) @ weight.T - (p * x - q * noise)
-            half_minus = 0.5 * kap2 * np.einsum("ij,ij->i", resid_minus, resid_minus)
-            values[done : done + m] = 0.5 * (half + half_minus)
+            data_part = x @ weight.T
+            data_part *= a
+            data_part -= p * x
+            noise_part = noise @ weight.T
+            noise_part *= s
+            noise_part -= q * noise
+            sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(
+                "ij,ij->i", noise_part, noise_part
+            )
         else:
-            values[done : done + m] = half
+            resid = (a * x + s * noise) @ weight.T - (p * x + q * noise)
+            sq_norm = np.einsum("ij,ij->i", resid, resid)
+        values[done : done + m] = 0.5 * kap2 * sq_norm
         done += m
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / math.sqrt(n_groups))

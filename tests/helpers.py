@@ -126,3 +126,38 @@ def random_gradient_instance(rng: np.random.Generator, loss_mode: str):
     k = np.asarray(kparam.value(t))
     margin = np.min(np.abs(k * (1.0 - t) + (1.0 - k) * t - config.clamp_floor))
     return net, kparam, x, config, seed, float(margin)
+
+
+def euler_flow_reference(weight0, basis, moments, step_size: float, steps: int):
+    """Exact-mode gradient flow by the step-by-step explicit Euler recursion.
+
+    Each mode follows w <- decay * w + drive * projector.  Returns one
+    (loss, dist_par, dist_perp, weight_par, weight_perp) tuple per step,
+    from 0 to ``steps``: the reference for the closed-form flow.
+    """
+    from kdiff_lab import decompose, optimal_weight_coeffs, quadratic_loss
+
+    proj = basis.projector()
+    comp = np.eye(basis.ambient_dim) - proj
+    c_par, c_perp = optimal_weight_coeffs(moments)
+    modes = decompose(weight0, basis)
+    w_par, w_perp = modes.parallel, modes.perpendicular
+    decay_par = 1.0 - step_size * (moments.alpha_sq + moments.sigma_sq)
+    drive_par = step_size * (moments.phi_alpha + moments.psi_sigma)
+    decay_perp = 1.0 - step_size * moments.sigma_sq
+    drive_perp = step_size * moments.psi_sigma
+    rows = []
+    for i in range(steps + 1):
+        if i:
+            w_par = decay_par * w_par + drive_par * proj
+            w_perp = decay_perp * w_perp + drive_perp * comp
+        rows.append(
+            (
+                quadratic_loss(w_par + w_perp, basis, moments),
+                float(np.linalg.norm(w_par - c_par * proj)),
+                float(np.linalg.norm(w_perp - c_perp * comp)),
+                w_par,
+                w_perp,
+            )
+        )
+    return rows

@@ -102,6 +102,18 @@ class TestDynamics:
         assert code != 0
         assert "Divergence" in capsys.readouterr().err
 
+    def test_stochastic_divergence_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"data": {"D": 6, "d": 2}, "dynamics": {"mode": "stochastic", "steps": 200, "step_size": 50}},
+        )
+        out = tmp_path / "out"
+        assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Divergence: ") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
     def test_stochastic_mode_runs(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -166,6 +178,21 @@ class TestTrain:
         monkeypatch.setattr(analytic, "compute_moments", fail)
         cfg = write_config(tmp_path, "c.json", {"data": data, "train": {"steps": 20, "batch": 16}})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_v_alg1_summary_has_no_theory(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("compute_moments called for a v_alg1 run")
+
+        monkeypatch.setattr(analytic, "compute_moments", fail)
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"data": {"D": 8, "d": 2}, "train": {"steps": 30, "batch": 16, "loss_mode": "v_alg1"}},
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "train_summary.json").read_text())
+        assert set(summary) == {"final_k"}
+        assert "theory k* does not apply (loss_mode v_alg1)" in capsys.readouterr().out
 
     def test_frozen_k_summary_omits_gap(self, tmp_path):
         cfg = write_config(
@@ -303,6 +330,12 @@ class TestConfigValidation:
             pytest.param("theory", {"theory": {"k_points": 1}}, "ConfigError: theory.k_points", id="k_points-1"),
             pytest.param(
                 "sample", {"sample": {"n_samples": -3}}, "ConfigError: sample.n_samples", id="negative-n_samples"
+            ),
+            pytest.param("train", {"train": {"lr": -1}}, "ConfigError: train: lr must be positive", id="negative-lr"),
+            pytest.param("theory", {"data": {"D": "abc"}}, "ConfigError: data: D must be an integer", id="D-not-int"),
+            pytest.param("dynamics", {"dynamics": {"steps": 0}}, "ConfigError: dynamics: steps", id="zero-steps"),
+            pytest.param(
+                "theory", {"interval": [0.5, 0.2]}, "ConfigError: interval/time_sampler: interval", id="reversed-interval"
             ),
         ],
     )

@@ -1,12 +1,18 @@
 """Tests for the linear-model dynamics, equilibrium, and the Monte Carlo oracle."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdiff_lab import (
     FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
+    V_LOSS,
     DimensionPair,
     Divergence,
     FlowConfig,
@@ -17,16 +23,23 @@ from kdiff_lab import (
     exact_gradient,
     k_target,
     logit_normal_measure,
+    make_kappa,
     monte_carlo_loss,
     optimal_loss,
     quadratic_loss,
     random_orthonormal_basis,
     run_gradient_flow,
+    sample_data,
+    sample_noise,
+    sample_t,
     stability_bound,
     stochastic_gradient,
 )
+from kdiff_lab import lindyn
 from kdiff_lab.errors import DimError
 from kdiff_lab.schedule import constant_fn
+
+from helpers import euler_flow_reference
 
 
 def uniform_moments(k):
@@ -233,10 +246,77 @@ class TestGradientFlow:
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(19))
         moments = uniform_moments(1.0)
         bad_step = stability_bound(moments) * 1.2
-        config = FlowConfig(step_size=bad_step, steps=200, mode="exact")
+        # the growing mode is caught before the run, so fewer than 10 steps too
+        for steps in (200, 3):
+            config = FlowConfig(step_size=bad_step, steps=steps, mode="exact")
+            with pytest.warns(UserWarning, match="stability"):
+                with pytest.raises(Divergence, match="parallel mode grows"):
+                    run_gradient_flow(np.eye(4) * 2.0, basis, config, target=1.0)
+
+    def test_unstable_factor_of_a_mode_at_equilibrium_is_harmless(self):
+        # phi = -psi puts the parallel equilibrium at exactly 0, so a zero
+        # start leaves that mode there for good, whatever its factor
+        basis = random_orthonormal_basis(5, 2, np.random.default_rng(44))
+        target = TargetSpec(constant_fn(0.5), constant_fn(-0.5), name="balanced")
+        config = FlowConfig(step_size=4.0, steps=2000)  # factors -5/3 and -1/3
         with pytest.warns(UserWarning, match="stability"):
-            with pytest.raises(Divergence):
-                run_gradient_flow(np.eye(4) * 2.0, basis, config, target=1.0)
+            traj = run_gradient_flow(np.zeros((5, 5)), basis, config, target=target)
+        assert all(rec.dist_par == 0.0 for rec in traj)
+        assert traj[-1].dist_perp < 1e-12 < traj[0].dist_perp
+
+    def test_exact_mode_decomposes_and_evaluates_the_loss_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("quadratic_loss", "decompose"):
+
+            def counted(*args, _name=name, _original=getattr(lindyn, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(lindyn, name, counted)
+        basis = random_orthonormal_basis(6, 2, np.random.default_rng(45))
+        for steps in (1, 40, 5000):
+            calls.clear()
+            traj = run_gradient_flow(np.eye(6), basis, FlowConfig(0.5, steps), target=0.7)
+            assert [rec.weight.shape for rec in traj[-2:]] == [(6, 6), (6, 6)]
+            assert calls["quadratic_loss"] <= 1 and calls["decompose"] <= 1, (steps, calls)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.integers(1, 32).flatmap(lambda D: st.tuples(st.just(D), st.integers(1, D))),
+        phi=st.floats(-2.0, 2.0),
+        psi=st.floats(-2.0, 2.0),
+        step_fraction=st.floats(0.05, 0.95),
+        steps=st.integers(1, 100),
+        scale=st.floats(0.1, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_matches_euler_recursion(self, dims, phi, psi, step_fraction, steps, scale, seed):
+        ambient, d = dims
+        target = TargetSpec(constant_fn(phi), constant_fn(psi), name="linear")
+        moments = compute_moments(FLOW_MATCHING, target, U_LOSS, UNIFORM_MEASURE)
+        rng = np.random.default_rng(seed)
+        basis = random_orthonormal_basis(ambient, d, rng)
+        weight0 = scale / math.sqrt(ambient) * rng.standard_normal((ambient, ambient))
+        step = step_fraction * stability_bound(moments)
+        traj = run_gradient_flow(weight0, basis, FlowConfig(step, steps), target=target)
+        reference = euler_flow_reference(weight0, basis, moments, step, steps)
+        assert [rec.step for rec in traj] == list(range(steps + 1))
+        for rec, (loss, dist_par, dist_perp, w_par, w_perp) in zip(traj, reference):
+            # a zero target drives the loss towards 0; below 1e-300 the
+            # squares of the weights underflow, so relative error means nothing
+            assert math.isclose(rec.loss, loss, rel_tol=1e-12, abs_tol=1e-300), (rec.step, rec.loss, loss)
+            assert abs(rec.dist_par - dist_par) <= 1e-12
+            assert abs(rec.dist_perp - dist_perp) <= 1e-12
+            np.testing.assert_allclose(rec.weight_par, w_par, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(rec.weight_perp, w_perp, rtol=0.0, atol=1e-12)
+
+    def test_stochastic_divergence_raises(self):
+        basis = random_orthonormal_basis(6, 2, np.random.default_rng(46))
+        config = FlowConfig(step_size=50.0, steps=200, mode="stochastic")
+        with pytest.raises(Divergence, match="not finite"):
+            run_gradient_flow(
+                np.zeros((6, 6)), basis, config, target=1.0, rng=np.random.default_rng(47)
+            )
 
     def test_stochastic_mode_decreases_loss(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(20))
@@ -310,6 +390,47 @@ class TestMonteCarloLoss:
         expected = quadratic_loss(weight, basis, moments)
         estimate, se = monte_carlo_loss(weight, basis, 0.4, 400_000, np.random.default_rng(35))
         assert abs(estimate - expected) < 3.0 * se
+
+    @pytest.mark.parametrize(
+        "loss, measure, chunk",
+        [
+            (U_LOSS, UNIFORM_MEASURE, 1 << 15),
+            (U_LOSS, UNIFORM_MEASURE, 700),
+            (V_LOSS, logit_normal_measure(-0.5, 1.0), 700),
+        ],
+        ids=["u-one-chunk", "u-chunks", "v-logit-normal"],
+    )
+    def test_antithetic_pair_mean_matches_two_residuals(self, loss, measure, chunk):
+        rng = np.random.default_rng(48)
+        basis = random_orthonormal_basis(7, 3, rng)
+        weight = rng.standard_normal((7, 7))
+        target, n_samples, clamp = k_target(0.3), 4002, 0.05
+        estimate, se = monte_carlo_loss(
+            weight, basis, target, n_samples, np.random.default_rng(49),
+            loss=loss, measure=measure, clamp_floor=clamp, chunk=chunk,
+        )
+        # the same draws in the same order, each pair's two residuals in full
+        draws = np.random.default_rng(49)
+        kappa_fn = make_kappa(FLOW_MATCHING, target, loss, clamp)
+        values = []
+        for start in range(0, n_samples // 2, chunk):
+            m = min(chunk, n_samples // 2 - start)
+            t = sample_t(measure, draws, size=m)
+            x = sample_data(basis, m, draws)
+            noise = sample_noise(7, m, draws)
+            a, s = FLOW_MATCHING.alpha(t)[:, None], FLOW_MATCHING.sigma(t)[:, None]
+            p, q = target.phi(t)[:, None], target.psi(t)[:, None]
+            halves = [
+                0.5 * kappa_fn(t) ** 2 * np.sum(r * r, axis=1)
+                for r in (
+                    (a * x + s * noise) @ weight.T - (p * x + q * noise),
+                    (a * x - s * noise) @ weight.T - (p * x - q * noise),
+                )
+            ]
+            values.append(0.5 * (halves[0] + halves[1]))
+        values = np.concatenate(values)
+        assert math.isclose(estimate, np.mean(values), rel_tol=1e-12)
+        assert math.isclose(se, np.std(values, ddof=1) / math.sqrt(values.size), rel_tol=1e-12)
 
     def test_sample_count_validation(self):
         basis = random_orthonormal_basis(2, 1, np.random.default_rng(36))
