@@ -87,7 +87,8 @@ _TARGETS = {"epsilon": EPSILON_TARGET, "x": X_TARGET, "v": V_TARGET}
 
 
 def load_config(path) -> dict:
-    """Read and validate a JSON config, rejecting unknown keys."""
+    """Read and validate a JSON config, rejecting unknown keys and sections
+    that are not objects (``target`` may also be a name)."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -101,11 +102,14 @@ def load_config(path) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for section, allowed in _SECTION_KEYS.items():
-        value = cfg.get(section)
-        if isinstance(value, dict):
-            bad = set(value) - allowed
-            if bad:
-                raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
+        if section not in cfg or (section == "target" and isinstance(cfg[section], str)):
+            continue
+        value = cfg[section]
+        if not isinstance(value, dict):
+            raise ConfigError(f"section {section!r} must be an object, got {json.dumps(value)}")
+        bad = set(value) - allowed
+        if bad:
+            raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
     return cfg
 
 
@@ -360,9 +364,10 @@ def _trainer(cfg: dict, seed: int) -> tuple[kdiff.TrainConfig, kdiff.KParam]:
 def cmd_train(cfg: dict, out: Path, seed: int) -> int:
     """Train the toy model (optionally with a trainable k) and summarise the fixed point."""
     config, kparam = _trainer(cfg, seed)
-    # the theory's k* minimises the plain target MSE that loss_mode "u" trains;
-    # v_alg1 trains a velocity-weighted loss, which it does not cover
-    k_star = _theory(cfg)[4] if config.loss_mode == "u" else None
+    # loss_mode "u" trains the plain target MSE whatever the top-level loss
+    # says, so its k* is the u-loss optimum; v_alg1 trains a velocity-weighted
+    # loss, which the theory does not cover
+    k_star = _theory({**cfg, "loss": "u"})[4] if config.loss_mode == "u" else None
     source = _data_source(cfg, seed, "train")
     net = kdiff.PureLinear.zeros(_data_spectrum(cfg).dim)
     history = kdiff.train(net, kparam, source, config)

@@ -9,7 +9,10 @@ hand-derived and flow through every appearance of k (target, numerator, and
 denominator), with the clamp contributing zero subgradient where active.
 
 A training run is single-threaded and deterministic given its seed; seed
-sweeps can run as independent processes.
+sweeps can run as independent processes.  ``train`` allocates the step's
+(batch, D) scratch arrays once per run and every step writes its elementwise
+temporaries into them; a step never writes into the data batch, the noise
+draw, the network's output or a gradient it has returned.
 """
 
 from __future__ import annotations
@@ -267,40 +270,85 @@ def make_kparam(config: TrainConfig, n_bins: int | None = None) -> KParam:
     return KParam.binned(n_bins, config.k_init, trainable=config.k_trainable)
 
 
-def training_step(net, kparam: KParam, x: np.ndarray, config: TrainConfig, rng: np.random.Generator):
+class _StepBuffers:
+    """Scratch (batch, D) arrays for the elementwise temporaries of ``training_step``.
+
+    ``train`` allocates one set per run, so a step writes into memory that is
+    already mapped instead of asking for about a dozen fresh arrays.  ``z``
+    holds the network input (a net may cache it until its backward pass),
+    ``r`` the target and then the residual, ``work`` the remaining per-mode
+    temporaries, and ``grad`` the squared residual and then the output
+    gradient.
+    """
+
+    def __init__(self, batch: int, dim: int):
+        self.z, self.r, self.work, self.grad = (np.empty((batch, dim)) for _ in range(4))
+
+
+def training_step(
+    net,
+    kparam: KParam,
+    x: np.ndarray,
+    config: TrainConfig,
+    rng: np.random.Generator,
+    *,
+    buffers: _StepBuffers | None = None,
+):
     """One step: draw (t, e), form input and target, return loss and gradients.
 
     Gradient keys are "net.<param>" plus "k" when the target parameter is
     trainable.  The returned loss is the batch mean of per-sample halved
     squared errors.
+
+    The (batch, D) temporaries go into ``buffers`` (fresh ones when omitted),
+    each computed by the same IEEE operations in the same order as the plain
+    array expressions, so the results do not depend on whether buffers are
+    reused.  The step never writes into ``x``, the noise draw, an array the
+    net returned, or a gradient it returns.  The buffers are overwritten by
+    the next step, so a net must not return a view of its ``grad_out`` or of
+    its input as a gradient; ``PureLinear`` and ``TwoLayer`` return new arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     batch, dim = x.shape
+    if buffers is None:
+        buffers = _StepBuffers(batch, dim)
+    z, r, work, grad = buffers.z, buffers.r, buffers.work, buffers.grad
     t = sample_t(config.measure, rng, size=batch)
     e = rng.standard_normal((batch, dim))
     k = np.asarray(kparam.value(t), dtype=np.float64)
     tc, kc = t[:, None], k[:, None]
-    z = tc * x + (1.0 - tc) * e
-    u = kc * x - (1.0 - kc) * e
+    # z = t x + (1 - t) e and the target u = k x - (1 - k) e, held in r
+    np.multiply(tc, x, out=z)
+    np.multiply(1.0 - tc, e, out=work)
+    z += work
+    np.multiply(kc, x, out=r)
+    np.multiply(1.0 - kc, e, out=work)
+    r -= work
     u_hat, cache = net.forward_cache(z, t)
 
     dldk = None
     if config.loss_mode == "u":
-        r = u_hat - u
-        loss = 0.5 * float(np.sum(r * r)) / batch
-        g_uhat = r / batch
+        np.subtract(u_hat, r, out=r)
+        loss = 0.5 * float(np.sum(np.multiply(r, r, out=grad))) / batch
+        np.divide(r, batch, out=grad)
         if kparam.trainable and not config.stop_grad_target:
-            dldk = -np.einsum("ij,ij->i", r, x + e) / batch
+            dldk = -np.einsum("ij,ij->i", r, np.add(x, e, out=work)) / batch
     else:
         raw_den = k * (1.0 - t) + (1.0 - k) * t
         den = np.maximum(raw_den, config.clamp_floor)
         denc = den[:, None]
         gain = 1.0 - 2.0 * kc
-        v = (gain * z + u) / denc
-        v_pred = (gain * z + u_hat) / denc
-        r = v_pred - v
-        loss = 0.5 * float(np.sum(r * r)) / batch
-        g_uhat = r / denc / batch
+        # v = (gain z + u) / den in r, v_pred = (gain z + u_hat) / den in work
+        np.multiply(gain, z, out=work)
+        r += work
+        r /= denc
+        work += u_hat
+        work /= denc
+        v_pred = work
+        np.subtract(v_pred, r, out=r)
+        loss = 0.5 * float(np.sum(np.multiply(r, r, out=grad))) / batch
+        np.divide(r, denc, out=grad)
+        grad /= batch
         if kparam.trainable:
             dden = np.where(raw_den > config.clamp_floor, 1.0 - 2.0 * t, 0.0)
             if config.stop_grad_target:
@@ -310,13 +358,13 @@ def training_step(net, kparam: KParam, x: np.ndarray, config: TrainConfig, rng: 
                 ) / batch
             else:
                 dldk = (
-                    -np.einsum("ij,ij->i", r, x + e) / den
+                    -np.einsum("ij,ij->i", r, np.add(x, e, out=work)) / den
                     - np.einsum("ij,ij->i", r, r) * dden / den
                 ) / batch
 
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"training loss is {loss!r}")
-    grads = {f"net.{name}": g for name, g in net.backward(cache, g_uhat).items()}
+    grads = {f"net.{name}": g for name, g in net.backward(cache, grad).items()}
     if kparam.trainable:
         if dldk is None:
             grads["k"] = np.zeros_like(kparam.raw)
@@ -399,9 +447,10 @@ def train(net, kparam: KParam, data_source, config: TrainConfig) -> TrainHistory
     else:
         k_values = np.empty(config.steps)
         probes = None
+    buffers = _StepBuffers(config.batch, data_source.factor.shape[0])
     for i in range(config.steps):
         x = sample_data(data_source, config.batch, rng)
-        loss, grads = training_step(net, kparam, x, config, rng)
+        loss, grads = training_step(net, kparam, x, config, rng, buffers=buffers)
         optimizer_step(params, grads, state, config)
         losses[i] = loss
         if kparam.is_binned:

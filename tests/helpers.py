@@ -1,4 +1,4 @@
-"""Shared test utilities: a replayable generator and finite-difference checks."""
+"""Shared test utilities: a replayable generator, finite-difference checks and reference paths."""
 
 from __future__ import annotations
 
@@ -161,3 +161,62 @@ def euler_flow_reference(weight0, basis, moments, step_size: float, steps: int):
             )
         )
     return rows
+
+
+def training_step_reference(net, kparam, x, config, rng):
+    """``kdiff.training_step`` with every (batch, D) temporary a fresh array.
+
+    The step as plain array expressions, without scratch buffers: the
+    reference that the buffered step must match bit for bit.
+    """
+    from kdiff_lab import NonFiniteLoss, sample_t
+
+    x = np.asarray(x, dtype=np.float64)
+    batch, dim = x.shape
+    t = sample_t(config.measure, rng, size=batch)
+    e = rng.standard_normal((batch, dim))
+    k = np.asarray(kparam.value(t), dtype=np.float64)
+    tc, kc = t[:, None], k[:, None]
+    z = tc * x + (1.0 - tc) * e
+    u = kc * x - (1.0 - kc) * e
+    u_hat, cache = net.forward_cache(z, t)
+
+    dldk = None
+    if config.loss_mode == "u":
+        r = u_hat - u
+        loss = 0.5 * float(np.sum(r * r)) / batch
+        g_uhat = r / batch
+        if kparam.trainable and not config.stop_grad_target:
+            dldk = -np.einsum("ij,ij->i", r, x + e) / batch
+    else:
+        raw_den = k * (1.0 - t) + (1.0 - k) * t
+        den = np.maximum(raw_den, config.clamp_floor)
+        denc = den[:, None]
+        gain = 1.0 - 2.0 * kc
+        v = (gain * z + u) / denc
+        v_pred = (gain * z + u_hat) / denc
+        r = v_pred - v
+        loss = 0.5 * float(np.sum(r * r)) / batch
+        g_uhat = r / denc / batch
+        if kparam.trainable:
+            dden = np.where(raw_den > config.clamp_floor, 1.0 - 2.0 * t, 0.0)
+            if config.stop_grad_target:
+                dldk = (
+                    -2.0 * np.einsum("ij,ij->i", r, z) / den
+                    - np.einsum("ij,ij->i", r, v_pred) * dden / den
+                ) / batch
+            else:
+                dldk = (
+                    -np.einsum("ij,ij->i", r, x + e) / den
+                    - np.einsum("ij,ij->i", r, r) * dden / den
+                ) / batch
+
+    if not np.isfinite(loss):
+        raise NonFiniteLoss(f"training loss is {loss!r}")
+    grads = {f"net.{name}": g for name, g in net.backward(cache, g_uhat).items()}
+    if kparam.trainable:
+        if dldk is None:
+            grads["k"] = np.zeros_like(kparam.raw)
+        else:
+            grads["k"] = kparam.grad_raw(t, dldk)
+    return loss, grads

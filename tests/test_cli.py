@@ -194,6 +194,21 @@ class TestTrain:
         assert set(summary) == {"final_k"}
         assert "theory k* does not apply (loss_mode v_alg1)" in capsys.readouterr().out
 
+    def test_u_loss_mode_reports_the_u_loss_k_star(self, tmp_path, monkeypatch):
+        # the trainer minimises the plain target MSE whatever the top-level
+        # loss, so k* is D/(D+d) and not the v-loss optimum (0.987 here)
+        def fail(*args, **kwargs):
+            raise AssertionError("compute_moments called on a closed-form config")
+
+        monkeypatch.setattr(analytic, "compute_moments", fail)
+        cfg = write_config(
+            tmp_path, "c.json", {"loss": "v", "data": {"D": 8, "d": 2}, "train": {"steps": 30, "batch": 16}}
+        )
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "train_summary.json").read_text())
+        assert summary["theory_k_star"] == pytest.approx(0.8, abs=1e-15)
+        assert summary["abs_gap"] == abs(summary["final_k"] - summary["theory_k_star"])
+
     def test_frozen_k_summary_omits_gap(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -347,6 +362,27 @@ class TestConfigValidation:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err and "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            pytest.param("theory", {"time_sampler": "uniform"}, "section 'time_sampler' must be an object, got \"uniform\"", id="time_sampler-str"),
+            pytest.param("train", {"train": 5}, "section 'train' must be an object, got 5", id="train-int"),
+            pytest.param("theory", {"data": [1]}, "section 'data' must be an object, got [1]", id="data-list"),
+            pytest.param("sample", {"sample": None}, "section 'sample' must be an object, got null", id="sample-null"),
+        ],
+    )
+    def test_non_object_section_is_a_config_error(self, tmp_path, capsys, command, cfg, message):
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ConfigError: {message}\n", err
+        assert not out.exists()
+
+    def test_named_target_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"target": "v", "dynamics": {"steps": 5, "tol": 10.0}})
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_config(

@@ -1,9 +1,12 @@
 """Tests for the learnable-target trainer: k parameter, networks, gradients, optimizer."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from kdiff_lab import (
@@ -15,21 +18,26 @@ from kdiff_lab import (
     NonFiniteLoss,
     OptimizerState,
     PureLinear,
+    TimeMeasure,
     TrainConfig,
     TwoLayer,
     compute_moments,
+    derive_rng,
     equilibrium_weight,
     k_target,
     kappa,
+    make_kparam,
     optimizer_step,
     random_orthonormal_basis,
+    sample_data,
     sample_t,
     train,
     training_step,
     u_to_v,
 )
+from kdiff_lab.kdiff import K_PROBES, _StepBuffers
 
-from helpers import ReplayRNG, gradient_check, random_gradient_instance
+from helpers import ReplayRNG, gradient_check, random_gradient_instance, training_step_reference
 
 
 class TestKParam:
@@ -180,6 +188,118 @@ class TestTrainingStep:
         config = TrainConfig(batch=2, steps=1)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
             training_step(net, kparam, x, config, np.random.default_rng(6))
+
+
+class _KeepOutputs(PureLinear):
+    """PureLinear that keeps every output it returns, with a copy taken at once."""
+
+    def __init__(self, weight):
+        super().__init__(weight)
+        self.outputs = []
+
+    def forward_cache(self, z, t):
+        out, cache = super().forward_cache(z, t)
+        self.outputs.append((out, out.copy()))
+        return out, cache
+
+
+class TestStepBuffers:
+    """The buffered step against ``training_step_reference``, its allocating form."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        loss_mode=st.sampled_from(["u", "v_alg1"]),
+        stop_grad_target=st.booleans(),
+        k_trainable=st.booleans(),
+        n_bins=st.one_of(st.none(), st.integers(1, 8)),
+        logit_normal=st.booleans(),
+        dim=st.integers(1, 64),
+        batch=st.integers(1, 300),
+        hidden=st.one_of(st.none(), st.integers(1, 16)),
+        clamp_floor=st.floats(0.01, 0.5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_three_steps_on_shared_buffers_match_the_reference_bit_for_bit(
+        self, loss_mode, stop_grad_target, k_trainable, n_bins, logit_normal, dim, batch, hidden, clamp_floor, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if hidden is None:
+            net = PureLinear(rng.standard_normal((dim, dim)) / math.sqrt(dim))
+        else:
+            net = TwoLayer.init(dim, hidden, rng)
+        raw = rng.uniform(-3.0, 3.0, size=None if n_bins is None else n_bins + 1)
+        kparam = KParam(np.asarray(raw), trainable=k_trainable)
+        if logit_normal:
+            lo, hi = rng.uniform(0.0, 0.4), rng.uniform(0.6, 1.0)
+            measure = TimeMeasure("logit_normal", (lo, hi), rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.5))
+        else:
+            measure = TimeMeasure()
+        config = TrainConfig(
+            loss_mode=loss_mode, batch=batch, steps=3, clamp_floor=clamp_floor,
+            k_trainable=k_trainable, stop_grad_target=stop_grad_target, measure=measure,
+        )
+        buffers = _StepBuffers(batch, dim)
+        stream = derive_rng(seed, "kdiff", "train")
+        for _ in range(3):
+            x = rng.standard_normal((batch, dim))
+            twin = copy.deepcopy(stream)
+            ref_loss, ref_grads = training_step_reference(net, kparam, x, config, twin)
+            loss, grads = training_step(net, kparam, x, config, stream, buffers=buffers)
+            assert loss == ref_loss
+            assert grads.keys() == ref_grads.keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, ref_grads[name]), name
+            assert stream.random() == twin.random()  # both left the stream at one state
+
+    @pytest.mark.parametrize("loss_mode", ["u", "v_alg1"])
+    @pytest.mark.parametrize("stop_grad_target", [False, True])
+    def test_step_writes_only_its_buffers(self, loss_mode, stop_grad_target):
+        rng = np.random.default_rng(31)
+        dim, batch = 6, 40
+        net = _KeepOutputs(0.5 * rng.standard_normal((dim, dim)))
+        kparam = KParam(rng.uniform(-1.0, 1.0, size=5))
+        config = TrainConfig(loss_mode=loss_mode, batch=batch, steps=2, stop_grad_target=stop_grad_target)
+        draws = ReplayRNG(32)
+        buffers = _StepBuffers(batch, dim)
+        x = rng.standard_normal((batch, dim))
+        x_copy = x.copy()
+        loss, grads = training_step(net, kparam, x, config, draws, buffers=buffers)
+        loss_copy = float(loss)
+        grads_copy = {name: g.copy() for name, g in grads.items()}
+        training_step(net, kparam, rng.standard_normal((batch, dim)), config, draws, buffers=buffers)
+        assert loss == loss_copy
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, grads_copy[name])
+        np.testing.assert_array_equal(x, x_copy)
+        # the tape holds the very arrays the step received; a fresh generator redraws them
+        fresh = np.random.default_rng(32)
+        assert len(draws._tape) == 4 and len(net.outputs) == 2
+        for kind, args, value in draws._tape:
+            np.testing.assert_array_equal(value, getattr(fresh, kind)(*args))
+        for value, kept in net.outputs:
+            np.testing.assert_array_equal(value, kept)
+
+    @pytest.mark.parametrize("loss_mode", ["u", "v_alg1"])
+    @pytest.mark.parametrize("n_bins", [None, 16], ids=["constant", "binned"])
+    def test_train_matches_a_loop_of_reference_steps(self, loss_mode, n_bins):
+        basis = random_orthonormal_basis(64, 4, np.random.default_rng(33))
+        config = TrainConfig(loss_mode=loss_mode, batch=256, steps=40, seed=34)
+        net, kparam = PureLinear.zeros(64), make_kparam(config, n_bins)
+        history = train(net, kparam, basis, config)
+
+        ref_net, ref_kparam = PureLinear.zeros(64), make_kparam(config, n_bins)
+        params = {"net.weight": ref_net.weight, "k": ref_kparam.raw}
+        state, losses, k_values = OptimizerState(), [], []
+        stream = derive_rng(config.seed, "kdiff", "train")
+        for _ in range(config.steps):
+            x = sample_data(basis, config.batch, stream)
+            loss, grads = training_step_reference(ref_net, ref_kparam, x, config, stream)
+            optimizer_step(params, grads, state, config)
+            losses.append(loss)
+            k_values.append(ref_kparam.value(0.5 if n_bins is None else K_PROBES))
+        np.testing.assert_array_equal(history.losses, losses)
+        np.testing.assert_array_equal(history.k_values, np.asarray(k_values))
+        np.testing.assert_array_equal(net.weight, ref_net.weight)
 
 
 class TestLossEquivalence:
