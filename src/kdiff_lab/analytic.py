@@ -17,6 +17,7 @@ loss (perpendicular).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +127,19 @@ class ColoredLoss:
     per_mode: np.ndarray
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_nodes(interval: tuple[float, float], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights rescaled to the interval."""
     if n < 2:
         raise ValueError(f"need at least 2 quadrature nodes, got {n}")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre(n)
     lo, hi = interval
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w

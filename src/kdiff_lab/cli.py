@@ -177,17 +177,40 @@ def _data_section(cfg) -> dict:
     return data
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _integer_columns(row, values: tuple) -> tuple:
+    """Which of a row's values are written as integers."""
+    if isinstance(row, np.ndarray) and row.dtype.kind in "biuf":
+        return (row.dtype.kind != "f",) * len(values)
+    return tuple(isinstance(v, (int, np.integer)) for v in values)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header and one line per row, streamed row by row.
+
+    Integers are written as integers and every other value with 17
+    significant digits.  The first row fixes which columns are integers, so
+    the row format is built once and each row is formatted by a single
+    ``%``; a later row that differs raises ``ValueError`` and leaves no file.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            kinds = line = None
+            for i, row in enumerate(rows):
+                values = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
+                row_kinds = _integer_columns(row, values)
+                if line is None:
+                    kinds = row_kinds
+                    line = ",".join("%d" if is_int else "%.17g" for is_int in kinds) + "\n"
+                elif row_kinds != kinds:
+                    raise ValueError(
+                        f"{path.name}: row {i} does not match the first row's integer "
+                        "and float columns"
+                    )
+                fh.write(line % values)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: Path, obj: dict) -> None:
@@ -274,7 +297,11 @@ def _data_source(cfg: dict, seed: int, command: str):
 
 def cmd_theory(cfg: dict, out: Path, seed: int) -> int:
     """Sweep the equilibrium loss over a k grid and report its minimiser."""
-    k_points = int(cfg.get("theory", {}).get("k_points", 101))
+    k_points = cfg.get("theory", {}).get("k_points", 101)
+    try:
+        k_points = int(k_points)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"theory: k_points must be an integer, got {k_points!r}") from exc
     if k_points < 2:
         raise ConfigError(f"theory.k_points must be >= 2, got {k_points}")
     _, csv_name, header, row, k_star = _theory(cfg)
@@ -405,25 +432,28 @@ def cmd_train(cfg: dict, out: Path, seed: int) -> int:
 def cmd_sample(cfg: dict, out: Path, seed: int) -> int:
     """Integrate the sampling ODE and report off-manifold energy diagnostics."""
     smp = cfg.get("sample", {})
-    n_samples = int(smp.get("n_samples", 1000))
+    try:
+        n_samples = int(smp.get("n_samples", 1000))
+        run = sampler.SampleRun(
+            steps=int(smp.get("steps", 50)),
+            solver=smp.get("solver", "heun"),
+            clamp_floor=float(smp.get("clamp_floor", 0.05)),
+        )
+        target = k_target(smp.get("k", 0.5))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sample: {exc}") from exc
     if n_samples < 0:
         raise ConfigError(f"sample.n_samples must be >= 0, got {n_samples}")
-    run = sampler.SampleRun(
-        steps=int(smp.get("steps", 50)),
-        solver=smp.get("solver", "heun"),
-        clamp_floor=float(smp.get("clamp_floor", 0.05)),
-    )
 
     basis = _data_source(cfg, seed, "sample")
 
     net_kind = smp.get("net", "optimal_linear")
     if net_kind == "optimal_linear":
-        k = float(smp.get("k", 0.5))
         moments = analytic.compute_moments(
-            _build_process(cfg), k_target(k), _build_loss(cfg), _build_measure(cfg)
+            _build_process(cfg), target, _build_loss(cfg), _build_measure(cfg)
         )
         net = kdiff.PureLinear(lindyn.equilibrium_weight(basis, moments))
-        kparam = k
+        kparam = target.k
     elif net_kind == "train":
         config, kparam = _trainer(cfg, seed)
         net = kdiff.PureLinear.zeros(basis.ambient_dim)
@@ -436,7 +466,7 @@ def cmd_sample(cfg: dict, out: Path, seed: int) -> int:
     z1 = sampler.integrate(run, net, kparam, z0) if n_samples else z0
 
     header = [f"x{i}" for i in range(basis.ambient_dim)]
-    write_csv(out / "samples.csv", header, (row for row in z1))
+    write_csv(out / "samples.csv", header, z1)
 
     def off_manifold_fraction(z: np.ndarray):
         if len(z) == 0:

@@ -398,8 +398,10 @@ def optimizer_step(
     c2 = 1.0 - config.beta2**state.step
     for name, p in params.items():
         g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        for moments in (state.m, state.v):
+            if name not in moments:
+                moments[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
         m *= config.beta1
         m += (1.0 - config.beta1) * g
         v *= config.beta2

@@ -220,3 +220,23 @@ def training_step_reference(net, kparam, x, config, rng):
         else:
             grads["k"] = kparam.grad_raw(t, dldk)
     return loss, grads
+
+
+def write_csv_reference(path, header, rows) -> None:
+    """``cli.write_csv`` as a per-value formatter that builds the whole text.
+
+    Each value is written with ``str(int(v))`` when it is an integer and
+    ``f"{float(v):.17g}"`` otherwise: the reference the row-format writer
+    must match byte for byte.
+    """
+
+    def fmt(value) -> str:
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return f"{float(value):.17g}"
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+

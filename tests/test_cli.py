@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from kdiff_lab import analytic
-from kdiff_lab.cli import main
+from kdiff_lab.cli import main, write_csv
+
+from helpers import write_csv_reference
 
 
 def write_config(tmp_path, name, cfg):
@@ -292,6 +294,59 @@ class TestSample:
         assert rows.shape == (50, 6)
 
 
+_SPECIAL = [
+    np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.2345678901234568e17,
+    0.1, 1.0 / 3.0, 1e300, -123.0, 2.0**53 + 2.0,
+]
+
+
+class TestWriteCsv:
+    """The row-format writer against the per-value reference, byte for byte."""
+
+    def _assert_same_bytes(self, tmp_path, header, rows):
+        write_csv(tmp_path / "got.csv", header, rows)
+        write_csv_reference(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_special_float_values(self, tmp_path):
+        rows = np.array(_SPECIAL).reshape(1, -1)
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(rows.shape[1])], rows)
+        self._assert_same_bytes(tmp_path, ["a", "b"], [(v, np.float64(v)) for v in _SPECIAL])
+
+    def test_mixed_integer_and_float_rows(self, tmp_path):
+        rows = [
+            (int(step), np.int64(-step), np.float64(0.5**step), float(step), np.float32(0.1), step * 10**18)
+            for step in range(1, 6)
+        ]
+        self._assert_same_bytes(tmp_path, ["step", "n", "loss", "f", "f32", "big"], rows)
+        self._assert_same_bytes(tmp_path, ["i"], np.arange(-3, 4).reshape(-1, 1))
+
+    def test_random_float_matrix(self, tmp_path):
+        rows = np.random.default_rng(50).standard_normal((300, 7)) * 10.0 ** np.arange(-150, 200, 50)
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(7)], rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 0.5), (2.7, 0.25)],
+            [(1, 0.5), (2, np.int64(3))],
+            [(1, 0.5), (2, 0.25, 0.125)],
+            [np.array([1.0, 2.0]), np.array([3, 4])],
+        ],
+        ids=["float-in-int-column", "int-in-float-column", "longer-row", "int-array-row"],
+    )
+    def test_a_row_unlike_the_first_raises_and_leaves_no_file(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="row 1"):
+            write_csv(path, ["a", "b"], iter(rows))
+        assert not path.exists()
+
+    def test_zero_rows_writes_the_header_only(self, tmp_path):
+        self._assert_same_bytes(tmp_path, ["x0", "x1"], np.empty((0, 2)))
+        self._assert_same_bytes(tmp_path, ["step", "loss"], [])
+        assert (tmp_path / "got.csv").read_text() == "step,loss\n"
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"daat": {}})
@@ -351,6 +406,15 @@ class TestConfigValidation:
             pytest.param("dynamics", {"dynamics": {"steps": 0}}, "ConfigError: dynamics: steps", id="zero-steps"),
             pytest.param(
                 "theory", {"interval": [0.5, 0.2]}, "ConfigError: interval/time_sampler: interval", id="reversed-interval"
+            ),
+            pytest.param("sample", {"sample": {"steps": 0}}, "ConfigError: sample: steps must be >= 1", id="sample-zero-steps"),
+            pytest.param("sample", {"sample": {"solver": "rk4"}}, "ConfigError: sample: unknown solver", id="sample-rk4"),
+            pytest.param("sample", {"sample": {"n_samples": "abc"}}, "ConfigError: sample: invalid literal", id="n_samples-str"),
+            pytest.param("sample", {"sample": {"k": 1.5}}, "ConfigError: sample: k must lie in [0, 1]", id="sample-k-above-1"),
+            pytest.param("sample", {"sample": {"clamp_floor": "a"}}, "ConfigError: sample: could not convert", id="clamp_floor-str"),
+            pytest.param(
+                "theory", {"theory": {"k_points": "x"}}, "ConfigError: theory: k_points must be an integer, got 'x'",
+                id="k_points-str",
             ),
         ],
     )

@@ -429,6 +429,30 @@ class TestOptimizer:
         optimizer_step(params, {"k": np.asarray(2.0)}, OptimizerState(), TrainConfig(optimizer="sgd", lr=0.5))
         assert float(raw) == -1.0
 
+    def test_adam_moments_are_created_once_and_updated_in_place(self, monkeypatch):
+        zeros_like, made = np.zeros_like, []
+        monkeypatch.setattr(np, "zeros_like", lambda a, *args, **kw: made.append(a) or zeros_like(a, *args, **kw))
+        rng = np.random.default_rng(35)
+        params = {"w": rng.standard_normal((64, 64)), "k": np.asarray(0.3)}
+        ref = {name: p.copy() for name, p in params.items()}
+        config = TrainConfig(optimizer="adam", lr=1e-2)
+        state, ref_m, ref_v = OptimizerState(), {}, {}
+        for step in range(1, 4):
+            grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+            optimizer_step(params, grads, state, config)
+            assert len(made) == 4  # two moments per parameter, all made at step 1
+            if step == 1:
+                moments = {name: (state.m[name], state.v[name]) for name in params}
+            for name, (m, v) in moments.items():
+                assert state.m[name] is m and state.v[name] is v
+            # Adam written out with fresh arrays, bit for bit
+            c1, c2 = 1.0 - config.beta1**step, 1.0 - config.beta2**step
+            for name, g in grads.items():
+                m = ref_m[name] = config.beta1 * ref_m.get(name, 0.0) + (1.0 - config.beta1) * g
+                v = ref_v[name] = config.beta2 * ref_v.get(name, 0.0) + (1.0 - config.beta2) * g * g
+                ref[name] = ref[name] - config.lr * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+                assert np.array_equal(params[name], ref[name]), (name, step)
+
 
 class TestTrain:
     def test_deterministic_given_seed(self):
