@@ -22,7 +22,6 @@ from kdiff_lab import (
     integrate,
     k_target,
     random_orthonormal_basis,
-    run_sampler,
 )
 
 
@@ -61,8 +60,8 @@ def main():
 
     print()
     print("=== On-manifold second moment of samples (k = 0.5) ===")
-    out = run_sampler(SampleRun(steps=50, solver="heun"), optimal_net(0.5), 0.5, 10_000,
-                      np.random.default_rng(2))
+    z0 = np.random.default_rng(2).standard_normal((10_000, 8))
+    out = integrate(SampleRun(steps=50, solver="heun"), optimal_net(0.5), 0.5, z0)
     latents = out @ basis.matrix
     second = np.diag(latents.T @ latents / len(latents))
     print(f"second moment along the manifold directions: {np.round(second, 3)} (target 1)")

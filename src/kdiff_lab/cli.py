@@ -3,12 +3,14 @@
 Usage:
     kdiff-lab theory|dynamics|train|sample --config <path> [--seed N] [--out DIR]
 
-The config is a single JSON file with nested sections; unknown keys are
-rejected before anything runs.  One global seed fans out to per-module
-streams through a keyed derivation, so adding a consumer never perturbs the
-draws of existing ones.  All numeric output uses 17 significant digits
-("." decimal separator), which round-trips doubles exactly: re-running a
-command with the same config and seed produces byte-identical files.
+The config is a single JSON file with nested sections.  ``load_config``
+checks every key of every section against one schema and builds the typed
+``Config`` the subcommands read, so bad input fails before any subcommand
+runs.  One global seed fans out to per-module streams through a keyed
+derivation, so adding a consumer never perturbs the draws of existing ones.
+All numeric output uses 17 significant digits ("." decimal separator), which
+round-trips doubles exactly: re-running a command with the same config, seed
+and BLAS thread count produces byte-identical files.
 
 CSVs are plot-ready; no figures are rendered here.
 """
@@ -16,8 +18,11 @@ CSVs are plot-ready; no figures are rendered here.
 from __future__ import annotations
 
 import argparse
+import builtins
+import dataclasses
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +38,8 @@ from .schedule import (
     V_TARGET,
     X_LOSS,
     X_TARGET,
+    LossTargetSpec,
+    ProcessSpec,
     TargetSpec,
     TimeMeasure,
     constant_fn,
@@ -44,137 +51,249 @@ _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_CHECK_FAILED = 2
 
-_TOP_KEYS = {
-    "seed",
-    "output_dir",
-    "interval",
-    "process",
-    "target",
-    "loss",
-    "time_sampler",
-    "data",
-    "theory",
-    "dynamics",
-    "train",
-    "sample",
-}
-_SECTION_KEYS = {
-    "target": {"kind", "k", "phi", "psi"},
-    "time_sampler": {"kind", "mu", "sigma"},
-    "data": {"D", "d", "seed", "spectrum"},
-    "theory": {"k_points"},
-    "dynamics": {"step_size", "steps", "mode", "batch", "tol"},
-    "train": {
-        "loss_mode",
-        "optimizer",
-        "lr",
-        "beta1",
-        "beta2",
-        "adam_eps",
-        "batch",
-        "steps",
-        "clamp_floor",
-        "k_trainable",
-        "k_init",
-        "k_bins",
-        "stop_grad_target",
-    },
-    "sample": {"n_samples", "steps", "solver", "clamp_floor", "net", "k"},
-}
-
+_PROCESSES = {"flow_matching": FLOW_MATCHING}
 _LOSSES = {"u": U_LOSS, "x": X_LOSS, "epsilon": EPSILON_LOSS, "v": V_LOSS}
 _TARGETS = {"epsilon": EPSILON_TARGET, "x": X_TARGET, "v": V_TARGET}
+_NETS = {"optimal_linear": "optimal_linear", "train": "train"}
+
+# _LIBRARY marks a key whose default is that of the library dataclass it
+# fills, so an absent key is left out of the constructor call.
+_LIBRARY = object()
 
 
-def load_config(path) -> dict:
-    """Read and validate a JSON config, rejecting unknown keys and sections
-    that are not objects (``target`` may also be a name)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
-    unknown = set(cfg) - _TOP_KEYS
+def _fields_of(cls, skip: tuple[str, ...] = ()) -> dict:
+    """Schema entries for a library dataclass's fields, but those in ``skip``:
+    each typed by its annotation and left to the dataclass's default."""
+    fields = (f for f in dataclasses.fields(cls) if f.name not in skip)
+    return {f.name: (getattr(builtins, f.type), _LIBRARY) for f in fields}
+
+
+# Every accepted key, by section ("" is the top level), with its JSON type and
+# default.  A dict type is a choice of names, each standing for its value.  A
+# None default also accepts an explicit null.
+_SCHEMA = {
+    "": {
+        "seed": (int, 0),
+        "output_dir": (str, "."),
+        "process": (_PROCESSES, "flow_matching"),
+        "loss": (_LOSSES, "u"),
+        "interval": (list, _LIBRARY),
+    },
+    "target": {"kind": (str, "k"), "k": (float, 1.0), "phi": (float, None), "psi": (float, None)},
+    "time_sampler": {"kind": (str, _LIBRARY), "mu": (float, _LIBRARY), "sigma": (float, _LIBRARY)},
+    "data": {"D": (int, 16), "d": (int, 4), "seed": (int, None), "spectrum": (list, None)},
+    "theory": {"k_points": (int, 101)},
+    "dynamics": {
+        "step_size": (float, 0.5),
+        "steps": (int, 200),
+        **_fields_of(lindyn.FlowConfig, skip=("step_size", "steps")),
+        "tol": (float, 1e-6),
+    },
+    # the run seed and time measure are the top level's
+    "train": {**_fields_of(kdiff.TrainConfig, skip=("seed", "measure")), "k_bins": (int, None)},
+    "sample": {
+        **_fields_of(sampler.SampleRun, skip=("grid",)),
+        "n_samples": (int, 1000),
+        "net": (_NETS, "optimal_linear"),
+        "k": (float, 0.5),
+    },
+}
+# the least value of each integer key that has one
+_LEAST = {"theory.k_points": 2, "sample.n_samples": 0}
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a finite number",
+    bool: "true or false",
+    str: "a string",
+    list: "a list of numbers",
+}
+
+
+@dataclass(frozen=True)
+class Config:
+    """A checked config with every section built and every default filled in."""
+
+    seed: int
+    output_dir: str
+    process: ProcessSpec
+    loss: LossTargetSpec
+    measure: TimeMeasure
+    target: TargetSpec
+    spectrum: analytic.Spectrum
+    manifold_dim: int | None  # d of manifold data; None for a data.spectrum
+    data_seed: int
+    k_points: int
+    flow: lindyn.FlowConfig
+    tol: float
+    train: kdiff.TrainConfig
+    k_bins: int | None
+    sample: sampler.SampleRun
+    n_samples: int
+    net: str
+    sample_target: TargetSpec
+
+    @property
+    def closed_form(self) -> bool:
+        """Whether D / (D + trace) is k*: flow matching, uniform t on [0, 1], unit weighting."""
+        return (
+            self.loss.follows_target
+            and self.measure.kind == "uniform"
+            and self.measure.interval == (0.0, 1.0)
+            and self.process is FLOW_MATCHING
+        )
+
+
+def _typed(path: str, value, kind: type | dict, nullable: bool = False):
+    """A JSON value checked against its key's type and converted to it.
+
+    Integer keys take integral numbers (3.0 is 3), number keys finite
+    numbers, bool keys only true or false; a bool is never a number.
+    """
+    if value is None and nullable:
+        return None
+    if isinstance(kind, dict):
+        if isinstance(value, str) and value in kind:
+            return kind[value]
+        raise ConfigError(f"{path} must be one of {sorted(kind)}, got {json.dumps(value)}")
+    if kind is list and isinstance(value, list):
+        return [_typed(f"{path}[{i}]", v, float) for i, v in enumerate(value)]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and is_number and (isinstance(value, int) or value.is_integer()):
+        if int(value) < _LEAST.get(path, int(value)):
+            raise ConfigError(f"{path} must be >= {_LEAST[path]}, got {int(value)}")
+        return int(value)
+    if kind is float and is_number and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind in (bool, str) and isinstance(value, kind):
+        return value
+    raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+
+
+def _section(raw: dict, name: str) -> dict:
+    """A section's values checked against the schema, with the CLI's defaults
+    filled in; a key the library dataclass defaults is left out when absent."""
+    if name:
+        values, prefix = raw.get(name, {}), f"{name}."
+        if not isinstance(values, dict):
+            raise ConfigError(f"section {name!r} must be an object, got {json.dumps(values)}")
+        unknown = set(values) - set(_SCHEMA[name])
+    else:
+        values, prefix = raw, ""
+        unknown = set(values) - set(_SCHEMA[""]) - set(_SCHEMA)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for section, allowed in _SECTION_KEYS.items():
-        if section not in cfg or (section == "target" and isinstance(cfg[section], str)):
-            continue
-        value = cfg[section]
-        if not isinstance(value, dict):
-            raise ConfigError(f"section {section!r} must be an object, got {json.dumps(value)}")
-        bad = set(value) - allowed
-        if bad:
-            raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
-    return cfg
+        where = f" in section {name!r}" if name else ""
+        raise ConfigError(f"unknown config keys{where}: {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in _SCHEMA[name].items():
+        if key in values or default is not _LIBRARY:
+            out[key] = _typed(prefix + key, values.get(key, default), kind, default is None)
+    return out
 
 
-def _build_process(cfg):
-    name = cfg.get("process", "flow_matching")
-    if name != "flow_matching":
-        raise ConfigError(f"unsupported process {name!r} (only flow_matching ships)")
-    return FLOW_MATCHING
+def _built(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a value it rejects reported as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _build_target(cfg, default_k: float = 1.0) -> TargetSpec:
-    spec = cfg.get("target", {"kind": "k", "k": default_k})
-    if isinstance(spec, str):
-        if spec not in _TARGETS:
-            raise ConfigError(f"unknown target {spec!r}")
-        return _TARGETS[spec]
-    kind = spec.get("kind", "k")
+def _target(raw: dict) -> TargetSpec:
+    """The target section: an object with a kind, or a name such as "v" that is the kind."""
+    if isinstance(raw.get("target"), str):
+        raw = {"target": {"kind": raw["target"]}}
+    spec = _section(raw, "target")
+    kind = spec["kind"]
     if kind in _TARGETS:
         return _TARGETS[kind]
     if kind == "k":
-        return k_target(float(spec.get("k", default_k)))
+        return _built("target", k_target, spec["k"])
     if kind == "linear":
-        if "phi" not in spec or "psi" not in spec:
+        phi, psi = spec["phi"], spec["psi"]
+        if phi is None or psi is None:
             raise ConfigError("linear target needs constant 'phi' and 'psi'")
-        phi, psi = float(spec["phi"]), float(spec["psi"])
         return TargetSpec(constant_fn(phi), constant_fn(psi), name=f"linear({phi:g},{psi:g})")
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
-def _build_loss(cfg):
-    name = cfg.get("loss", "u")
-    if name not in _LOSSES:
-        raise ConfigError(f"unknown loss {name!r}")
-    return _LOSSES[name]
+def _spectrum(raw: dict, data: dict) -> analytic.Spectrum:
+    """The eigenvalues of the data second moment.
+
+    Manifold data is the spectrum with d unit and D - d zero eigenvalues; a
+    ``data.spectrum`` is taken as given, and must have D entries when the
+    config sets ``data.D``.
+    """
+    if data["spectrum"] is None:
+        ambient, intrinsic = data["D"], data["d"]
+        if not 1 <= intrinsic <= ambient:
+            raise DimError(f"need 1 <= d <= D, got d={intrinsic}, D={ambient}")
+        try:
+            return analytic.Spectrum(np.repeat([1.0, 0.0], [intrinsic, ambient - intrinsic]))
+        except (OverflowError, ValueError, MemoryError) as exc:
+            raise DimError(f"data.D = {ambient} is too large: {exc}") from exc
+    spectrum = _built("data.spectrum", analytic.Spectrum, data["spectrum"])
+    if "D" in raw.get("data", {}) and spectrum.dim != data["D"]:
+        raise DimError(f"data.spectrum has {spectrum.dim} eigenvalues but data.D is {data['D']}")
+    return spectrum
 
 
-def _build_measure(cfg) -> TimeMeasure:
-    spec = cfg.get("time_sampler", {"kind": "uniform"})
-    kind = spec.get("kind", "uniform")
-    if kind not in ("uniform", "logit_normal"):
-        raise ConfigError(f"unknown time sampler {kind!r}")
+def load_config(path, seed: int | None = None) -> Config:
+    """Read a JSON config, check every section and build the ``Config`` it describes.
+
+    ``seed``, when given, replaces the config's top-level seed.  Unknown keys,
+    values of the wrong type and values the library rejects all raise a
+    one-line ``ConfigError`` (or ``DimError``) that names the key or section.
+    """
     try:
-        interval = tuple(cfg.get("interval", (0.0, 1.0)))
-        if kind == "uniform":
-            return TimeMeasure(kind="uniform", interval=interval)
-        return TimeMeasure(
-            kind="logit_normal",
-            interval=interval,
-            mu=float(spec.get("mu", 0.0)),
-            sigma_ln=float(spec.get("sigma", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"interval/time_sampler: {exc}") from exc
-
-
-def _data_section(cfg) -> dict:
-    """The data section with its defaults, and D, d and seed (when set) as ints."""
-    data = {"D": 16, "d": 4, **cfg.get("data", {})}
-    for key in ("D", "d", "seed"):
-        if key in data:
-            try:
-                data[key] = int(data[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"data: {key} must be an integer, got {data[key]!r}") from exc
-    return data
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be an object")
+    top = _section(raw, "")
+    if seed is None:
+        seed = top["seed"]
+    target = _target(raw)
+    time_sampler = _section(raw, "time_sampler")
+    if "sigma" in time_sampler:
+        time_sampler["sigma_ln"] = time_sampler.pop("sigma")
+    if "interval" in top:
+        time_sampler["interval"] = top["interval"]
+    measure = _built("interval/time_sampler", TimeMeasure, **time_sampler)
+    data = _section(raw, "data")
+    spectrum = _spectrum(raw, data)
+    theory = _section(raw, "theory")
+    dynamics = _section(raw, "dynamics")
+    tol = dynamics.pop("tol")
+    train = _section(raw, "train")
+    k_bins = train.pop("k_bins")
+    train = _built("train", kdiff.TrainConfig, **train, seed=seed, measure=measure)
+    _built("train", kdiff.make_kparam, train, k_bins)  # checks k_init and k_bins
+    sample = _section(raw, "sample")
+    n_samples, net, sample_k = sample.pop("n_samples"), sample.pop("net"), sample.pop("k")
+    return Config(
+        seed=seed,
+        output_dir=top["output_dir"],
+        process=top["process"],
+        loss=top["loss"],
+        measure=measure,
+        target=target,
+        spectrum=spectrum,
+        manifold_dim=data["d"] if data["spectrum"] is None else None,
+        data_seed=seed if data["seed"] is None else data["seed"],
+        k_points=theory["k_points"],
+        flow=_built("dynamics", lindyn.FlowConfig, **dynamics),
+        tol=tol,
+        train=train,
+        k_bins=k_bins,
+        sample=_built("sample", sampler.SampleRun, **sample),
+        n_samples=n_samples,
+        net=net,
+        sample_target=_built("sample", k_target, sample_k),
+    )
 
 
 def _integer_columns(row, values: tuple) -> tuple:
@@ -217,41 +336,8 @@ def write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _closed_form_applies(cfg) -> bool:
-    # D/(D+d) and D/(D+trace) hold for flow matching + uniform t on [0,1] + unit weighting
-    measure = _build_measure(cfg)
-    return (
-        _build_loss(cfg).follows_target
-        and measure.kind == "uniform"
-        and measure.interval == (0.0, 1.0)
-        and cfg.get("process", "flow_matching") == "flow_matching"
-    )
-
-
-def _data_spectrum(cfg: dict) -> analytic.Spectrum:
-    """The eigenvalues of the data second moment, checked against the config.
-
-    Manifold data is the spectrum with d unit and D - d zero eigenvalues; a
-    ``data.spectrum`` is taken as given, and must have D entries when the
-    config sets ``data.D``.
-    """
-    data = _data_section(cfg)
-    if data.get("spectrum") is None:
-        ambient, intrinsic = data["D"], data["d"]
-        if not 1 <= intrinsic <= ambient:
-            raise DimError(f"need 1 <= d <= D, got d={intrinsic}, D={ambient}")
-        return analytic.Spectrum(np.repeat([1.0, 0.0], [intrinsic, ambient - intrinsic]))
-    try:
-        spectrum = analytic.Spectrum(np.asarray(data["spectrum"], dtype=np.float64))
-    except ValueError as exc:
-        raise ConfigError(f"data.spectrum: {exc}") from exc
-    if "D" in cfg.get("data", {}) and spectrum.dim != data["D"]:
-        raise DimError(f"data.spectrum has {spectrum.dim} eigenvalues but data.D is {data['D']}")
-    return spectrum
-
-
-def _theory(cfg: dict):
-    """A config's equilibrium-loss theory: (spectrum, CSV name, header, k -> row, k*).
+def _theory(cfg: Config):
+    """A config's equilibrium-loss theory: (CSV name, header, k -> row, k*).
 
     Manifold and colored data run the same per-mode losses.  A manifold row
     also splits the total into its parallel and perpendicular parts: the d
@@ -259,9 +345,8 @@ def _theory(cfg: dict):
     weighted by its count.  k* is D / (D + trace) where that closed form
     holds, and a golden-section search of the rows' totals elsewhere.
     """
-    process, loss, measure = _build_process(cfg), _build_loss(cfg), _build_measure(cfg)
-    spectrum = _data_spectrum(cfg)
-    if _data_section(cfg).get("spectrum") is None:
+    spectrum = cfg.spectrum
+    if cfg.manifold_dim is not None:
         csv_name, parts = "theory.csv", ["delta_parallel", "delta_perpendicular"]
         modes = np.array([1.0, 0.0])
         weights = np.array([spectrum.trace, spectrum.dim - spectrum.trace])
@@ -270,75 +355,47 @@ def _theory(cfg: dict):
         modes, weights = spectrum.eigenvalues, 1.0
 
     def row(k: float) -> tuple:
-        moments = analytic.compute_moments(process, k_target(k), loss, measure)
+        moments = analytic.compute_moments(cfg.process, k_target(k), cfg.loss, cfg.measure)
         losses = weights * analytic.colored_mode_losses(modes, moments)
         return (k, float(np.sum(losses)), *losses[: len(parts)])
 
-    if _closed_form_applies(cfg):
+    if cfg.closed_form:
         k_star = analytic.colored_optimal_k(spectrum)
     else:
         k_star = analytic.argmin_k(lambda k: row(k)[1])
-    return spectrum, csv_name, ["k", "delta_total", *parts], row, k_star
+    return csv_name, ["k", "delta_total", *parts], row, k_star
 
 
-def _data_source(cfg: dict, seed: int, command: str):
+def _data_source(cfg: Config):
     """What a command draws data from: a random D x d manifold basis made from
-    the data seed, or the colored covariance of ``data.spectrum``, which only
-    ``train`` accepts."""
-    data = _data_section(cfg)
-    spectrum = _data_spectrum(cfg)
-    if data.get("spectrum") is not None:
-        if command != "train":
-            raise ConfigError(f"{command} runs on manifold data only; drop data.spectrum")
-        return geometry.ColoredCovariance.from_spectrum(spectrum.eigenvalues)
-    basis_rng = derive_rng(data.get("seed", seed), "geometry", "basis")
-    return geometry.random_orthonormal_basis(spectrum.dim, data["d"], basis_rng)
+    the data seed, or the colored covariance of ``data.spectrum``."""
+    if cfg.manifold_dim is None:
+        return geometry.ColoredCovariance.from_spectrum(cfg.spectrum.eigenvalues)
+    basis_rng = derive_rng(cfg.data_seed, "geometry", "basis")
+    return geometry.random_orthonormal_basis(cfg.spectrum.dim, cfg.manifold_dim, basis_rng)
 
 
-def cmd_theory(cfg: dict, out: Path, seed: int) -> int:
+def cmd_theory(cfg: Config, out: Path) -> int:
     """Sweep the equilibrium loss over a k grid and report its minimiser."""
-    k_points = cfg.get("theory", {}).get("k_points", 101)
-    try:
-        k_points = int(k_points)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"theory: k_points must be an integer, got {k_points!r}") from exc
-    if k_points < 2:
-        raise ConfigError(f"theory.k_points must be >= 2, got {k_points}")
-    _, csv_name, header, row, k_star = _theory(cfg)
-    write_csv(out / csv_name, header, [row(k) for k in np.linspace(0.0, 1.0, k_points)])
+    csv_name, header, row, k_star = _theory(cfg)
+    write_csv(out / csv_name, header, [row(k) for k in np.linspace(0.0, 1.0, cfg.k_points)])
     write_json(out / "theory_summary.json", {"k_star": k_star, "delta_at_k_star": row(k_star)[1]})
     print(f"theory: k_star = {k_star:.6f}")
     return _EXIT_OK
 
 
-def cmd_dynamics(cfg: dict, out: Path, seed: int) -> int:
+def cmd_dynamics(cfg: Config, out: Path) -> int:
     """Integrate the linear-model gradient flow and check convergence to equilibrium."""
-    process = _build_process(cfg)
-    loss = _build_loss(cfg)
-    measure = _build_measure(cfg)
-    target = _build_target(cfg, default_k=1.0)
-    dyn = cfg.get("dynamics", {})
-    try:
-        flow = lindyn.FlowConfig(
-            step_size=float(dyn.get("step_size", 0.5)),
-            steps=int(dyn.get("steps", 200)),
-            mode=dyn.get("mode", "exact"),
-            batch=int(dyn.get("batch", 256)),
-        )
-        tol = float(dyn.get("tol", 1e-6))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"dynamics: {exc}") from exc
-
-    basis = _data_source(cfg, seed, "dynamics")
+    basis = _data_source(cfg)
     weight0 = np.zeros((basis.ambient_dim, basis.ambient_dim))
-    rng = derive_rng(seed, "lindyn", "stochastic") if flow.mode == "stochastic" else None
+    rng = derive_rng(cfg.seed, "lindyn", "stochastic") if cfg.flow.mode == "stochastic" else None
     trajectory = lindyn.run_gradient_flow(
-        weight0, basis, flow, process, target, loss, measure, rng=rng
+        weight0, basis, cfg.flow, cfg.process, cfg.target, cfg.loss, cfg.measure, rng=rng
     )
 
     rows = [(rec.step, rec.loss, rec.dist_par, rec.dist_perp) for rec in trajectory]
     write_csv(out / "dynamics.csv", ["step", "loss", "dist_par", "dist_perp"], rows)
-    final = trajectory[-1]
+    final, tol = trajectory[-1], cfg.tol
     converged = final.dist_par < tol and final.dist_perp < tol
     write_json(
         out / "dynamics_summary.json",
@@ -360,58 +417,26 @@ def cmd_dynamics(cfg: dict, out: Path, seed: int) -> int:
     return _EXIT_OK
 
 
-def _trainer(cfg: dict, seed: int) -> tuple[kdiff.TrainConfig, kdiff.KParam]:
-    """The training run a config describes and the k parameter it learns."""
-    tr = cfg.get("train", {})
-    measure = _build_measure(cfg)
-    try:
-        config = kdiff.TrainConfig(
-            loss_mode=tr.get("loss_mode", "u"),
-            optimizer=tr.get("optimizer", "adam"),
-            lr=float(tr.get("lr", 1e-2)),
-            beta1=float(tr.get("beta1", 0.9)),
-            beta2=float(tr.get("beta2", 0.95)),
-            adam_eps=float(tr.get("adam_eps", 1e-8)),
-            batch=int(tr.get("batch", 256)),
-            steps=int(tr.get("steps", 20_000)),
-            seed=seed,
-            clamp_floor=float(tr.get("clamp_floor", 0.05)),
-            k_trainable=bool(tr.get("k_trainable", True)),
-            k_init=float(tr.get("k_init", 0.5)),
-            stop_grad_target=bool(tr.get("stop_grad_target", False)),
-            measure=measure,
-        )
-        k_bins = tr.get("k_bins")
-        kparam = kdiff.make_kparam(config, n_bins=None if k_bins is None else int(k_bins))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}") from exc
-    return config, kparam
-
-
-def cmd_train(cfg: dict, out: Path, seed: int) -> int:
+def cmd_train(cfg: Config, out: Path) -> int:
     """Train the toy model (optionally with a trainable k) and summarise the fixed point."""
-    config, kparam = _trainer(cfg, seed)
+    config = cfg.train
+    kparam = kdiff.make_kparam(config, cfg.k_bins)
     # loss_mode "u" trains the plain target MSE whatever the top-level loss
     # says, so its k* is the u-loss optimum; v_alg1 trains a velocity-weighted
     # loss, which the theory does not cover
-    k_star = _theory({**cfg, "loss": "u"})[4] if config.loss_mode == "u" else None
-    source = _data_source(cfg, seed, "train")
-    net = kdiff.PureLinear.zeros(_data_spectrum(cfg).dim)
-    history = kdiff.train(net, kparam, source, config)
+    k_star = _theory(dataclasses.replace(cfg, loss=U_LOSS))[3] if config.loss_mode == "u" else None
+    net = kdiff.PureLinear.zeros(cfg.spectrum.dim)
+    history = kdiff.train(net, kparam, _data_source(cfg), config)
 
     if kparam.is_binned:
-        header = ["step", "loss"] + [f"k_t{p:g}" for p in history.probe_points]
-        rows = [
-            (int(s), l, *kv) for s, l, kv in zip(history.steps, history.losses, history.k_values)
-        ]
+        k_header = [f"k_t{p:g}" for p in history.probe_points]
         final_k = float(history.k_values[-1][history.probe_points.size // 2])
     else:
-        header = ["step", "loss", "k"]
-        rows = [
-            (int(s), l, kv) for s, l, kv in zip(history.steps, history.losses, history.k_values)
-        ]
+        k_header = ["k"]
         final_k = float(history.k_values[-1])
-    write_csv(out / "history.csv", header, rows)
+    k_columns = history.k_values.reshape(len(history.steps), -1)
+    rows = [(int(s), l, *kv) for s, l, kv in zip(history.steps, history.losses, k_columns)]
+    write_csv(out / "history.csv", ["step", "loss", *k_header], rows)
 
     summary = {"final_k": final_k}
     if k_star is None:
@@ -429,41 +454,21 @@ def cmd_train(cfg: dict, out: Path, seed: int) -> int:
     return _EXIT_OK
 
 
-def cmd_sample(cfg: dict, out: Path, seed: int) -> int:
+def cmd_sample(cfg: Config, out: Path) -> int:
     """Integrate the sampling ODE and report off-manifold energy diagnostics."""
-    smp = cfg.get("sample", {})
-    try:
-        n_samples = int(smp.get("n_samples", 1000))
-        run = sampler.SampleRun(
-            steps=int(smp.get("steps", 50)),
-            solver=smp.get("solver", "heun"),
-            clamp_floor=float(smp.get("clamp_floor", 0.05)),
-        )
-        target = k_target(smp.get("k", 0.5))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sample: {exc}") from exc
-    if n_samples < 0:
-        raise ConfigError(f"sample.n_samples must be >= 0, got {n_samples}")
-
-    basis = _data_source(cfg, seed, "sample")
-
-    net_kind = smp.get("net", "optimal_linear")
-    if net_kind == "optimal_linear":
-        moments = analytic.compute_moments(
-            _build_process(cfg), target, _build_loss(cfg), _build_measure(cfg)
-        )
+    basis = _data_source(cfg)
+    if cfg.net == "optimal_linear":
+        moments = analytic.compute_moments(cfg.process, cfg.sample_target, cfg.loss, cfg.measure)
         net = kdiff.PureLinear(lindyn.equilibrium_weight(basis, moments))
-        kparam = target.k
-    elif net_kind == "train":
-        config, kparam = _trainer(cfg, seed)
-        net = kdiff.PureLinear.zeros(basis.ambient_dim)
-        kdiff.train(net, kparam, basis, config)
+        kparam = cfg.sample_target.k
     else:
-        raise ConfigError(f"unknown sample net {net_kind!r}")
+        kparam = kdiff.make_kparam(cfg.train, cfg.k_bins)
+        net = kdiff.PureLinear.zeros(basis.ambient_dim)
+        kdiff.train(net, kparam, basis, cfg.train)
 
-    rng = derive_rng(seed, "sampler", "noise")
-    z0 = rng.standard_normal((n_samples, basis.ambient_dim))
-    z1 = sampler.integrate(run, net, kparam, z0) if n_samples else z0
+    rng = derive_rng(cfg.seed, "sampler", "noise")
+    z0 = rng.standard_normal((cfg.n_samples, basis.ambient_dim))
+    z1 = sampler.integrate(cfg.sample, net, kparam, z0)
 
     header = [f"x{i}" for i in range(basis.ambient_dim)]
     write_csv(out / "samples.csv", header, z1)
@@ -475,9 +480,9 @@ def cmd_sample(cfg: dict, out: Path, seed: int) -> int:
         return float(np.sum(perp * perp) / np.sum(z * z))
 
     diagnostics = {
-        "n_samples": n_samples,
-        "solver": run.solver,
-        "steps": run.steps,
+        "n_samples": cfg.n_samples,
+        "solver": cfg.sample.solver,
+        "steps": cfg.sample.steps,
         "off_manifold_fraction_t0": off_manifold_fraction(z0),
         "off_manifold_fraction_t1": off_manifold_fraction(z1),
     }
@@ -510,11 +515,12 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="override the config output directory")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        out = Path(args.out if args.out is not None else cfg.get("output_dir", "."))
+        cfg = load_config(args.config, seed=args.seed)
+        if cfg.manifold_dim is None and args.command in ("dynamics", "sample"):
+            raise ConfigError(f"{args.command} runs on manifold data only; drop data.spectrum")
+        out = Path(args.out if args.out is not None else cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, seed)
+        return _COMMANDS[args.command](cfg, out)
     except KDiffLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_ERROR

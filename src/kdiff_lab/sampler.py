@@ -94,12 +94,3 @@ def integrate(run: SampleRun, net, kparam, z0) -> np.ndarray:
         z = step(z, float(t), float(t_next), net, kparam, run.clamp_floor)
     return z
 
-
-def run_sampler(run: SampleRun, net, kparam, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw initial noise and integrate it to samples; one row per sample."""
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
-    z0 = rng.standard_normal((n_samples, net.dim))
-    if n_samples == 0:
-        return z0
-    return integrate(run, net, kparam, z0)

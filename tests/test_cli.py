@@ -1,12 +1,18 @@
 """End-to-end tests of the command line interface and its file outputs."""
 
+import dataclasses
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kdiff_lab import analytic
-from kdiff_lab.cli import main, write_csv
+from kdiff_lab import ConfigError, DimError, Spectrum, TargetSpec, analytic, cli
+from kdiff_lab.cli import load_config, main, write_csv
 
 from helpers import write_csv_reference
 
@@ -402,19 +408,125 @@ class TestConfigValidation:
                 "sample", {"sample": {"n_samples": -3}}, "ConfigError: sample.n_samples", id="negative-n_samples"
             ),
             pytest.param("train", {"train": {"lr": -1}}, "ConfigError: train: lr must be positive", id="negative-lr"),
-            pytest.param("theory", {"data": {"D": "abc"}}, "ConfigError: data: D must be an integer", id="D-not-int"),
+            pytest.param("theory", {"data": {"D": "abc"}}, 'ConfigError: data.D must be an integer, got "abc"', id="D-not-int"),
             pytest.param("dynamics", {"dynamics": {"steps": 0}}, "ConfigError: dynamics: steps", id="zero-steps"),
             pytest.param(
                 "theory", {"interval": [0.5, 0.2]}, "ConfigError: interval/time_sampler: interval", id="reversed-interval"
             ),
             pytest.param("sample", {"sample": {"steps": 0}}, "ConfigError: sample: steps must be >= 1", id="sample-zero-steps"),
             pytest.param("sample", {"sample": {"solver": "rk4"}}, "ConfigError: sample: unknown solver", id="sample-rk4"),
-            pytest.param("sample", {"sample": {"n_samples": "abc"}}, "ConfigError: sample: invalid literal", id="n_samples-str"),
+            pytest.param("sample", {"sample": {"n_samples": "abc"}}, 'ConfigError: sample.n_samples must be an integer, got "abc"', id="n_samples-str"),
             pytest.param("sample", {"sample": {"k": 1.5}}, "ConfigError: sample: k must lie in [0, 1]", id="sample-k-above-1"),
-            pytest.param("sample", {"sample": {"clamp_floor": "a"}}, "ConfigError: sample: could not convert", id="clamp_floor-str"),
+            pytest.param("sample", {"sample": {"clamp_floor": "a"}}, 'ConfigError: sample.clamp_floor must be a finite number, got "a"', id="clamp_floor-str"),
             pytest.param(
-                "theory", {"theory": {"k_points": "x"}}, "ConfigError: theory: k_points must be an integer, got 'x'",
+                "theory", {"theory": {"k_points": "x"}}, 'ConfigError: theory.k_points must be an integer, got "x"',
                 id="k_points-str",
+            ),
+            pytest.param(
+                "dynamics", {"target": {"kind": "k", "k": 2}}, "ConfigError: target: k must lie in [0, 1], got 2",
+                id="target-k-above-1",
+            ),
+            pytest.param(
+                "dynamics", {"target": {"kind": "k", "k": -0.5}}, "ConfigError: target: k must lie in [0, 1]",
+                id="target-k-negative",
+            ),
+            pytest.param(
+                "dynamics", {"target": {"kind": "k", "k": "abc"}}, 'ConfigError: target.k must be a finite number, got "abc"',
+                id="target-k-str",
+            ),
+            pytest.param(
+                "dynamics", {"target": {"kind": "linear", "phi": "a", "psi": -0.5}},
+                'ConfigError: target.phi must be a finite number, got "a"', id="target-phi-str",
+            ),
+            pytest.param(
+                "dynamics", {"target": {"kind": "linear", "phi": 0.5, "psi": [1]}},
+                "ConfigError: target.psi must be a finite number, got [1]", id="target-psi-list",
+            ),
+            pytest.param(
+                "dynamics", {"target": {"kind": ["k"]}}, 'ConfigError: target.kind must be a string, got ["k"]',
+                id="target-kind-list",
+            ),
+            pytest.param("theory", {"seed": "abc"}, 'ConfigError: seed must be an integer, got "abc"', id="seed-str"),
+            pytest.param("train", {"seed": 1.5}, "ConfigError: seed must be an integer, got 1.5", id="seed-fractional"),
+            pytest.param(
+                "theory", {"theory": {"k_points": 2.5}}, "ConfigError: theory.k_points must be an integer, got 2.5",
+                id="k_points-fractional",
+            ),
+            pytest.param(
+                "sample", {"sample": {"n_samples": 3.9}}, "ConfigError: sample.n_samples must be an integer, got 3.9",
+                id="n_samples-fractional",
+            ),
+            pytest.param(
+                "sample", {"sample": {"steps": 2.7}}, "ConfigError: sample.steps must be an integer, got 2.7",
+                id="sample-steps-fractional",
+            ),
+            pytest.param(
+                "train", {"train": {"batch": 1.5}}, "ConfigError: train.batch must be an integer, got 1.5",
+                id="train-batch-fractional",
+            ),
+            pytest.param(
+                "train", {"train": {"steps": 2.5}}, "ConfigError: train.steps must be an integer, got 2.5",
+                id="train-steps-fractional",
+            ),
+            pytest.param(
+                "train", {"train": {"k_bins": 4.5}}, "ConfigError: train.k_bins must be an integer, got 4.5",
+                id="k_bins-fractional",
+            ),
+            pytest.param(
+                "dynamics", {"dynamics": {"steps": 10.5}}, "ConfigError: dynamics.steps must be an integer, got 10.5",
+                id="dynamics-steps-fractional",
+            ),
+            pytest.param(
+                "dynamics", {"dynamics": {"batch": 2.5}}, "ConfigError: dynamics.batch must be an integer, got 2.5",
+                id="dynamics-batch-fractional",
+            ),
+            pytest.param("theory", {"data": {"D": 8.5}}, "ConfigError: data.D must be an integer, got 8.5", id="D-fractional"),
+            pytest.param("theory", {"data": {"d": 2.5}}, "ConfigError: data.d must be an integer, got 2.5", id="d-fractional"),
+            pytest.param(
+                "sample", {"data": {"seed": 0.5}}, "ConfigError: data.seed must be an integer, got 0.5",
+                id="data-seed-fractional",
+            ),
+            pytest.param(
+                "train", {"train": {"steps": True}}, "ConfigError: train.steps must be an integer, got true",
+                id="train-steps-true",
+            ),
+            pytest.param(
+                "theory", {"theory": {"k_points": True}}, "ConfigError: theory.k_points must be an integer, got true",
+                id="k_points-true",
+            ),
+            pytest.param(
+                "train", {"train": {"k_trainable": "false"}},
+                'ConfigError: train.k_trainable must be true or false, got "false"', id="k_trainable-str",
+            ),
+            pytest.param(
+                "train", {"train": {"stop_grad_target": "false"}},
+                'ConfigError: train.stop_grad_target must be true or false, got "false"', id="stop_grad_target-str",
+            ),
+            pytest.param("theory", {"train": {"lr": -1}}, "ConfigError: train: lr must be positive", id="theory-bad-train"),
+            pytest.param(
+                "train", {"train": {"k_init": 1.5}}, "ConfigError: train: need 0 < k_init < 1, got 1.5", id="k_init-high",
+            ),
+            pytest.param(
+                "theory", {"train": {"k_init": 1.5}}, "ConfigError: train: need 0 < k_init < 1, got 1.5",
+                id="theory-bad-k_init",
+            ),
+            pytest.param(
+                "sample", {"train": {"k_init": 0}}, "ConfigError: train: need 0 < k_init < 1, got 0", id="sample-k_init-zero",
+            ),
+            pytest.param(
+                "train", {"train": {"k_bins": 0}}, "ConfigError: train: n_bins must be >= 1", id="k_bins-zero",
+            ),
+            pytest.param(
+                "theory", {"target": {"kind": "k", "k": 7}}, "ConfigError: target: k must lie in [0, 1], got 7",
+                id="theory-bad-target",
+            ),
+            pytest.param(
+                "train", {"sample": {"n_samples": 3.9}}, "ConfigError: sample.n_samples must be an integer, got 3.9",
+                id="train-bad-sample",
+            ),
+            pytest.param(
+                "train", {"sample": {"net": "mlp"}},
+                "ConfigError: sample.net must be one of ['optimal_linear', 'train'], got \"mlp\"", id="train-bad-net",
             ),
         ],
     )
@@ -425,7 +537,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, cfg, message",
@@ -458,3 +570,94 @@ class TestConfigValidation:
             assert main(["train", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
             outs.append((out / "history.csv").read_bytes())
         assert outs[0] != outs[1]
+
+
+# JSON values a config key may be given: every JSON type, with numbers near
+# the valid ranges, names the schema knows, and integral extremes that no
+# array can hold.  Values between about 1e7 and 1e18 are left out: as a data.D
+# they are valid and would allocate a spectrum of that length.
+_NAMES = st.sampled_from(
+    ["k", "linear", "v", "x", "epsilon", "u", "uniform", "logit_normal", "flow_matching", "exact",
+     "stochastic", "adam", "sgd", "v_alg1", "heun", "euler", "optimal_linear", "train"]
+)
+_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 2**63, 10**30, 2.5, True])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), st.floats(-300.0, 300.0), _EXTREMES, _NAMES,
+    st.text(max_size=3),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
+# values of a key's own type, so that most examples get past the type checks
+_OF_TYPE = {
+    int: st.integers(-2, 40),
+    float: st.floats(-1.0, 2.0),
+    bool: st.booleans(),
+    str: _NAMES,
+    list: st.lists(st.floats(-0.5, 2.0), max_size=4),
+}
+_SECTIONS = [name for name in cli._SCHEMA if name]
+
+
+@st.composite
+def _configs(draw):
+    """Either one key given any JSON value and the rest left out, or random
+    known keys in every section, most of their own type, with now and then an
+    unknown key or a section that is not an object."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(list(cli._SCHEMA)))
+        values = {draw(st.sampled_from(list(cli._SCHEMA[name]))): draw(_VALUES)}
+        return {name: values} if name else values
+
+    def section(name):
+        obj = {}
+        for key in draw(st.lists(st.sampled_from(list(cli._SCHEMA[name])), unique=True)):
+            kind, default = cli._SCHEMA[name][key]
+            of_type = st.sampled_from(sorted(kind)) if isinstance(kind, dict) else _OF_TYPE[kind]
+            if default not in (None, cli._LIBRARY):
+                of_type = st.just(default) | of_type
+            obj[key] = draw(_VALUES if draw(st.integers(0, 9)) == 7 else of_type)
+        if draw(st.integers(0, 19)) == 7:
+            obj[draw(st.text(max_size=3))] = draw(_VALUES)
+        return obj
+
+    cfg = section("")
+    for name in draw(st.lists(st.sampled_from(_SECTIONS), unique=True)):
+        cfg[name] = draw(_VALUES) if draw(st.integers(0, 19)) == 7 else section(name)
+    return cfg
+
+
+def _readme_config() -> dict:
+    """The JSONC example under README's "Command line", without its comments."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line.*?```jsonc\n(.*?)```", text, re.S).group(1)
+    return json.loads(re.sub(r"//.*", "", block))
+
+
+class TestConfigSchema:
+    @settings(
+        max_examples=200, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cfg=_configs())
+    def test_parser_returns_a_config_or_a_config_error(self, tmp_path, cfg):
+        path = write_config(tmp_path, "c.json", cfg)
+        try:
+            assert isinstance(load_config(path), cli.Config)
+        except (ConfigError, DimError) as exc:
+            assert "\n" not in str(exc)
+
+    def test_readme_example_names_every_key_with_its_default(self, tmp_path):
+        doc = _readme_config()
+        named = {("", key) for key in doc if key not in _SECTIONS}
+        named |= {(name, key) for name in _SECTIONS for key in doc[name]}
+        assert named == {(name, key) for name, keys in cli._SCHEMA.items() for key in keys}
+
+        got = load_config(write_config(tmp_path, "readme.json", doc))
+        default = load_config(write_config(tmp_path, "empty.json", {}))
+        for field in dataclasses.fields(cli.Config):
+            a, b = getattr(got, field.name), getattr(default, field.name)
+            if isinstance(a, Spectrum):
+                assert np.array_equal(a.eigenvalues, b.eigenvalues), field.name
+            elif isinstance(a, TargetSpec):
+                assert (a.name, a.k) == (b.name, b.k), field.name
+            else:
+                assert a == b, field.name

@@ -18,7 +18,6 @@ from kdiff_lab import (
     integrate,
     k_target,
     random_orthonormal_basis,
-    run_sampler,
 )
 
 
@@ -169,8 +168,9 @@ class TestRunSampler:
     def test_zero_samples(self):
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(4))
         net = optimal_linear_net(basis, 0.5)
-        out = run_sampler(SampleRun(steps=5), net, 0.5, 0, np.random.default_rng(5))
-        assert out.shape == (0, 4)
+        for solver in ("euler", "heun"):
+            out = integrate(SampleRun(steps=5, solver=solver), net, 0.5, np.empty((0, 4)))
+            assert out.shape == (0, 4)
 
     def test_off_manifold_energy_shrinks(self):
         basis = random_orthonormal_basis(6, 1, np.random.default_rng(6))
@@ -217,7 +217,8 @@ class TestRunSampler:
         # on-manifold second moment of the samples stays at the whitened value
         basis = random_orthonormal_basis(8, 3, np.random.default_rng(10))
         net = optimal_linear_net(basis, 0.5)
-        out = run_sampler(SampleRun(steps=50, solver="heun"), net, 0.5, 10_000, np.random.default_rng(11))
+        z0 = np.random.default_rng(11).standard_normal((10_000, 8))
+        out = integrate(SampleRun(steps=50, solver="heun"), net, 0.5, z0)
         latents = out @ basis.matrix
         second = latents.T @ latents / len(latents)
         assert np.max(np.abs(np.diag(second) - 1.0)) < 0.1
