@@ -234,15 +234,17 @@ def optimal_k(dims: DimensionPair) -> float:
     return dims.ambient / (dims.ambient + dims.intrinsic)
 
 
-def argmin_k(loss_fn, tol: float = 1e-8) -> float:
-    """Golden-section minimiser of a unimodal function on [0, 1].
+def argmin_k(loss_fn, tol: float = 1e-8, bracket: tuple[float, float] = (0.0, 1.0)) -> float:
+    """Golden-section minimiser of a unimodal function on the bracket, [0, 1] by default.
 
     On exact ties both ends shrink, so a constant function converges to the
-    midpoint.
+    bracket's midpoint.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    a, b = 0.0, 1.0
+    a, b = bracket
+    if not a < b:
+        raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
     while b - a > tol:
         span = b - a
         x1 = b - _GOLDEN * span

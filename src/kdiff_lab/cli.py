@@ -98,8 +98,10 @@ _SCHEMA = {
         "k": (float, 0.5),
     },
 }
-# the least value of each integer key that has one
+# the least value of each integer key that has one, and the largest of all:
+# no array can have more elements than a numpy index can count
 _LEAST = {"theory.k_points": 2, "sample.n_samples": 0}
+_INT_MAX = int(np.iinfo(np.intp).max)
 _TYPE_NAMES = {
     int: "an integer",
     float: "a finite number",
@@ -161,6 +163,8 @@ def _typed(path: str, value, kind: type | dict, nullable: bool = False):
     if kind is int and is_number and (isinstance(value, int) or value.is_integer()):
         if int(value) < _LEAST.get(path, int(value)):
             raise ConfigError(f"{path} must be >= {_LEAST[path]}, got {int(value)}")
+        if int(value) > _INT_MAX:
+            raise ConfigError(f"{path} must be <= {_INT_MAX}, got {json.dumps(value)}")
         return int(value)
     if kind is float and is_number and abs(value) <= sys.float_info.max:
         return float(value)
@@ -376,10 +380,28 @@ def _data_source(cfg: Config):
 
 
 def cmd_theory(cfg: Config, out: Path) -> int:
-    """Sweep the equilibrium loss over a k grid and report its minimiser."""
+    """Sweep the equilibrium loss over a k grid and report its minimiser.
+
+    The golden-section search assumes a single minimum.  Where it ends above
+    the grid's lowest row (a curve with two minima, such as the v-loss at
+    D = d), k* is searched again in the two grid cells around that row, the
+    lowest k on an exact tie, and is that row's k if the second search also
+    ends above it.  The closed form is exact and is kept as it is, although
+    its row can be a few ulps above a grid row at almost the same k.
+    """
     csv_name, header, row, k_star = _theory(cfg)
-    write_csv(out / csv_name, header, [row(k) for k in np.linspace(0.0, 1.0, cfg.k_points)])
-    write_json(out / "theory_summary.json", {"k_star": k_star, "delta_at_k_star": row(k_star)[1]})
+    grid = np.linspace(0.0, 1.0, cfg.k_points).tolist()
+    rows = [row(k) for k in grid]
+    write_csv(out / csv_name, header, rows)
+    delta = row(k_star)[1]
+    best = int(np.argmin([r[1] for r in rows]))  # the first, so the lowest k, on ties
+    if not cfg.closed_form and delta > rows[best][1]:
+        bracket = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
+        k_star = analytic.argmin_k(lambda k: row(k)[1], bracket=bracket)
+        delta = row(k_star)[1]
+        if delta > rows[best][1]:
+            k_star, delta = grid[best], rows[best][1]
+    write_json(out / "theory_summary.json", {"k_star": k_star, "delta_at_k_star": delta})
     print(f"theory: k_star = {k_star:.6f}")
     return _EXIT_OK
 
@@ -514,15 +536,24 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output directory")
     args = parser.parse_args(argv)
+    created = []
     try:
         cfg = load_config(args.config, seed=args.seed)
         if cfg.manifold_dim is None and args.command in ("dynamics", "sample"):
             raise ConfigError(f"{args.command} runs on manifold data only; drop data.spectrum")
         out = Path(args.out if args.out is not None else cfg.output_dir)
+        created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)
-    except KDiffLabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (KDiffLabError, MemoryError) as exc:
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
+        # a failed run leaves behind no directory it made and left empty
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:
+                break
         return _EXIT_ERROR
 
 

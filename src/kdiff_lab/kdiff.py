@@ -21,12 +21,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NonFiniteLoss
 from .geometry import sample_data
 from .schedule import UNIFORM_MEASURE, TimeMeasure, sample_t
 from .seeding import derive_rng
+
+
+def _sigmoid(x: float) -> float:
+    """Logistic sigmoid of one float, bit for bit ``scipy.special.expit``.
+
+    Both compute 1 / (1 + exp(-x)) with the C library's exp; numpy's
+    vectorised exp differs in the last bit on some inputs.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def _logit(p: float) -> float:
@@ -74,13 +85,17 @@ class KParam:
     def knots(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.raw.size if self.is_binned else 2)
 
+    def _knot_k(self) -> np.ndarray:
+        """k at each knot: the sigmoid of each raw value."""
+        return np.array([_sigmoid(r) for r in self.raw.tolist()])
+
     def value(self, t):
         """k(t); scalar in, scalar out."""
         tt = np.asarray(t, dtype=np.float64)
         if not self.is_binned:
-            out = np.full(tt.shape, float(expit(self.raw)))
+            out = np.full(tt.shape, _sigmoid(float(self.raw)))
         else:
-            out = np.interp(tt, self.knots(), expit(self.raw))
+            out = np.interp(tt, self.knots(), self._knot_k())
         if np.ndim(t) == 0:
             return float(out)
         return out
@@ -93,14 +108,14 @@ class KParam:
         """
         dloss_dk = np.asarray(dloss_dk, dtype=np.float64)
         if not self.is_binned:
-            s = float(expit(self.raw))
+            s = _sigmoid(float(self.raw))
             return np.asarray(float(np.sum(dloss_dk)) * s * (1.0 - s))
         tt = np.asarray(t, dtype=np.float64)
         n = self.n_bins
         pos = np.clip(tt, 0.0, 1.0) * n
         left = np.minimum(pos.astype(np.int64), n - 1)
         frac = pos - left
-        knot_k = expit(self.raw)
+        knot_k = self._knot_k()
         dsig = knot_k * (1.0 - knot_k)
         grad = np.zeros_like(self.raw)
         np.add.at(grad, left, dloss_dk * (1.0 - frac) * dsig[left])
@@ -161,6 +176,8 @@ class PureLinear:
 
 
 def _silu(x):
+    from scipy.special import expit
+
     s = expit(x)
     return x * s, s
 

@@ -9,7 +9,8 @@ equivalent to weighting the target MSE by ``kappa(t)^2`` with
 
 All types here are immutable after construction and safe to share across
 threads; samplers take an explicit ``numpy.random.Generator`` so parallel
-callers can use independent streams.
+callers can use independent streams.  ``scipy.special`` is imported by the
+logit-normal branches only, so a uniform-time run never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
 
 from .errors import DegenerateTarget
 
@@ -201,6 +201,8 @@ class TimeMeasure:
         if self.kind == "uniform":
             out = np.where(inside, 1.0 / (hi - lo), 0.0)
         else:
+            from scipy.special import ndtr
+
             ga, gb = self._gauss_bounds()
             norm = ndtr(gb) - ndtr(ga)
             # the density vanishes (in the limit) at t = 0 and t = 1
@@ -220,6 +222,8 @@ class TimeMeasure:
         if self.kind == "uniform":
             out = np.clip((tt - lo) / (hi - lo), 0.0, 1.0)
             return _match_scalar(out, t)
+        from scipy.special import ndtr
+
         ga, gb = self._gauss_bounds()
         za, zb = ndtr(ga), ndtr(gb)
         tc = np.clip(tt, 1e-300, 1.0 - 1e-16)
@@ -251,15 +255,18 @@ def sample_t(measure: TimeMeasure, rng: np.random.Generator, size: int | None = 
     lo, hi = measure.interval
     if measure.kind == "uniform":
         out = lo + (hi - lo) * rng.random(size)
-    elif lo <= 0.0 and hi >= 1.0:
-        g = measure.mu + measure.sigma_ln * rng.standard_normal(size)
-        out = expit(g)
     else:
-        ga, gb = measure._gauss_bounds()
-        za, zb = ndtr(ga), ndtr(gb)
-        u = rng.random(size)
-        g = measure.mu + measure.sigma_ln * ndtri(za + u * (zb - za))
-        out = np.clip(expit(g), lo, hi)
+        from scipy.special import expit, ndtr, ndtri
+
+        if lo <= 0.0 and hi >= 1.0:
+            g = measure.mu + measure.sigma_ln * rng.standard_normal(size)
+            out = expit(g)
+        else:
+            ga, gb = measure._gauss_bounds()
+            za, zb = ndtr(ga), ndtr(gb)
+            u = rng.random(size)
+            g = measure.mu + measure.sigma_ln * ndtri(za + u * (zb - za))
+            out = np.clip(expit(g), lo, hi)
     if size is None:
         return float(out)
     return out

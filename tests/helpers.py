@@ -240,3 +240,38 @@ def write_csv_reference(path, header, rows) -> None:
         lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+
+def kparam_value_reference(kparam, t):
+    """``KParam.value`` with the sigmoid taken by ``scipy.special.expit``: the
+    reference the scalar libm sigmoid must match bit for bit."""
+    from scipy.special import expit
+
+    tt = np.asarray(t, dtype=np.float64)
+    if not kparam.is_binned:
+        out = np.full(tt.shape, float(expit(kparam.raw)))
+    else:
+        out = np.interp(tt, kparam.knots(), expit(kparam.raw))
+    if np.ndim(t) == 0:
+        return float(out)
+    return out
+
+
+def kparam_grad_raw_reference(kparam, t, dloss_dk):
+    """``KParam.grad_raw`` with the sigmoid taken by ``scipy.special.expit``."""
+    from scipy.special import expit
+
+    dloss_dk = np.asarray(dloss_dk, dtype=np.float64)
+    if not kparam.is_binned:
+        s = float(expit(kparam.raw))
+        return np.asarray(float(np.sum(dloss_dk)) * s * (1.0 - s))
+    tt = np.asarray(t, dtype=np.float64)
+    n = kparam.n_bins
+    pos = np.clip(tt, 0.0, 1.0) * n
+    left = np.minimum(pos.astype(np.int64), n - 1)
+    frac = pos - left
+    knot_k = expit(kparam.raw)
+    dsig = knot_k * (1.0 - knot_k)
+    grad = np.zeros_like(kparam.raw)
+    np.add.at(grad, left, dloss_dk * (1.0 - frac) * dsig[left])
+    np.add.at(grad, left + 1, dloss_dk * frac * dsig[left + 1])
+    return grad

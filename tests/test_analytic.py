@@ -227,6 +227,17 @@ class TestArgminK:
         with pytest.raises(ValueError):
             argmin_k(lambda k: k, tol=0.0)
 
+    def test_bracket_confines_the_search(self):
+        # two minima, at 0.2 and 0.8: each bracket finds its own
+        def two_wells(k):
+            return min((k - 0.2) ** 2, (k - 0.8) ** 2)
+
+        assert argmin_k(two_wells, bracket=(0.0, 0.5)) == pytest.approx(0.2, abs=1e-7)
+        assert argmin_k(two_wells, bracket=(0.6, 1.0)) == pytest.approx(0.8, abs=1e-7)
+        assert argmin_k(lambda k: 3.0, bracket=(0.2, 0.4)) == pytest.approx(0.3, abs=1e-9)
+        with pytest.raises(ValueError):
+            argmin_k(two_wells, bracket=(0.5, 0.5))
+
 
 class TestSpectrum:
     def test_negative_eigenvalue_rejected(self):

@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +32,26 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return header, rows
+
+
+@st.composite
+def _theory_configs(draw):
+    """A manifold theory run under a random loss and time measure."""
+    ambient = draw(st.integers(1, 64))
+    cfg = {
+        "loss": draw(st.sampled_from(sorted(cli._LOSSES))),
+        "data": {"D": ambient, "d": draw(st.integers(1, ambient))},
+        "theory": {"k_points": draw(st.integers(2, 41))},
+    }
+    if draw(st.booleans()):
+        cfg["time_sampler"] = {
+            "kind": "logit_normal",
+            "mu": draw(st.floats(-1.5, 1.5)),
+            "sigma": draw(st.floats(0.3, 2.0)),
+        }
+    if draw(st.booleans()):
+        cfg["interval"] = [draw(st.floats(0.0, 0.2)), draw(st.floats(0.8, 1.0))]
+    return cfg
 
 
 class TestTheory:
@@ -79,6 +103,36 @@ class TestTheory:
         summary = json.loads((tmp_path / "out" / "theory_summary.json").read_text())
         assert 0.0 <= summary["k_star"] <= 1.0
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_two_minima_give_the_lower_k_minimum_not_the_peak(self, tmp_path, dim):
+        # the v-loss at D = d is symmetric about k = 1/2, where it peaks; the
+        # grid's two lowest rows, at k = 0.05 and 0.95, tie exactly
+        cfg = write_config(tmp_path, "c.json", {"loss": "v", "data": {"D": dim, "d": dim}})
+        out = tmp_path / "out"
+        assert main(["theory", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "theory_summary.json").read_text())
+        _, rows = read_csv(out / "theory.csv")
+        assert summary["delta_at_k_star"] <= rows[:, 1].min()
+        assert summary["k_star"] == pytest.approx(0.0494, abs=1e-3)
+
+    @settings(
+        max_examples=60, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cfg=_theory_configs())
+    def test_k_star_is_never_worse_than_the_grid(self, tmp_path, cfg):
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", path, "--out", str(out)]) == 0
+        delta = json.loads((out / "theory_summary.json").read_text())["delta_at_k_star"]
+        best = read_csv(out / "theory.csv")[1][:, 1].min()
+        if load_config(path).closed_form:
+            # D / (D + d) is exact; its quadrature row may sit a few ulps above
+            # a grid row at almost the same k
+            assert delta <= best * (1.0 + 1e-12)
+        else:
+            assert delta <= best
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"data": {"D": 12, "d": 3}})
         for out in ("a", "b"):
@@ -120,7 +174,7 @@ class TestDynamics:
         assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Divergence: ") and err.count("\n") == 1, err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_stochastic_mode_runs(self, tmp_path):
         cfg = write_config(
@@ -661,3 +715,90 @@ class TestConfigSchema:
                 assert (a.name, a.k) == (b.name, b.k), field.name
             else:
                 assert a == b, field.name
+
+
+def _run_python(args, cwd, preexec_fn=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package on its path and one BLAS thread."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, preexec_fn=preexec_fn,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def _limit_address_space():
+    # about 3 GB: enough to start, too little for the sizes below, and never
+    # applied to the test process itself
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+class TestImpossibleSizes:
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            pytest.param(
+                "theory", {"theory": {"k_points": 1e20}},
+                "ConfigError: theory.k_points must be <= 9223372036854775807, got 1e+20", id="k_points",
+            ),
+            pytest.param("sample", {"sample": {"n_samples": 1e12}}, "MemoryError: ", id="n_samples"),
+            pytest.param("train", {"train": {"batch": 1e12, "steps": 2}}, "MemoryError: ", id="batch"),
+        ],
+    )
+    def test_one_error_line_and_no_directory_left(self, tmp_path, command, cfg, message):
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "outb" / "run"
+        proc = _run_python(
+            ["-m", "kdiff_lab.cli", command, "--config", path, "--out", str(out)],
+            cwd=tmp_path, preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert message in proc.stderr
+        assert not (tmp_path / "outb").exists()
+
+    def test_a_directory_that_existed_is_kept(self, tmp_path):
+        path = write_config(tmp_path, "c.json", {"dynamics": {"step_size": 4.0}})
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.warns(UserWarning):
+            assert main(["dynamics", "--config", path, "--out", str(out)]) == 1
+        assert out.is_dir()
+
+
+# Runs every subcommand at a tiny size in one interpreter, then a
+# logit-normal theory run as the positive control.
+_IMPORT_GUARD = """
+import json, sys
+from kdiff_lab.cli import main
+
+small = {"data": {"D": 4, "d": 2}, "train": {"steps": 3, "batch": 8}}
+runs = [
+    ("theory", {"loss": "v", "theory": {"k_points": 5}}),
+    ("dynamics", {"dynamics": {"steps": 3, "tol": 100.0}}),
+    ("dynamics", {"dynamics": {"mode": "stochastic", "steps": 3, "batch": 8, "step_size": 0.1, "tol": 100.0}}),
+    ("train", {}),
+    ("train", {"train": {"steps": 3, "batch": 8, "loss_mode": "v_alg1", "k_bins": 4}}),
+    ("sample", {"sample": {"n_samples": 4, "steps": 2}}),
+    ("sample", {"sample": {"n_samples": 4, "steps": 2, "net": "train"}}),
+    ("theory", {"time_sampler": {"kind": "logit_normal"}, "theory": {"k_points": 3}}),
+]
+report = []
+for i, (command, extra) in enumerate(runs):
+    with open(f"c{i}.json", "w") as fh:
+        json.dump({**small, **extra}, fh)
+    code = main([command, "--config", f"c{i}.json", "--out", f"out{i}"])
+    report.append([command, code, "scipy.special" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+class TestImportGuard:
+    def test_only_logit_normal_time_loads_scipy_special(self, tmp_path):
+        proc = _run_python(["-c", _IMPORT_GUARD], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert [code for _, code, _ in report] == [0] * len(report)
+        assert [loaded for _, _, loaded in report] == [False] * (len(report) - 1) + [True]
+

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -35,9 +35,59 @@ from kdiff_lab import (
     training_step,
     u_to_v,
 )
-from kdiff_lab.kdiff import K_PROBES, _StepBuffers
+from kdiff_lab.kdiff import K_PROBES, _sigmoid, _StepBuffers
 
-from helpers import ReplayRNG, gradient_check, random_gradient_instance, training_step_reference
+from helpers import (
+    ReplayRNG,
+    gradient_check,
+    kparam_grad_raw_reference,
+    kparam_value_reference,
+    random_gradient_instance,
+    training_step_reference,
+)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# where exp(-x) overflows: the sigmoid is 0 from just below -709.78
+_OVERFLOW_EDGE = -math.log(np.finfo(np.float64).max)
+
+
+class TestSigmoid:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=math.inf)
+    @example(x=-math.inf)
+    @example(x=math.nan)
+    @example(x=-math.nan)
+    @example(x=5e-324)
+    @example(x=-5e-324)
+    @example(x=_OVERFLOW_EDGE)
+    @example(x=math.nextafter(_OVERFLOW_EDGE, -math.inf))
+    @example(x=math.nextafter(_OVERFLOW_EDGE, math.inf))
+    @example(x=-745.2)
+    def test_equals_expit_bit_for_bit(self, x):
+        assert _bits(_sigmoid(x)) == _bits(expit(np.float64(x)))
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0, 800.0])
+    def test_kparam_matches_the_expit_reference(self, scale):
+        rng = np.random.default_rng(11)
+        t = np.concatenate([[0.0, 1.0], rng.random(64)])
+        dloss_dk = rng.standard_normal(t.size)
+        raws = [np.asarray(v) for v in scale * rng.uniform(-1.0, 1.0, 8)]
+        raws += [scale * rng.uniform(-1.0, 1.0, n) for n in (2, 5, 129)]
+        raws += [np.asarray(710.5), np.asarray(-710.5), np.array([-800.0, -709.9, 0.0, 709.9, 800.0])]
+        for raw in raws:
+            param = KParam(raw)
+            assert _bits(param.value(t)).tolist() == _bits(kparam_value_reference(param, t)).tolist()
+            assert _bits(param.value(0.3)) == _bits(kparam_value_reference(param, 0.3))
+            got = param.grad_raw(t, dloss_dk)
+            want = kparam_grad_raw_reference(param, t, dloss_dk)
+            assert _bits(got).tolist() == _bits(want).tolist()
 
 
 class TestKParam:
