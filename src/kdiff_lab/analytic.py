@@ -1,8 +1,5 @@
 """Closed-form and quadrature evaluation of equilibrium weights and optimal losses.
 
-Everything in this module is a pure function of immutable inputs, so k-grid
-sweeps can be evaluated in parallel without coordination.
-
 The central objects are time integrals against the effective measure
 (sampling density times kappa^2).  With those moments in hand, the optimal
 single-linear-layer weight and the loss at that optimum decouple over the
@@ -71,7 +68,6 @@ class MomentSet:
     sigma: float
     alpha_sq: float
     sigma_sq: float
-    alpha_sigma: float
     phi_alpha: float
     psi_sigma: float
     phi_sq: float
@@ -177,7 +173,6 @@ def compute_moments(
         "sigma": s,
         "alpha_sq": a * a,
         "sigma_sq": s * s,
-        "alpha_sigma": a * s,
         "phi_alpha": p * a,
         "psi_sigma": q * s,
         "phi_sq": p * p,
@@ -298,6 +293,21 @@ def colored_mode_losses(eigenvalues, moments: MomentSet) -> np.ndarray:
     lam, den = _mode_denominators(eigenvalues, moments)
     num = lam * moments.phi_alpha + moments.psi_sigma
     return 0.5 * (lam * moments.phi_sq + moments.psi_sq - num * num / den)
+
+
+def u_loss_optimal_k(eigenvalues, moments: MomentSet) -> float:
+    """Exact minimiser over k in [0, 1] of the u-loss equilibrium loss, summed over modes.
+
+    kappa is 1, so the moments of any k-target serve, and with b = lam * alpha + sigma
+    and den = lam * alpha_sq + sigma_sq mode lam's loss is the convex quadratic
+    0.5 * ((1 + lam) one k^2 - 2 one k + one - (b k - sigma)^2 / den).  The vertex of
+    the sum is clipped to [0, 1]; ``colored_optimal_k`` is the uniform-time case.
+    """
+    lam, den = _mode_denominators(eigenvalues, moments)
+    b = lam * moments.alpha + moments.sigma
+    slope = np.sum(moments.one - moments.sigma * b / den)
+    curvature = np.sum((1.0 + lam) * moments.one - b * b / den)
+    return float(np.clip(slope / curvature, 0.0, 1.0))
 
 
 def colored_optimal_loss(

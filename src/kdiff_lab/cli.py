@@ -136,13 +136,9 @@ class Config:
 
     @property
     def closed_form(self) -> bool:
-        """Whether D / (D + trace) is k*: flow matching, uniform t on [0, 1], unit weighting."""
-        return (
-            self.loss.follows_target
-            and self.measure.kind == "uniform"
-            and self.measure.interval == (0.0, 1.0)
-            and self.process is FLOW_MATCHING
-        )
+        """Whether D / (D + trace) is the u-loss k*: flow matching, uniform t on [0, 1]."""
+        uniform = self.measure.kind == "uniform" and self.measure.interval == (0.0, 1.0)
+        return uniform and self.process is FLOW_MATCHING
 
 
 def _typed(path: str, value, kind: type | dict, nullable: bool = False):
@@ -276,8 +272,16 @@ def load_config(path, seed: int | None = None) -> Config:
     k_bins = train.pop("k_bins")
     train = _built("train", kdiff.TrainConfig, **train, seed=seed, measure=measure)
     _built("train", kdiff.make_kparam, train, k_bins)  # checks k_init and k_bins
+    flow = _built("dynamics", lindyn.FlowConfig, **dynamics)
     sample = _section(raw, "sample")
     n_samples, net, sample_k = sample.pop("n_samples"), sample.pop("net"), sample.pop("k")
+    # each size makes an array of 8-byte floats, whose byte count numpy must index
+    per_row = {"sample.n_samples": n_samples, "train.batch": train.batch, "dynamics.batch": flow.batch}
+    sizes = {"theory.k_points": theory["k_points"]}
+    sizes.update((f"{key} x data.D", rows * spectrum.dim) for key, rows in per_row.items())
+    for keys, count in sizes.items():
+        if 8 * count > _INT_MAX:
+            raise ConfigError(f"{keys} = {count} floats take more than {_INT_MAX} bytes")
     return Config(
         seed=seed,
         output_dir=top["output_dir"],
@@ -289,7 +293,7 @@ def load_config(path, seed: int | None = None) -> Config:
         manifold_dim=data["d"] if data["spectrum"] is None else None,
         data_seed=seed if data["seed"] is None else data["seed"],
         k_points=theory["k_points"],
-        flow=_built("dynamics", lindyn.FlowConfig, **dynamics),
+        flow=flow,
         tol=tol,
         train=train,
         k_bins=k_bins,
@@ -340,34 +344,12 @@ def write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _theory(cfg: Config):
-    """A config's equilibrium-loss theory: (CSV name, header, k -> row, k*).
-
-    Manifold and colored data run the same per-mode losses.  A manifold row
-    also splits the total into its parallel and perpendicular parts: the d
-    unit modes and the D - d zero modes, each loss computed once and
-    weighted by its count.  k* is D / (D + trace) where that closed form
-    holds, and a golden-section search of the rows' totals elsewhere.
-    """
-    spectrum = cfg.spectrum
-    if cfg.manifold_dim is not None:
-        csv_name, parts = "theory.csv", ["delta_parallel", "delta_perpendicular"]
-        modes = np.array([1.0, 0.0])
-        weights = np.array([spectrum.trace, spectrum.dim - spectrum.trace])
-    else:
-        csv_name, parts = "theory_colored.csv", []
-        modes, weights = spectrum.eigenvalues, 1.0
-
-    def row(k: float) -> tuple:
-        moments = analytic.compute_moments(cfg.process, k_target(k), cfg.loss, cfg.measure)
-        losses = weights * analytic.colored_mode_losses(modes, moments)
-        return (k, float(np.sum(losses)), *losses[: len(parts)])
-
+def _u_loss_k_star(cfg: Config) -> float:
+    """The exact u-loss k*: D / (D + trace) where that closed form holds, else from one moment set."""
     if cfg.closed_form:
-        k_star = analytic.colored_optimal_k(spectrum)
-    else:
-        k_star = analytic.argmin_k(lambda k: row(k)[1])
-    return csv_name, ["k", "delta_total", *parts], row, k_star
+        return analytic.colored_optimal_k(cfg.spectrum)
+    moments = analytic.compute_moments(cfg.process, k_target(1.0), U_LOSS, cfg.measure)
+    return analytic.u_loss_optimal_k(cfg.spectrum.eigenvalues, moments)
 
 
 def _data_source(cfg: Config):
@@ -382,25 +364,38 @@ def _data_source(cfg: Config):
 def cmd_theory(cfg: Config, out: Path) -> int:
     """Sweep the equilibrium loss over a k grid and report its minimiser.
 
-    The golden-section search assumes a single minimum.  Where it ends above
-    the grid's lowest row (a curve with two minima, such as the v-loss at
-    D = d), k* is searched again in the two grid cells around that row, the
-    lowest k on an exact tie, and is that row's k if the second search also
-    ends above it.  The closed form is exact and is kept as it is, although
-    its row can be a few ulps above a grid row at almost the same k.
+    Manifold and colored data run the same per-mode losses.  A manifold row
+    also splits the total into its parallel and perpendicular parts: the d
+    unit and the D - d zero modes, each loss computed once and weighted by
+    its count.  Under the u-loss k* is exact.  Under any other loss it is
+    searched inside the two grid cells around the grid's lowest row (the
+    lowest k on a tie), and is that row's k if the search ends above it: the
+    curve need not have a single minimum (the v-loss at D = d peaks at 1/2).
     """
-    csv_name, header, row, k_star = _theory(cfg)
+    spectrum = cfg.spectrum
+    if cfg.manifold_dim is not None:
+        csv_name, parts = "theory.csv", ["delta_parallel", "delta_perpendicular"]
+        modes, weights = np.array([1.0, 0.0]), np.array([spectrum.trace, spectrum.dim - spectrum.trace])
+    else:
+        csv_name, parts = "theory_colored.csv", []
+        modes, weights = spectrum.eigenvalues, 1.0
+
+    def row(k: float) -> tuple:
+        moments = analytic.compute_moments(cfg.process, k_target(k), cfg.loss, cfg.measure)
+        losses = weights * analytic.colored_mode_losses(modes, moments)
+        return (k, float(np.sum(losses)), *losses[: len(parts)])
+
     grid = np.linspace(0.0, 1.0, cfg.k_points).tolist()
     rows = [row(k) for k in grid]
-    write_csv(out / csv_name, header, rows)
-    delta = row(k_star)[1]
-    best = int(np.argmin([r[1] for r in rows]))  # the first, so the lowest k, on ties
-    if not cfg.closed_form and delta > rows[best][1]:
+    write_csv(out / csv_name, ["k", "delta_total", *parts], rows)
+    if cfg.loss.follows_target:
+        k_star = _u_loss_k_star(cfg)
+    else:
+        best = int(np.argmin([r[1] for r in rows]))  # the first, so the lowest k, on ties
         bracket = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
-        k_star = analytic.argmin_k(lambda k: row(k)[1], bracket=bracket)
-        delta = row(k_star)[1]
-        if delta > rows[best][1]:
-            k_star, delta = grid[best], rows[best][1]
+        searched = analytic.argmin_k(lambda k: row(k)[1], bracket=bracket)
+        k_star = searched if row(searched)[1] <= rows[best][1] else grid[best]
+    delta = row(k_star)[1]
     write_json(out / "theory_summary.json", {"k_star": k_star, "delta_at_k_star": delta})
     print(f"theory: k_star = {k_star:.6f}")
     return _EXIT_OK
@@ -443,10 +438,9 @@ def cmd_train(cfg: Config, out: Path) -> int:
     """Train the toy model (optionally with a trainable k) and summarise the fixed point."""
     config = cfg.train
     kparam = kdiff.make_kparam(config, cfg.k_bins)
-    # loss_mode "u" trains the plain target MSE whatever the top-level loss
-    # says, so its k* is the u-loss optimum; v_alg1 trains a velocity-weighted
-    # loss, which the theory does not cover
-    k_star = _theory(dataclasses.replace(cfg, loss=U_LOSS))[3] if config.loss_mode == "u" else None
+    # loss_mode "u" trains the plain target MSE whatever the top-level loss, so k* is
+    # the u-loss optimum; the theory does not cover v_alg1's velocity-weighted loss
+    k_star = _u_loss_k_star(cfg) if config.loss_mode == "u" else None
     net = kdiff.PureLinear.zeros(cfg.spectrum.dim)
     history = kdiff.train(net, kparam, _data_source(cfg), config)
 

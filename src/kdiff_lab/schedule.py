@@ -236,10 +236,6 @@ class TimeMeasure:
 UNIFORM_MEASURE = TimeMeasure()
 
 
-def uniform_measure(interval: tuple[float, float] = (0.0, 1.0)) -> TimeMeasure:
-    return TimeMeasure(kind="uniform", interval=interval)
-
-
 def logit_normal_measure(
     mu: float, sigma: float, interval: tuple[float, float] = (0.0, 1.0)
 ) -> TimeMeasure:

@@ -1,8 +1,16 @@
-"""Shared test utilities: a replayable generator, finite-difference checks and reference paths."""
+"""Shared test utilities: a replayable generator, finite-difference checks, reference paths
+and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+
+import kdiff_lab
 
 
 class ReplayRNG:
@@ -275,3 +283,14 @@ def kparam_grad_raw_reference(kparam, t, dloss_dk):
     np.add.at(grad, left, dloss_dk * (1.0 - frac) * dsig[left])
     np.add.at(grad, left + 1, dloss_dk * frac * dsig[left + 1])
     return grad
+
+
+def run_python(args, cwd, preexec_fn=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package on its path and one BLAS thread."""
+    src = str(Path(kdiff_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, preexec_fn=preexec_fn,
+        capture_output=True, text=True, timeout=120,
+    )

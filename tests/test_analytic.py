@@ -17,6 +17,7 @@ from kdiff_lab import (
     QuadratureDivergence,
     SingularEquilibrium,
     Spectrum,
+    TimeMeasure,
     argmin_k,
     colored_mode_coefficients,
     colored_mode_losses,
@@ -30,6 +31,7 @@ from kdiff_lab import (
     optimal_loss,
     optimal_loss_poly,
     optimal_weight_coeffs,
+    u_loss_optimal_k,
 )
 from kdiff_lab import analytic
 from kdiff_lab.schedule import constant_fn
@@ -47,7 +49,6 @@ class TestComputeMoments:
         assert m.sigma == pytest.approx(0.5, abs=1e-12)
         assert m.alpha_sq == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert m.sigma_sq == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert m.alpha_sigma == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_x_target_weighted_moments(self):
         m = moments_for_k(1.0)
@@ -401,3 +402,57 @@ class TestColored:
 
         got = argmin_k(total, tol=1e-8)
         assert 0.0 <= got <= 1.0
+
+
+@st.composite
+def _u_loss_problems(draw):
+    """A 0/1 spectrum with its d, or a colored one with d None (D <= 64), under
+    uniform or logit-normal time, on [0, 1] or a sub-interval."""
+    ambient = draw(st.integers(1, 64))
+    d = draw(st.none() | st.integers(1, ambient))
+    if d is None:
+        lam = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=ambient, max_size=ambient)))
+    else:
+        lam = np.repeat([1.0, 0.0], [d, ambient - d])
+    interval = (0.0, 1.0)
+    if draw(st.booleans()):
+        lo = draw(st.floats(0.0, 0.6))
+        interval = (lo, draw(st.floats(lo + 0.05, 1.0)))
+    if draw(st.booleans()):
+        measure = logit_normal_measure(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.3, 2.0)), interval)
+    else:
+        measure = TimeMeasure(interval=interval)
+    return lam, d, measure
+
+
+class TestULossOptimalK:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(problem=_u_loss_problems())
+    def test_matches_the_search_and_clips_to_the_unit_interval(self, problem):
+        lam, d, measure = problem
+
+        def total(k):
+            moments = compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, measure)
+            return float(np.sum(colored_mode_losses(lam, moments)))
+
+        got = u_loss_optimal_k(lam, compute_moments(FLOW_MATCHING, k_target(0.3), U_LOSS, measure))
+        assert abs(got - argmin_k(total, tol=1e-8)) <= 1e-7
+        # the vertex of the quadratic through three of its values
+        l0, lh, l1 = total(0.0), total(0.5), total(1.0)
+        curvature = 2.0 * (l0 + l1 - 2.0 * lh)
+        vertex = -(l1 - l0 - curvature) / (2.0 * curvature)
+        if vertex < -1e-6:
+            assert got == 0.0
+        elif vertex > 1.0 + 1e-6:
+            assert got == 1.0
+        if measure.kind == "uniform" and measure.interval == (0.0, 1.0):
+            assert abs(got - colored_optimal_k(Spectrum(lam))) <= 1e-13
+            if d is not None:
+                assert abs(got - optimal_k(DimensionPair(lam.size, d))) <= 1e-13
+
+    def test_any_k_target_gives_the_same_k_star(self):
+        lam = np.array([2.0, 1.0, 0.5, 0.0])
+        measure = logit_normal_measure(-0.8, 0.8, (0.1, 0.9))
+        ks = {u_loss_optimal_k(lam, compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, measure))
+              for k in (0.0, 0.4, 1.0)}
+        assert len(ks) == 1

@@ -3,11 +3,8 @@
 import dataclasses
 import json
 import math
-import os
 import re
 import resource
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +15,7 @@ from hypothesis import strategies as st
 from kdiff_lab import ConfigError, DimError, Spectrum, TargetSpec, analytic, cli
 from kdiff_lab.cli import load_config, main, write_csv
 
-from helpers import write_csv_reference
+from helpers import run_python, write_csv_reference
 
 
 def write_config(tmp_path, name, cfg):
@@ -94,6 +91,7 @@ class TestTheory:
             tmp_path,
             "c.json",
             {
+                "loss": "v",
                 "data": {"D": 8, "d": 8},
                 "time_sampler": {"kind": "logit_normal", "mu": 0.0, "sigma": 1.0},
                 "theory": {"k_points": 5},
@@ -126,7 +124,8 @@ class TestTheory:
         assert main(["theory", "--config", path, "--out", str(out)]) == 0
         delta = json.loads((out / "theory_summary.json").read_text())["delta_at_k_star"]
         best = read_csv(out / "theory.csv")[1][:, 1].min()
-        if load_config(path).closed_form:
+        config = load_config(path)
+        if config.closed_form and config.loss.follows_target:
             # D / (D + d) is exact; its quadrature row may sit a few ulps above
             # a grid row at almost the same k
             assert delta <= best * (1.0 + 1e-12)
@@ -270,6 +269,40 @@ class TestTrain:
         summary = json.loads((tmp_path / "out" / "train_summary.json").read_text())
         assert summary["theory_k_star"] == pytest.approx(0.8, abs=1e-15)
         assert summary["abs_gap"] == abs(summary["final_k"] - summary["theory_k_star"])
+
+    @pytest.mark.parametrize(
+        "extra, k_star",
+        [
+            # the vertex of the loss over k lies outside [0, 1] in the first two
+            pytest.param(
+                {"time_sampler": {"kind": "logit_normal", "mu": -1.0, "sigma": 1.0}, "data": {"D": 8, "d": 8}},
+                0.0, id="vertex-below-0",
+            ),
+            pytest.param(
+                {"time_sampler": {"kind": "logit_normal", "mu": 0.4, "sigma": 0.7}, "data": {"D": 16, "d": 3}},
+                1.0, id="vertex-above-1",
+            ),
+            pytest.param({"interval": [0.1, 0.85], "data": {"D": 12, "d": 5}}, None, id="sub-interval"),
+            pytest.param(
+                {"time_sampler": {"kind": "logit_normal", "mu": -0.5, "sigma": 1.2},
+                 "data": {"spectrum": [3.0, 1.0, 0.2, 0.0]}},
+                None, id="spectrum",
+            ),
+            pytest.param({"data": {"spectrum": [3.0, 1.0, 0.2, 0.0]}}, 4.0 / 8.2, id="uniform-spectrum"),
+        ],
+    )
+    def test_theory_and_train_report_one_k_star_without_a_search(self, tmp_path, monkeypatch, extra, k_star):
+        def fail(*args, **kwargs):
+            raise AssertionError("argmin_k called for a u-loss k*")
+
+        monkeypatch.setattr(analytic, "argmin_k", fail)
+        cfg = write_config(tmp_path, "c.json", {**extra, "train": {"steps": 20, "batch": 16}})
+        for command in ("theory", "train"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        theory = json.loads((tmp_path / "theory" / "theory_summary.json").read_text())
+        train = json.loads((tmp_path / "train" / "train_summary.json").read_text())
+        assert theory["k_star"] == train["theory_k_star"]
+        assert 0.0 < theory["k_star"] < 1.0 if k_star is None else theory["k_star"] == k_star
 
     def test_frozen_k_summary_omits_gap(self, tmp_path):
         cfg = write_config(
@@ -534,6 +567,10 @@ class TestConfigValidation:
                 "dynamics", {"dynamics": {"batch": 2.5}}, "ConfigError: dynamics.batch must be an integer, got 2.5",
                 id="dynamics-batch-fractional",
             ),
+            pytest.param(
+                "dynamics", {"dynamics": {"batch": 1e18}}, "ConfigError: dynamics.batch x data.D = ",
+                id="dynamics-batch-bytes",
+            ),
             pytest.param("theory", {"data": {"D": 8.5}}, "ConfigError: data.D must be an integer, got 8.5", id="D-fractional"),
             pytest.param("theory", {"data": {"d": 2.5}}, "ConfigError: data.d must be an integer, got 2.5", id="d-fractional"),
             pytest.param(
@@ -717,17 +754,6 @@ class TestConfigSchema:
                 assert a == b, field.name
 
 
-def _run_python(args, cwd, preexec_fn=None) -> subprocess.CompletedProcess:
-    """A fresh interpreter with this checkout's package on its path and one BLAS thread."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, preexec_fn=preexec_fn,
-        capture_output=True, text=True, timeout=120,
-    )
-
-
 def _limit_address_space():
     # about 3 GB: enough to start, too little for the sizes below, and never
     # applied to the test process itself
@@ -744,12 +770,25 @@ class TestImpossibleSizes:
             ),
             pytest.param("sample", {"sample": {"n_samples": 1e12}}, "MemoryError: ", id="n_samples"),
             pytest.param("train", {"train": {"batch": 1e12, "steps": 2}}, "MemoryError: ", id="batch"),
+            # element counts a numpy index can hold, but byte counts it cannot
+            pytest.param(
+                "theory", {"theory": {"k_points": 4e18}}, "ConfigError: theory.k_points = 4000000000000000000",
+                id="k_points-bytes",
+            ),
+            pytest.param(
+                "sample", {"sample": {"n_samples": 1e18}}, "ConfigError: sample.n_samples x data.D = ",
+                id="n_samples-bytes",
+            ),
+            pytest.param(
+                "train", {"train": {"batch": 1e18, "steps": 2}}, "ConfigError: train.batch x data.D = ",
+                id="batch-bytes",
+            ),
         ],
     )
     def test_one_error_line_and_no_directory_left(self, tmp_path, command, cfg, message):
         path = write_config(tmp_path, "c.json", cfg)
         out = tmp_path / "outb" / "run"
-        proc = _run_python(
+        proc = run_python(
             ["-m", "kdiff_lab.cli", command, "--config", path, "--out", str(out)],
             cwd=tmp_path, preexec_fn=_limit_address_space,
         )
@@ -796,7 +835,7 @@ print(json.dumps(report))
 
 class TestImportGuard:
     def test_only_logit_normal_time_loads_scipy_special(self, tmp_path):
-        proc = _run_python(["-c", _IMPORT_GUARD], cwd=tmp_path)
+        proc = run_python(["-c", _IMPORT_GUARD], cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.splitlines()[-1])
         assert [code for _, code, _ in report] == [0] * len(report)

@@ -24,7 +24,6 @@ from kdiff_lab import (
     logit_normal_measure,
     make_kappa,
     sample_t,
-    uniform_measure,
 )
 from kdiff_lab.analytic import gauss_legendre_nodes
 
@@ -162,7 +161,7 @@ class TestTimeMeasure:
         "measure",
         [
             UNIFORM_MEASURE,
-            uniform_measure((0.2, 0.7)),
+            TimeMeasure(interval=(0.2, 0.7)),
             logit_normal_measure(0.0, 1.0),
             logit_normal_measure(-0.8, 0.8),
             logit_normal_measure(0.5, 1.5, interval=(0.1, 0.9)),
@@ -184,7 +183,7 @@ class TestTimeMeasure:
         assert m.density(0.5) == pytest.approx(4.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
 
     def test_density_zero_outside_interval(self):
-        m = uniform_measure((0.2, 0.7))
+        m = TimeMeasure(interval=(0.2, 0.7))
         assert m.density(0.1) == 0.0
         assert m.density(0.8) == 0.0
         assert m.density(0.5) == pytest.approx(2.0)
@@ -222,7 +221,7 @@ class TestEffectiveWeight:
 class TestSampleT:
     def test_uniform_stays_in_interval(self):
         rng = np.random.default_rng(0)
-        m = uniform_measure((0.25, 0.75))
+        m = TimeMeasure(interval=(0.25, 0.75))
         draws = sample_t(m, rng, size=10_000)
         assert draws.min() >= 0.25 and draws.max() <= 0.75
         t = sample_t(UNIFORM_MEASURE, rng)
