@@ -22,6 +22,7 @@ import builtins
 import dataclasses
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -518,6 +519,11 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # one line per warning, without the source path and code excerpt
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="kdiff-lab",
@@ -530,25 +536,27 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output directory")
     args = parser.parse_args(argv)
-    created = []
-    try:
-        cfg = load_config(args.config, seed=args.seed)
-        if cfg.manifold_dim is None and args.command in ("dynamics", "sample"):
-            raise ConfigError(f"{args.command} runs on manifold data only; drop data.spectrum")
-        out = Path(args.out if args.out is not None else cfg.output_dir)
-        created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out)
-    except (KDiffLabError, MemoryError) as exc:
-        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        print(f"error: {name}: {exc}", file=sys.stderr)
-        # a failed run leaves behind no directory it made and left empty
-        for path in created:
-            try:
-                path.rmdir()
-            except OSError:
-                break
-        return _EXIT_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        created = []
+        try:
+            cfg = load_config(args.config, seed=args.seed)
+            if cfg.manifold_dim is None and args.command in ("dynamics", "sample"):
+                raise ConfigError(f"{args.command} runs on manifold data only; drop data.spectrum")
+            out = Path(args.out if args.out is not None else cfg.output_dir)
+            created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
+            out.mkdir(parents=True, exist_ok=True)
+            return _COMMANDS[args.command](cfg, out)
+        except (KDiffLabError, MemoryError) as exc:
+            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            # a failed run leaves behind no directory it made and left empty
+            for path in created:
+                try:
+                    path.rmdir()
+                except OSError:
+                    break
+            return _EXIT_ERROR
 
 
 def entry_point() -> None:

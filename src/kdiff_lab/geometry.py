@@ -58,15 +58,19 @@ def random_orthonormal_basis(ambient: int, intrinsic: int, rng: np.random.Genera
     return ManifoldBasis(q * signs)
 
 
+def sample_latents(source, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the standard-normal latents of data rows: one per column of the factor."""
+    return rng.standard_normal((batch, source.factor.shape[1]))
+
+
 def sample_data(source, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Draw Gaussian data rows with second moment ``source.factor @ source.factor.T``.
 
     The source is a ``ManifoldBasis`` (whitened intrinsic latents embedded in
-    ambient space) or a ``ColoredCovariance``; either way the draw is one
-    standard-normal latent per column of the factor.
+    ambient space) or a ``ColoredCovariance``; either way the rows are
+    ``sample_latents`` embedded by the factor.
     """
-    factor = source.factor
-    return rng.standard_normal((batch, factor.shape[1])) @ factor.T
+    return sample_latents(source, batch, rng) @ source.factor.T
 
 
 def sample_noise(dim: int, batch: int, rng: np.random.Generator) -> np.ndarray:

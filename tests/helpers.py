@@ -3,6 +3,7 @@ and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -294,3 +295,60 @@ def run_python(args, cwd, preexec_fn=None) -> subprocess.CompletedProcess:
         [sys.executable, *args], cwd=cwd, env=env, preexec_fn=preexec_fn,
         capture_output=True, text=True, timeout=120,
     )
+
+
+def monte_carlo_observations_reference(
+    weight, basis, target, n_groups, rng, process, loss, measure, clamp_floor, antithetic, chunk
+):
+    """``lindyn._loss_observations`` with each chunk evaluated in one piece.
+
+    Draws t, the data, then the noise for a whole chunk and forms every
+    (chunk, D) array at once: the reference that the blocked oracle must
+    match bit for bit.
+    """
+    from kdiff_lab import make_kappa, sample_data, sample_noise, sample_t
+
+    kappa_fn = make_kappa(process, target, loss, clamp_floor)
+    values = np.empty(n_groups)
+    done = 0
+    while done < n_groups:
+        m = min(chunk, n_groups - done)
+        t = sample_t(measure, rng, size=m)
+        x = sample_data(basis, m, rng)
+        noise = sample_noise(basis.ambient_dim, m, rng)
+        a = np.asarray(process.alpha(t), dtype=np.float64)[:, None]
+        s = np.asarray(process.sigma(t), dtype=np.float64)[:, None]
+        p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
+        q = np.asarray(target.psi(t), dtype=np.float64)[:, None]
+        kap2 = np.asarray(kappa_fn(t), dtype=np.float64) ** 2
+        if antithetic:
+            data_part = x @ weight.T
+            data_part *= a
+            data_part -= p * x
+            noise_part = noise @ weight.T
+            noise_part *= s
+            noise_part -= q * noise
+            sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(
+                "ij,ij->i", noise_part, noise_part
+            )
+        else:
+            resid = (a * x + s * noise) @ weight.T - (p * x + q * noise)
+            sq_norm = np.einsum("ij,ij->i", resid, resid)
+        values[done : done + m] = 0.5 * kap2 * sq_norm
+        done += m
+    return values
+
+
+def monte_carlo_loss_reference(
+    weight, basis, target, n_samples, rng, process=kdiff_lab.FLOW_MATCHING, loss=kdiff_lab.U_LOSS,
+    measure=kdiff_lab.UNIFORM_MEASURE, clamp_floor=None, antithetic=True, chunk=1 << 15,
+):
+    """``lindyn.monte_carlo_loss`` reduced from the chunk-wide observations."""
+    if isinstance(target, (int, float)):
+        target = kdiff_lab.k_target(float(target))
+    n_groups = n_samples // 2 if antithetic else n_samples
+    values = monte_carlo_observations_reference(
+        np.asarray(weight, dtype=np.float64), basis, target, n_groups, rng,
+        process, loss, measure, clamp_floor, antithetic, chunk,
+    )
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_groups))

@@ -158,10 +158,22 @@ class TestDynamics:
 
     def test_unstable_step_size_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"dynamics": {"step_size": 4.0}})
-        with pytest.warns(UserWarning):
-            code = main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")])
+        code = main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code != 0
-        assert "Divergence" in capsys.readouterr().err
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: step_size 4.0 at or above stability bound")
+        assert error.startswith("error: Divergence: ")
+
+    def test_library_warning_is_one_stderr_line(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"dynamics": {"step_size": 4.0}})
+        out = tmp_path / "outb" / "run"
+        proc = run_python(["-m", "kdiff_lab.cli", "dynamics", "--config", cfg, "--out", str(out)], cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "warning: step_size 4.0 at or above stability bound 3; exact dynamics will diverge",
+            "error: Divergence: parallel mode grows by a factor 1.66667 per step (step_size 4.0)",
+        ], proc.stderr
+        assert not (tmp_path / "outb").exists()
 
     def test_stochastic_divergence_exits_1_and_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(
@@ -801,8 +813,7 @@ class TestImpossibleSizes:
         path = write_config(tmp_path, "c.json", {"dynamics": {"step_size": 4.0}})
         out = tmp_path / "out"
         out.mkdir()
-        with pytest.warns(UserWarning):
-            assert main(["dynamics", "--config", path, "--out", str(out)]) == 1
+        assert main(["dynamics", "--config", path, "--out", str(out)]) == 1
         assert out.is_dir()
 
 

@@ -1,6 +1,7 @@
 """Tests for the linear-model dynamics, equilibrium, and the Monte Carlo oracle."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -39,7 +40,7 @@ from kdiff_lab import lindyn
 from kdiff_lab.errors import DimError
 from kdiff_lab.schedule import constant_fn
 
-from helpers import euler_flow_reference
+from helpers import euler_flow_reference, monte_carlo_loss_reference, monte_carlo_observations_reference
 
 
 def uniform_moments(k):
@@ -433,6 +434,94 @@ class TestMonteCarloLoss:
         assert math.isclose(se, np.std(values, ddof=1) / math.sqrt(values.size), rel_tol=1e-12)
 
     def test_sample_count_validation(self):
-        basis = random_orthonormal_basis(2, 1, np.random.default_rng(36))
-        with pytest.raises(ValueError):
-            monte_carlo_loss(np.eye(2), basis, 0.5, 1, np.random.default_rng(37))
+        # a standard error needs two observations; one used to give a NaN
+        basis = random_orthonormal_basis(4, 2, np.random.default_rng(36))
+        for antithetic, too_few, enough in ((True, (1, 2, 3), 4), (False, (1,), 2)):
+            for n_samples in too_few:
+                with pytest.raises(ValueError, match=f"at least {enough} samples .*got {n_samples}"):
+                    monte_carlo_loss(
+                        np.eye(4), basis, 0.5, n_samples, np.random.default_rng(37), antithetic=antithetic
+                    )
+            estimate, se = monte_carlo_loss(
+                np.eye(4), basis, 0.5, enough, np.random.default_rng(37), antithetic=antithetic
+            )
+            assert math.isfinite(estimate) and math.isfinite(se) and se > 0.0
+
+    def test_odd_sample_count_with_pairs_drops_one_draw(self):
+        basis = random_orthonormal_basis(5, 2, np.random.default_rng(40))
+        odd = monte_carlo_loss(np.eye(5), basis, 0.5, 2049, np.random.default_rng(41))
+        assert odd == monte_carlo_loss(np.eye(5), basis, 0.5, 2048, np.random.default_rng(41))
+
+    def test_chunk_must_be_positive(self):
+        basis = random_orthonormal_basis(2, 1, np.random.default_rng(42))
+        with pytest.raises(ValueError, match="chunk"):
+            monte_carlo_loss(np.eye(2), basis, 0.5, 100, np.random.default_rng(43), chunk=0)
+
+
+# Chunks below, at and just above multiples of 1024, and some with a short
+# remainder past the last full block, which must join that block.
+_CHUNKS = st.one_of(
+    st.builds(lambda blocks, extra: 1024 * blocks + extra, st.integers(1, 5), st.integers(-1, 40)),
+    st.integers(1, 6000),
+    st.just(1 << 15),
+)
+
+
+class TestMonteCarloBlocks:
+    """The blocked oracle against the chunk-wide loop, compared with ``==``."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        # BLAS kernels for few rows round differently at the larger D, so weight those
+        dims=st.one_of(st.integers(1, 32), st.integers(24, 32)).flatmap(
+            lambda D: st.tuples(st.just(D), st.integers(1, D))
+        ),
+        n_samples=st.one_of(st.integers(4, 5000), st.integers(4, 50_000)),
+        chunk=_CHUNKS,
+        antithetic=st.booleans(),
+        v_loss=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_bit_identical_to_chunk_wide_loop(self, dims, n_samples, chunk, antithetic, v_loss, seed):
+        D, d = dims
+        rng = np.random.default_rng(seed)
+        basis = random_orthonormal_basis(D, d, rng)
+        weight = rng.standard_normal((D, D))
+        target = k_target(float(rng.uniform()))
+        options = dict(process=FLOW_MATCHING, loss=U_LOSS, measure=UNIFORM_MEASURE, clamp_floor=None)
+        if v_loss:
+            options.update(loss=V_LOSS, measure=logit_normal_measure(-0.4, 0.9), clamp_floor=0.05)
+        options.update(antithetic=antithetic, chunk=chunk)
+        # a mean hides last-bit differences of single observations, so compare those too
+        n_groups = n_samples // 2 if antithetic else n_samples
+        observations = [
+            oracle(weight, basis, target, n_groups, np.random.default_rng(seed + 1), **options)
+            for oracle in (lindyn._loss_observations, monte_carlo_observations_reference)
+        ]
+        assert np.array_equal(observations[0], observations[1])
+        got = monte_carlo_loss(weight, basis, target, n_samples, np.random.default_rng(seed + 1), **options)
+        want = monte_carlo_loss_reference(weight, basis, target, n_samples, np.random.default_rng(seed + 1), **options)
+        assert got == want
+
+    @pytest.mark.parametrize("case", [(2, 1, 0.5), (8, 2, 0.25), (16, 4, 0.75), (32, 4, 1.0), (32, 16, 0.0)])
+    def test_bench_oracle_cases_are_bit_identical(self, case):
+        D, d, k = case
+        results = []
+        for oracle in (monte_carlo_loss, monte_carlo_loss_reference):
+            rng = np.random.default_rng(3000)
+            basis = random_orthonormal_basis(D, d, rng)
+            weight = equilibrium_weight(basis, uniform_moments(k))
+            results.append(oracle(weight, basis, k, 1 << 18, rng))
+        assert results[0] == results[1]
+
+    def test_working_set_is_bounded(self):
+        basis = random_orthonormal_basis(32, 4, np.random.default_rng(44))
+        weight = equilibrium_weight(basis, uniform_moments(0.5))
+        tracemalloc.start()
+        try:
+            monte_carlo_loss(weight, basis, 0.5, 1 << 18, np.random.default_rng(45))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the chunk-wide loop peaks at about 44 MB here
+        assert peak < 8 * 2**20, peak
