@@ -19,10 +19,10 @@ from kdiff_lab import (
     U_LOSS,
     UNIFORM_MEASURE,
     DimensionPair,
+    TimeMeasure,
     argmin_k,
     compute_moments,
     k_target,
-    logit_normal_measure,
     optimal_k,
     optimal_loss,
     optimal_loss_poly,
@@ -65,8 +65,8 @@ def main():
     spectrum = np.repeat([1.0, 0.0], [dims.intrinsic, dims.ambient - dims.intrinsic])
     for label, measure in [
         ("uniform", UNIFORM_MEASURE),
-        ("logit-normal(0, 1)", logit_normal_measure(0.0, 1.0)),
-        ("logit-normal(-0.8, 0.8)", logit_normal_measure(-0.8, 0.8)),
+        ("logit-normal(0, 1)", TimeMeasure("logit_normal", mu=0.0, sigma=1.0)),
+        ("logit-normal(-0.8, 0.8)", TimeMeasure("logit_normal", mu=-0.8, sigma=0.8)),
     ]:
 
         def moments_at(k):

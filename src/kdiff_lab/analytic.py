@@ -29,7 +29,7 @@ from .schedule import (
     TargetSpec,
     TimeMeasure,
     k_target,
-    make_kappa,
+    kappa,
 )
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -161,7 +161,7 @@ def compute_moments(
     diverges there, and nodes-are-interior quadrature cannot flag that.
     """
     t, wq = gauss_legendre_nodes(measure.interval, quad_nodes)
-    kap = np.asarray(make_kappa(process, target, loss, clamp_floor)(t), dtype=np.float64)
+    kap = np.asarray(kappa(process, target, loss, t, clamp_floor), dtype=np.float64)
     weight = wq * measure.density(t) * kap * kap
     a = np.asarray(process.alpha(t), dtype=np.float64)
     s = np.asarray(process.sigma(t), dtype=np.float64)
@@ -316,10 +316,9 @@ def colored_optimal_loss(
     process: ProcessSpec = FLOW_MATCHING,
     loss: LossTargetSpec = U_LOSS,
     measure: TimeMeasure = UNIFORM_MEASURE,
-    quad_nodes: int = 64,
 ) -> ColoredLoss:
     """Equilibrium loss of the k-target on colored data, summed over eigenmodes."""
-    moments = compute_moments(process, k_target(k), loss, measure, quad_nodes=quad_nodes)
+    moments = compute_moments(process, k_target(k), loss, measure)
     per_mode = colored_mode_losses(spectrum.eigenvalues, moments)
     return ColoredLoss(float(np.sum(per_mode)), per_mode)
 

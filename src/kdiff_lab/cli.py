@@ -81,7 +81,8 @@ _SCHEMA = {
         "interval": (list, _LIBRARY),
     },
     "target": {"kind": (str, "k"), "k": (float, 1.0), "phi": (float, None), "psi": (float, None)},
-    "time_sampler": {"kind": (str, _LIBRARY), "mu": (float, _LIBRARY), "sigma": (float, _LIBRARY)},
+    # the interval is the top level's
+    "time_sampler": _fields_of(TimeMeasure, skip=("interval",)),
     "data": {"D": (int, 16), "d": (int, 4), "seed": (int, None), "spectrum": (list, None)},
     "theory": {"k_points": (int, 101)},
     "dynamics": {
@@ -93,7 +94,7 @@ _SCHEMA = {
     # the run seed and time measure are the top level's
     "train": {**_fields_of(kdiff.TrainConfig, skip=("seed", "measure")), "k_bins": (int, None)},
     "sample": {
-        **_fields_of(sampler.SampleRun, skip=("grid",)),
+        **_fields_of(sampler.SampleRun),
         "n_samples": (int, 1000),
         "net": (_NETS, "optimal_linear"),
         "k": (float, 0.5),
@@ -259,8 +260,6 @@ def load_config(path, seed: int | None = None) -> Config:
         seed = top["seed"]
     target = _target(raw)
     time_sampler = _section(raw, "time_sampler")
-    if "sigma" in time_sampler:
-        time_sampler["sigma_ln"] = time_sampler.pop("sigma")
     if "interval" in top:
         time_sampler["interval"] = top["interval"]
     measure = _built("interval/time_sampler", TimeMeasure, **time_sampler)
@@ -366,25 +365,25 @@ def cmd_theory(cfg: Config, out: Path) -> int:
     """Sweep the equilibrium loss over a k grid and report its minimiser.
 
     Manifold and colored data run the same per-mode losses.  A manifold row
-    also splits the total into its parallel and perpendicular parts: the d
-    unit and the D - d zero modes, each loss computed once and weighted by
-    its count.  Under the u-loss k* is exact.  Under any other loss it is
-    searched inside the two grid cells around the grid's lowest row (the
-    lowest k on a tie), and is that row's k if the search ends above it: the
-    curve need not have a single minimum (the v-loss at D = d peaks at 1/2).
+    takes its total and its parallel and perpendicular parts (the d unit and
+    the D - d zero modes) from ``optimal_loss``.  Under the u-loss k* is
+    exact.  Under any other loss it is searched inside the two grid cells
+    around the grid's lowest row (the lowest k on a tie), and is that row's k
+    if the search ends above it: the curve need not have a single minimum
+    (the v-loss at D = d peaks at 1/2).
     """
-    spectrum = cfg.spectrum
     if cfg.manifold_dim is not None:
+        dims = analytic.DimensionPair(cfg.spectrum.dim, cfg.manifold_dim)
         csv_name, parts = "theory.csv", ["delta_parallel", "delta_perpendicular"]
-        modes, weights = np.array([1.0, 0.0]), np.array([spectrum.trace, spectrum.dim - spectrum.trace])
     else:
         csv_name, parts = "theory_colored.csv", []
-        modes, weights = spectrum.eigenvalues, 1.0
 
     def row(k: float) -> tuple:
         moments = analytic.compute_moments(cfg.process, k_target(k), cfg.loss, cfg.measure)
-        losses = weights * analytic.colored_mode_losses(modes, moments)
-        return (k, float(np.sum(losses)), *losses[: len(parts)])
+        if parts:
+            loss = analytic.optimal_loss(moments, dims)
+            return (k, loss.total, loss.parallel, loss.perpendicular)
+        return (k, float(np.sum(analytic.colored_mode_losses(cfg.spectrum.eigenvalues, moments))))
 
     grid = np.linspace(0.0, 1.0, cfg.k_points).tolist()
     rows = [row(k) for k in grid]

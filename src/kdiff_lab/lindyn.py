@@ -39,7 +39,7 @@ from .schedule import (
     TargetSpec,
     TimeMeasure,
     k_target,
-    make_kappa,
+    kappa,
     sample_t,
 )
 
@@ -75,6 +75,8 @@ class FlowConfig:
             raise ValueError("step_size must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
         if self.mode not in ("exact", "stochastic"):
             raise ValueError(f"unknown gradient mode {self.mode!r}")
 
@@ -84,7 +86,7 @@ class FlowRecord:
     """Trajectory snapshot: loss and distances to equilibrium, weights on demand.
 
     The weight components are built when read, so a trajectory holds no D x D
-    matrices per row in exact mode.
+    matrix per row in exact mode and one, the unsplit weight, in stochastic mode.
     """
 
     step: int
@@ -117,11 +119,15 @@ def decompose(weight: np.ndarray, basis: ManifoldBasis) -> ModeDecomposition:
     return ModeDecomposition(par, weight - par)
 
 
-def equilibrium_weight(basis: ManifoldBasis, moments: MomentSet) -> np.ndarray:
-    """Global minimiser of the quadratic training loss (the flow's fixed point)."""
+def _equilibrium_modes(basis: ManifoldBasis, moments: MomentSet) -> ModeDecomposition:
     c_par, c_perp = optimal_weight_coeffs(moments)
     proj = basis.projector()
-    return c_par * proj + c_perp * (np.eye(basis.ambient_dim) - proj)
+    return ModeDecomposition(c_par * proj, c_perp * (np.eye(basis.ambient_dim) - proj))
+
+
+def equilibrium_weight(basis: ManifoldBasis, moments: MomentSet) -> np.ndarray:
+    """Global minimiser of the quadratic training loss (the flow's fixed point)."""
+    return _equilibrium_modes(basis, moments).total
 
 
 def exact_gradient(weight: np.ndarray, basis: ManifoldBasis, moments: MomentSet) -> np.ndarray:
@@ -153,7 +159,6 @@ def stochastic_gradient(
     process: ProcessSpec = FLOW_MATCHING,
     target: TargetSpec | float = 1.0,
     loss: LossTargetSpec = U_LOSS,
-    clamp_floor: float | None = None,
 ) -> np.ndarray:
     """Batch estimate of the descent direction from samples (x, noise, t).
 
@@ -168,7 +173,7 @@ def stochastic_gradient(
     s = np.asarray(process.sigma(t), dtype=np.float64)[:, None]
     p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
     q = np.asarray(target.psi(t), dtype=np.float64)[:, None]
-    kap = np.asarray(make_kappa(process, target, loss, clamp_floor)(t), dtype=np.float64)
+    kap = np.asarray(kappa(process, target, loss, t), dtype=np.float64)
     z = a * x + s * noise
     u = p * x + q * noise
     resid = (kap * kap)[:, None] * (z @ weight.T - u)
@@ -212,7 +217,6 @@ def run_gradient_flow(
     target: TargetSpec | float = 1.0,
     loss: LossTargetSpec = U_LOSS,
     measure: TimeMeasure = UNIFORM_MEASURE,
-    quad_nodes: int = 64,
     rng: np.random.Generator | None = None,
 ) -> list[FlowRecord]:
     """Integrate the training dynamics with explicit Euler steps.
@@ -228,7 +232,8 @@ def run_gradient_flow(
     perpendicular trajectory depends only on sigma_sq, psi_sigma and W0, so
     it is bit-identical across runs that differ only in the data coefficient.
 
-    Stochastic mode takes one Euler step per fresh batch of samples.
+    Stochastic mode takes one Euler step per fresh batch of samples.  Each
+    recorded row keeps only its unsplit weight and splits it when read.
 
     Raises:
         Divergence: in exact mode, before any step, if a mode that starts
@@ -239,7 +244,7 @@ def run_gradient_flow(
     """
     if isinstance(target, (int, float)):
         target = k_target(float(target))
-    moments = compute_moments(process, target, loss, measure, quad_nodes=quad_nodes)
+    moments = compute_moments(process, target, loss, measure)
     if config.mode == "exact" and config.step_size >= stability_bound(moments):
         warnings.warn(
             f"step_size {config.step_size} at or above stability bound "
@@ -249,39 +254,38 @@ def run_gradient_flow(
     if config.mode == "stochastic" and rng is None:
         raise ValueError("stochastic mode needs an rng")
 
-    proj = basis.projector()
-    c_par, c_perp = optimal_weight_coeffs(moments)
-    equilibrium = ModeDecomposition(c_par * proj, c_perp * (np.eye(basis.ambient_dim) - proj))
-    initial = decompose(np.asarray(weight0, dtype=np.float64), basis)
+    equilibrium = _equilibrium_modes(basis, moments)
+    # a stochastic row keeps this array, so a caller's later edit must not reach it
+    weight = np.array(weight0, dtype=np.float64)
+    modes = decompose(weight, basis)
     if config.mode == "exact":
-        return _closed_form_flow(initial, equilibrium, basis, moments, config)
+        return _closed_form_flow(modes, equilibrium, basis, moments, config)
 
-    def record(step: int, w_par: np.ndarray, w_perp: np.ndarray) -> FlowRecord:
+    def record(step: int, weight: np.ndarray, modes: ModeDecomposition) -> FlowRecord:
         rec = FlowRecord(
             step=step,
-            loss=quadratic_loss(w_par + w_perp, basis, moments),
-            dist_par=float(np.linalg.norm(w_par - equilibrium.parallel)),
-            dist_perp=float(np.linalg.norm(w_perp - equilibrium.perpendicular)),
-            _modes=partial(ModeDecomposition, w_par, w_perp),
+            loss=quadratic_loss(modes.total, basis, moments),
+            dist_par=float(np.linalg.norm(modes.parallel - equilibrium.parallel)),
+            dist_perp=float(np.linalg.norm(modes.perpendicular - equilibrium.perpendicular)),
+            _modes=partial(decompose, weight, basis),
         )
         if not all(map(math.isfinite, (rec.loss, rec.dist_par, rec.dist_perp))):
             raise Divergence(f"stochastic flow is not finite at step {step} (loss {rec.loss:.6g})")
         return rec
 
     keep = _log_steps(config.steps)
-    w_par, w_perp = initial.parallel, initial.perpendicular
-    trajectory = [record(0, w_par, w_perp)]
+    trajectory = [record(0, weight, modes)]
     # an overflow surfaces as the Divergence raised by record
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, config.steps + 1):
             x = sample_data(basis, config.batch, rng)
             noise = sample_noise(basis.ambient_dim, config.batch, rng)
             t = sample_t(measure, rng, size=config.batch)
-            grad = stochastic_gradient(w_par + w_perp, x, noise, t, process, target, loss)
-            modes = decompose(w_par + w_perp + config.step_size * grad, basis)
-            w_par, w_perp = modes.parallel, modes.perpendicular
+            total = modes.total
+            weight = total + config.step_size * stochastic_gradient(total, x, noise, t, process, target, loss)
+            modes = decompose(weight, basis)
             if i in keep:
-                trajectory.append(record(i, w_par, w_perp))
+                trajectory.append(record(i, weight, modes))
     return trajectory
 
 
@@ -350,12 +354,11 @@ def monte_carlo_loss(
     loss: LossTargetSpec = U_LOSS,
     measure: TimeMeasure = UNIFORM_MEASURE,
     clamp_floor: float | None = None,
-    antithetic: bool = True,
     chunk: int = 1 << 15,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the training loss with its standard error.
 
-    Samples are assembled as antithetic noise pairs (n, -n) sharing data and
+    Samples always come as antithetic noise pairs (n, -n) sharing data and
     time, which lowers variance without biasing the estimate; each pair mean
     counts as one observation for the standard error, and an odd
     ``n_samples`` uses ``n_samples - 1`` draws.  With the data part
@@ -377,26 +380,24 @@ def monte_carlo_loss(
     evaluation for a given generator state and BLAS thread count.
 
     Raises:
-        ValueError: if there are fewer than 2 observations, that is
-            ``n_samples`` below 4 with antithetic pairs or below 2 without,
-            or if ``chunk`` is below 1.
+        ValueError: if there are fewer than 2 pairs, that is ``n_samples``
+            below 4, or if ``chunk`` is below 1.
     """
     if isinstance(target, (int, float)):
         target = k_target(float(target))
-    n_groups = n_samples // 2 if antithetic else n_samples
-    if n_groups < 2:
-        minimum, mode = (4, "with") if antithetic else (2, "without")
+    n_pairs = n_samples // 2
+    if n_pairs < 2:
         raise ValueError(
-            f"need at least {minimum} samples {mode} antithetic pairs for a standard error, got {n_samples}"
+            f"need at least 4 samples with antithetic pairs for a standard error, got {n_samples}"
         )
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     values = _loss_observations(
-        np.asarray(weight, dtype=np.float64), basis, target, n_groups, rng,
-        process, loss, measure, clamp_floor, antithetic, chunk,
+        np.asarray(weight, dtype=np.float64), basis, target, n_pairs, rng,
+        process, loss, measure, clamp_floor, chunk,
     )
     estimate = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(n_groups))
+    std_error = float(np.std(values, ddof=1) / math.sqrt(n_pairs))
     return estimate, std_error
 
 
@@ -404,47 +405,41 @@ def _loss_observations(
     weight: np.ndarray,
     basis: ManifoldBasis,
     target: TargetSpec,
-    n_groups: int,
+    n_pairs: int,
     rng: np.random.Generator,
     process: ProcessSpec,
     loss: LossTargetSpec,
     measure: TimeMeasure,
     clamp_floor: float | None,
-    antithetic: bool,
     chunk: int,
 ) -> np.ndarray:
-    """The observations ``monte_carlo_loss`` averages: one per pair, or per sample without pairs."""
+    """The observations ``monte_carlo_loss`` averages, one per antithetic pair."""
     embed = basis.factor.T
-    kappa_fn = make_kappa(process, target, loss, clamp_floor)
-    values = np.empty(n_groups)
+    values = np.empty(n_pairs)
     done = 0
-    while done < n_groups:
-        m = min(chunk, n_groups - done)
+    while done < n_pairs:
+        m = min(chunk, n_pairs - done)
         t = sample_t(measure, rng, size=m)
         latents = sample_latents(basis, m, rng)
         a = np.asarray(process.alpha(t), dtype=np.float64)[:, None]
         s = np.asarray(process.sigma(t), dtype=np.float64)[:, None]
         p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
         q = np.asarray(target.psi(t), dtype=np.float64)[:, None]
-        kap2 = np.asarray(kappa_fn(t), dtype=np.float64) ** 2
+        kap2 = np.asarray(kappa(process, target, loss, t, clamp_floor), dtype=np.float64) ** 2
         edges = [*range(0, max(m // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS), m]
         for lo, hi in zip(edges, edges[1:]):
             block = slice(lo, hi)
             x = latents[block] @ embed
             noise = sample_noise(basis.ambient_dim, hi - lo, rng)
-            if antithetic:
-                data_part = x @ weight.T
-                data_part *= a[block]
-                data_part -= p[block] * x
-                noise_part = noise @ weight.T
-                noise_part *= s[block]
-                noise_part -= q[block] * noise
-                sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(
-                    "ij,ij->i", noise_part, noise_part
-                )
-            else:
-                resid = (a[block] * x + s[block] * noise) @ weight.T - (p[block] * x + q[block] * noise)
-                sq_norm = np.einsum("ij,ij->i", resid, resid)
+            data_part = x @ weight.T
+            data_part *= a[block]
+            data_part -= p[block] * x
+            noise_part = noise @ weight.T
+            noise_part *= s[block]
+            noise_part -= q[block] * noise
+            sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(
+                "ij,ij->i", noise_part, noise_part
+            )
             values[done + lo : done + hi] = 0.5 * kap2[block] * sq_norm
         done += m
     return values

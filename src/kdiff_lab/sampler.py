@@ -18,33 +18,25 @@ from .kdiff import KParam, u_to_v
 
 @dataclass(frozen=True)
 class SampleRun:
-    """Integration grid and solver choice.
+    """Integration grid and solver choice: ``steps`` uniform steps on [0, 1].
 
-    The default grid is uniform on [0, 1]; a custom strictly increasing grid
-    with endpoints 0 and 1 may be supplied instead.
+    ``clamp_floor`` bounds the target-to-velocity conversion's denominator
+    away from 0, as in training, and must lie in (0, 1).
     """
 
     steps: int = 50
     solver: str = "heun"
     clamp_floor: float = 0.05
-    grid: np.ndarray | None = None
 
     def __post_init__(self):
         if self.solver not in ("euler", "heun"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.grid is not None:
-            g = np.asarray(self.grid, dtype=np.float64)
-            object.__setattr__(self, "grid", g)
-            if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0.0):
-                raise ValueError("grid must be a strictly increasing vector")
-            if g[0] != 0.0 or g[-1] != 1.0:
-                raise ValueError("grid must start at 0 and end at 1")
-        elif self.steps < 1:
+        if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if not 0.0 < self.clamp_floor < 1.0:
+            raise ValueError("clamp_floor must lie in (0, 1)")
 
     def time_grid(self) -> np.ndarray:
-        if self.grid is not None:
-            return self.grid
         return np.linspace(0.0, 1.0, self.steps + 1)
 
 

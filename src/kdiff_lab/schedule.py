@@ -149,33 +149,19 @@ def kappa(
     return _match_scalar(num / den, t)
 
 
-def make_kappa(
-    process: ProcessSpec,
-    target: TargetSpec,
-    loss: LossTargetSpec,
-    clamp_floor: float | None = None,
-) -> ScheduleFn:
-    """Bind kappa's configuration, leaving a function of t alone."""
-
-    def fn(t):
-        return kappa(process, target, loss, t, clamp_floor=clamp_floor)
-
-    return fn
-
-
 @dataclass(frozen=True)
 class TimeMeasure:
     """Sampling distribution for diffusion time on a subinterval of [0, 1].
 
     kind is "uniform" or "logit_normal"; the latter draws t = sigmoid(g) with
-    g ~ Normal(mu, sigma_ln^2), truncated to the interval when it is a proper
+    g ~ Normal(mu, sigma^2), truncated to the interval when it is a proper
     subinterval.  The density integrates to 1 over the interval.
     """
 
     kind: str = "uniform"
     interval: tuple[float, float] = (0.0, 1.0)
     mu: float = 0.0
-    sigma_ln: float = 1.0
+    sigma: float = 1.0
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -184,13 +170,13 @@ class TimeMeasure:
             raise ValueError(f"interval must satisfy 0 <= lo < hi <= 1, got {self.interval}")
         if self.kind not in ("uniform", "logit_normal"):
             raise ValueError(f"unknown time-measure kind {self.kind!r}")
-        if self.kind == "logit_normal" and self.sigma_ln <= 0.0:
-            raise ValueError("sigma_ln must be positive")
+        if self.kind == "logit_normal" and self.sigma <= 0.0:
+            raise ValueError("sigma must be positive")
 
     def _gauss_bounds(self) -> tuple[float, float]:
         lo, hi = self.interval
-        ga = -math.inf if lo <= 0.0 else (math.log(lo / (1.0 - lo)) - self.mu) / self.sigma_ln
-        gb = math.inf if hi >= 1.0 else (math.log(hi / (1.0 - hi)) - self.mu) / self.sigma_ln
+        ga = -math.inf if lo <= 0.0 else (math.log(lo / (1.0 - lo)) - self.mu) / self.sigma
+        gb = math.inf if hi >= 1.0 else (math.log(hi / (1.0 - hi)) - self.mu) / self.sigma
         return ga, gb
 
     def density(self, t):
@@ -209,9 +195,9 @@ class TimeMeasure:
             interior = inside & (tt > 0.0) & (tt < 1.0)
             out = np.zeros(tt.shape)
             ti = tt[interior]
-            g = (np.log(ti / (1.0 - ti)) - self.mu) / self.sigma_ln
+            g = (np.log(ti / (1.0 - ti)) - self.mu) / self.sigma
             out[interior] = np.exp(-0.5 * g * g) / (
-                self.sigma_ln * math.sqrt(2.0 * math.pi) * ti * (1.0 - ti) * norm
+                self.sigma * math.sqrt(2.0 * math.pi) * ti * (1.0 - ti) * norm
             )
         return _match_scalar(out.reshape(np.shape(t)), t)
 
@@ -227,19 +213,13 @@ class TimeMeasure:
         ga, gb = self._gauss_bounds()
         za, zb = ndtr(ga), ndtr(gb)
         tc = np.clip(tt, 1e-300, 1.0 - 1e-16)
-        g = (np.log(tc / (1.0 - tc)) - self.mu) / self.sigma_ln
+        g = (np.log(tc / (1.0 - tc)) - self.mu) / self.sigma
         out = np.clip((ndtr(g) - za) / (zb - za), 0.0, 1.0)
         out = np.where(tt <= lo, 0.0, np.where(tt >= hi, 1.0, out))
         return _match_scalar(out, t)
 
 
 UNIFORM_MEASURE = TimeMeasure()
-
-
-def logit_normal_measure(
-    mu: float, sigma: float, interval: tuple[float, float] = (0.0, 1.0)
-) -> TimeMeasure:
-    return TimeMeasure(kind="logit_normal", interval=interval, mu=mu, sigma_ln=sigma)
 
 
 def sample_t(measure: TimeMeasure, rng: np.random.Generator, size: int | None = None):
@@ -255,22 +235,15 @@ def sample_t(measure: TimeMeasure, rng: np.random.Generator, size: int | None = 
         from scipy.special import expit, ndtr, ndtri
 
         if lo <= 0.0 and hi >= 1.0:
-            g = measure.mu + measure.sigma_ln * rng.standard_normal(size)
+            g = measure.mu + measure.sigma * rng.standard_normal(size)
             out = expit(g)
         else:
             ga, gb = measure._gauss_bounds()
             za, zb = ndtr(ga), ndtr(gb)
             u = rng.random(size)
-            g = measure.mu + measure.sigma_ln * ndtri(za + u * (zb - za))
+            g = measure.mu + measure.sigma * ndtri(za + u * (zb - za))
             out = np.clip(expit(g), lo, hi)
     if size is None:
         return float(out)
     return out
 
-
-def effective_weight(measure: TimeMeasure, kappa_fn: ScheduleFn, t):
-    """Density of the effective measure: sampling density times kappa squared."""
-    tt = _farray(t)
-    kap = _farray(kappa_fn(tt))
-    out = _farray(measure.density(tt)) * kap * kap
-    return _match_scalar(out, t)

@@ -298,7 +298,7 @@ def run_python(args, cwd, preexec_fn=None) -> subprocess.CompletedProcess:
 
 
 def monte_carlo_observations_reference(
-    weight, basis, target, n_groups, rng, process, loss, measure, clamp_floor, antithetic, chunk
+    weight, basis, target, n_pairs, rng, process, loss, measure, clamp_floor, chunk
 ):
     """``lindyn._loss_observations`` with each chunk evaluated in one piece.
 
@@ -306,13 +306,12 @@ def monte_carlo_observations_reference(
     (chunk, D) array at once: the reference that the blocked oracle must
     match bit for bit.
     """
-    from kdiff_lab import make_kappa, sample_data, sample_noise, sample_t
+    from kdiff_lab import kappa, sample_data, sample_noise, sample_t
 
-    kappa_fn = make_kappa(process, target, loss, clamp_floor)
-    values = np.empty(n_groups)
+    values = np.empty(n_pairs)
     done = 0
-    while done < n_groups:
-        m = min(chunk, n_groups - done)
+    while done < n_pairs:
+        m = min(chunk, n_pairs - done)
         t = sample_t(measure, rng, size=m)
         x = sample_data(basis, m, rng)
         noise = sample_noise(basis.ambient_dim, m, rng)
@@ -320,20 +319,16 @@ def monte_carlo_observations_reference(
         s = np.asarray(process.sigma(t), dtype=np.float64)[:, None]
         p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
         q = np.asarray(target.psi(t), dtype=np.float64)[:, None]
-        kap2 = np.asarray(kappa_fn(t), dtype=np.float64) ** 2
-        if antithetic:
-            data_part = x @ weight.T
-            data_part *= a
-            data_part -= p * x
-            noise_part = noise @ weight.T
-            noise_part *= s
-            noise_part -= q * noise
-            sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(
-                "ij,ij->i", noise_part, noise_part
-            )
-        else:
-            resid = (a * x + s * noise) @ weight.T - (p * x + q * noise)
-            sq_norm = np.einsum("ij,ij->i", resid, resid)
+        kap2 = np.asarray(kappa(process, target, loss, t, clamp_floor), dtype=np.float64) ** 2
+        data_part = x @ weight.T
+        data_part *= a
+        data_part -= p * x
+        noise_part = noise @ weight.T
+        noise_part *= s
+        noise_part -= q * noise
+        sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(
+            "ij,ij->i", noise_part, noise_part
+        )
         values[done : done + m] = 0.5 * kap2 * sq_norm
         done += m
     return values
@@ -341,14 +336,14 @@ def monte_carlo_observations_reference(
 
 def monte_carlo_loss_reference(
     weight, basis, target, n_samples, rng, process=kdiff_lab.FLOW_MATCHING, loss=kdiff_lab.U_LOSS,
-    measure=kdiff_lab.UNIFORM_MEASURE, clamp_floor=None, antithetic=True, chunk=1 << 15,
+    measure=kdiff_lab.UNIFORM_MEASURE, clamp_floor=None, chunk=1 << 15,
 ):
     """``lindyn.monte_carlo_loss`` reduced from the chunk-wide observations."""
     if isinstance(target, (int, float)):
         target = kdiff_lab.k_target(float(target))
-    n_groups = n_samples // 2 if antithetic else n_samples
+    n_pairs = n_samples // 2
     values = monte_carlo_observations_reference(
-        np.asarray(weight, dtype=np.float64), basis, target, n_groups, rng,
-        process, loss, measure, clamp_floor, antithetic, chunk,
+        np.asarray(weight, dtype=np.float64), basis, target, n_pairs, rng,
+        process, loss, measure, clamp_floor, chunk,
     )
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_groups))
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_pairs))

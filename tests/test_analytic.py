@@ -26,7 +26,6 @@ from kdiff_lab import (
     colored_optimal_weight,
     compute_moments,
     k_target,
-    logit_normal_measure,
     optimal_k,
     optimal_loss,
     optimal_loss_poly,
@@ -66,8 +65,8 @@ class TestComputeMoments:
         rng = np.random.default_rng(3)
         measures = [
             UNIFORM_MEASURE,
-            logit_normal_measure(0.0, 1.0),
-            logit_normal_measure(-0.8, 0.8),
+            TimeMeasure("logit_normal", mu=0.0, sigma=1.0),
+            TimeMeasure("logit_normal", mu=-0.8, sigma=0.8),
         ]
         for _ in range(30):
             k = rng.uniform(0.0, 1.0)
@@ -93,7 +92,10 @@ class TestComputeMoments:
     @pytest.mark.parametrize("nodes", [2, 64, 200])
     @pytest.mark.parametrize(
         "loss, measure",
-        [(U_LOSS, UNIFORM_MEASURE), (V_LOSS, logit_normal_measure(-0.4, 0.9, (0.05, 0.95)))],
+        [
+            (U_LOSS, UNIFORM_MEASURE),
+            (V_LOSS, TimeMeasure("logit_normal", interval=(0.05, 0.95), mu=-0.4, sigma=0.9)),
+        ],
         ids=["u-uniform", "v-logit-normal"],
     )
     def test_cached_nodes_give_the_moments_of_fresh_ones(self, monkeypatch, nodes, loss, measure):
@@ -291,7 +293,9 @@ class TestColored:
         loss=st.sampled_from([U_LOSS, X_LOSS, EPSILON_LOSS, V_LOSS]),
         measure=st.one_of(
             st.just(UNIFORM_MEASURE),
-            st.builds(logit_normal_measure, st.floats(-2.0, 2.0), st.floats(0.3, 2.0)),
+            st.builds(
+                TimeMeasure, st.just("logit_normal"), mu=st.floats(-2.0, 2.0), sigma=st.floats(0.3, 2.0)
+            ),
         ),
     )
     def test_zero_one_spectrum_is_the_manifold_case(self, dims, k, loss, measure):
@@ -419,7 +423,9 @@ def _u_loss_problems(draw):
         lo = draw(st.floats(0.0, 0.6))
         interval = (lo, draw(st.floats(lo + 0.05, 1.0)))
     if draw(st.booleans()):
-        measure = logit_normal_measure(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.3, 2.0)), interval)
+        measure = TimeMeasure(
+            "logit_normal", interval, mu=draw(st.floats(-2.0, 2.0)), sigma=draw(st.floats(0.3, 2.0))
+        )
     else:
         measure = TimeMeasure(interval=interval)
     return lam, d, measure
@@ -452,7 +458,7 @@ class TestULossOptimalK:
 
     def test_any_k_target_gives_the_same_k_star(self):
         lam = np.array([2.0, 1.0, 0.5, 0.0])
-        measure = logit_normal_measure(-0.8, 0.8, (0.1, 0.9))
+        measure = TimeMeasure("logit_normal", interval=(0.1, 0.9), mu=-0.8, sigma=0.8)
         ks = {u_loss_optimal_k(lam, compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, measure))
               for k in (0.0, 0.4, 1.0)}
         assert len(ks) == 1

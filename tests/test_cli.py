@@ -631,6 +631,38 @@ class TestConfigValidation:
                 "train", {"sample": {"net": "mlp"}},
                 "ConfigError: sample.net must be one of ['optimal_linear', 'train'], got \"mlp\"", id="train-bad-net",
             ),
+            pytest.param(
+                "dynamics", {"dynamics": {"mode": "stochastic", "batch": -5, "steps": 3}},
+                "ConfigError: dynamics: batch must be >= 1", id="dynamics-batch-negative",
+            ),
+            pytest.param(
+                "dynamics", {"dynamics": {"mode": "stochastic", "batch": 0, "steps": 3}},
+                "ConfigError: dynamics: batch must be >= 1", id="dynamics-batch-zero",
+            ),
+            pytest.param(
+                "train", {"data": {"D": 8, "d": 2}, "train": {"adam_eps": -1.0, "steps": 200}},
+                "ConfigError: train: adam_eps must be positive", id="adam_eps-negative",
+            ),
+            pytest.param(
+                "train", {"data": {"D": 8, "d": 2}, "train": {"beta1": 1.0}},
+                "ConfigError: train: beta1 and beta2 must lie in [0, 1)", id="beta1-one",
+            ),
+            pytest.param(
+                "train", {"data": {"D": 8, "d": 2}, "train": {"beta2": 1.0}},
+                "ConfigError: train: beta1 and beta2 must lie in [0, 1)", id="beta2-one",
+            ),
+            pytest.param(
+                "train", {"data": {"D": 8, "d": 2}, "train": {"beta1": -0.5}},
+                "ConfigError: train: beta1 and beta2 must lie in [0, 1)", id="beta1-negative",
+            ),
+            pytest.param(
+                "sample", {"data": {"D": 8, "d": 2}, "sample": {"clamp_floor": 5.0}},
+                "ConfigError: sample: clamp_floor must lie in (0, 1)", id="sample-clamp_floor-high",
+            ),
+            pytest.param(
+                "sample", {"data": {"D": 8, "d": 2}, "sample": {"clamp_floor": 0.0, "k": 1.0}},
+                "ConfigError: sample: clamp_floor must lie in (0, 1)", id="sample-clamp_floor-zero",
+            ),
         ],
     )
     def test_bad_input_fails_before_any_work(self, tmp_path, capsys, command, cfg, message):

@@ -18,13 +18,13 @@ from kdiff_lab import (
     Divergence,
     FlowConfig,
     TargetSpec,
+    TimeMeasure,
     compute_moments,
     decompose,
     equilibrium_weight,
     exact_gradient,
     k_target,
-    logit_normal_measure,
-    make_kappa,
+    kappa,
     monte_carlo_loss,
     optimal_loss,
     quadratic_loss,
@@ -91,7 +91,11 @@ class TestExactGradient:
 
     def test_vanishes_at_equilibrium(self):
         rng = np.random.default_rng(7)
-        measures = [UNIFORM_MEASURE, logit_normal_measure(0.0, 1.0), logit_normal_measure(-0.8, 0.8)]
+        measures = [
+            UNIFORM_MEASURE,
+            TimeMeasure("logit_normal", mu=0.0, sigma=1.0),
+            TimeMeasure("logit_normal", mu=-0.8, sigma=0.8),
+        ]
         for _ in range(50):
             d = int(rng.integers(1, 7))
             ambient = int(rng.integers(d, 13))
@@ -328,6 +332,35 @@ class TestGradientFlow:
         assert traj[-1].loss < traj[0].loss
         assert traj[-1].dist_par < traj[0].dist_par
 
+    def test_stochastic_rows_read_back_their_loss_and_distances(self):
+        basis = random_orthonormal_basis(8, 3, np.random.default_rng(50))
+        config = FlowConfig(step_size=0.2, steps=40, mode="stochastic", batch=64)
+        weight0 = 0.1 * np.eye(8)
+        traj = run_gradient_flow(weight0, basis, config, target=0.6, rng=np.random.default_rng(51))
+        weight0[:] = 7.0  # a row keeps its own copy of the initial weight
+        moments = uniform_moments(0.6)
+        star = lindyn._equilibrium_modes(basis, moments)
+        np.testing.assert_array_equal(traj[0].weight_par + traj[0].weight_perp, traj[0].weight)
+        assert len(traj) == 41 and np.all(traj[0].weight < 1.0)
+        for rec in traj:
+            assert rec.loss == quadratic_loss(rec.weight, basis, moments)
+            assert rec.dist_par == float(np.linalg.norm(rec.weight_par - star.parallel))
+            assert rec.dist_perp == float(np.linalg.norm(rec.weight_perp - star.perpendicular))
+
+    def test_stochastic_trajectory_keeps_one_weight_per_row(self):
+        basis = random_orthonormal_basis(64, 4, np.random.default_rng(52))
+        config = FlowConfig(step_size=0.5, steps=300, mode="stochastic", batch=256)
+        tracemalloc.start()
+        try:
+            traj = run_gradient_flow(
+                np.zeros((64, 64)), basis, config, target=1.0, rng=np.random.default_rng(53)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 301 rows of one 64 x 64 weight are 9.9 MB; two per row took 20.6 MB
+        assert len(traj) == 301 and peak < 12 * 2**20, peak
+
     def test_records_start_at_step_zero(self):
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(22))
         config = FlowConfig(step_size=0.5, steps=5, mode="exact")
@@ -369,20 +402,6 @@ class TestMonteCarloLoss:
         estimate, se = monte_carlo_loss(perturbed, basis, 0.5, 200_000, np.random.default_rng(30))
         assert estimate - optimum > 3.0 * se
 
-    def test_plain_sampling_agrees_with_antithetic(self):
-        basis = random_orthonormal_basis(3, 1, np.random.default_rng(31))
-        moments = uniform_moments(0.8)
-        w_star = equilibrium_weight(basis, moments)
-        expected = optimal_loss(moments, DimensionPair(3, 1)).total
-        est_a, se_a = monte_carlo_loss(
-            w_star, basis, 0.8, 200_000, np.random.default_rng(32), antithetic=True
-        )
-        est_p, se_p = monte_carlo_loss(
-            w_star, basis, 0.8, 200_000, np.random.default_rng(33), antithetic=False
-        )
-        assert abs(est_a - expected) < 3.0 * se_a
-        assert abs(est_p - expected) < 3.0 * se_p
-
     def test_matches_quadratic_loss_away_from_equilibrium(self):
         rng = np.random.default_rng(34)
         basis = random_orthonormal_basis(5, 2, rng)
@@ -397,7 +416,7 @@ class TestMonteCarloLoss:
         [
             (U_LOSS, UNIFORM_MEASURE, 1 << 15),
             (U_LOSS, UNIFORM_MEASURE, 700),
-            (V_LOSS, logit_normal_measure(-0.5, 1.0), 700),
+            (V_LOSS, TimeMeasure("logit_normal", mu=-0.5, sigma=1.0), 700),
         ],
         ids=["u-one-chunk", "u-chunks", "v-logit-normal"],
     )
@@ -412,7 +431,6 @@ class TestMonteCarloLoss:
         )
         # the same draws in the same order, each pair's two residuals in full
         draws = np.random.default_rng(49)
-        kappa_fn = make_kappa(FLOW_MATCHING, target, loss, clamp)
         values = []
         for start in range(0, n_samples // 2, chunk):
             m = min(chunk, n_samples // 2 - start)
@@ -422,7 +440,7 @@ class TestMonteCarloLoss:
             a, s = FLOW_MATCHING.alpha(t)[:, None], FLOW_MATCHING.sigma(t)[:, None]
             p, q = target.phi(t)[:, None], target.psi(t)[:, None]
             halves = [
-                0.5 * kappa_fn(t) ** 2 * np.sum(r * r, axis=1)
+                0.5 * kappa(FLOW_MATCHING, target, loss, t, clamp) ** 2 * np.sum(r * r, axis=1)
                 for r in (
                     (a * x + s * noise) @ weight.T - (p * x + q * noise),
                     (a * x - s * noise) @ weight.T - (p * x - q * noise),
@@ -436,16 +454,11 @@ class TestMonteCarloLoss:
     def test_sample_count_validation(self):
         # a standard error needs two observations; one used to give a NaN
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(36))
-        for antithetic, too_few, enough in ((True, (1, 2, 3), 4), (False, (1,), 2)):
-            for n_samples in too_few:
-                with pytest.raises(ValueError, match=f"at least {enough} samples .*got {n_samples}"):
-                    monte_carlo_loss(
-                        np.eye(4), basis, 0.5, n_samples, np.random.default_rng(37), antithetic=antithetic
-                    )
-            estimate, se = monte_carlo_loss(
-                np.eye(4), basis, 0.5, enough, np.random.default_rng(37), antithetic=antithetic
-            )
-            assert math.isfinite(estimate) and math.isfinite(se) and se > 0.0
+        for n_samples in (1, 2, 3):
+            with pytest.raises(ValueError, match=f"at least 4 samples .*got {n_samples}"):
+                monte_carlo_loss(np.eye(4), basis, 0.5, n_samples, np.random.default_rng(37))
+        estimate, se = monte_carlo_loss(np.eye(4), basis, 0.5, 4, np.random.default_rng(37))
+        assert math.isfinite(estimate) and math.isfinite(se) and se > 0.0
 
     def test_odd_sample_count_with_pairs_drops_one_draw(self):
         basis = random_orthonormal_basis(5, 2, np.random.default_rng(40))
@@ -478,11 +491,10 @@ class TestMonteCarloBlocks:
         ),
         n_samples=st.one_of(st.integers(4, 5000), st.integers(4, 50_000)),
         chunk=_CHUNKS,
-        antithetic=st.booleans(),
         v_loss=st.booleans(),
         seed=st.integers(0, 2**31),
     )
-    def test_bit_identical_to_chunk_wide_loop(self, dims, n_samples, chunk, antithetic, v_loss, seed):
+    def test_bit_identical_to_chunk_wide_loop(self, dims, n_samples, chunk, v_loss, seed):
         D, d = dims
         rng = np.random.default_rng(seed)
         basis = random_orthonormal_basis(D, d, rng)
@@ -490,12 +502,12 @@ class TestMonteCarloBlocks:
         target = k_target(float(rng.uniform()))
         options = dict(process=FLOW_MATCHING, loss=U_LOSS, measure=UNIFORM_MEASURE, clamp_floor=None)
         if v_loss:
-            options.update(loss=V_LOSS, measure=logit_normal_measure(-0.4, 0.9), clamp_floor=0.05)
-        options.update(antithetic=antithetic, chunk=chunk)
+            measure = TimeMeasure("logit_normal", mu=-0.4, sigma=0.9)
+            options.update(loss=V_LOSS, measure=measure, clamp_floor=0.05)
+        options.update(chunk=chunk)
         # a mean hides last-bit differences of single observations, so compare those too
-        n_groups = n_samples // 2 if antithetic else n_samples
         observations = [
-            oracle(weight, basis, target, n_groups, np.random.default_rng(seed + 1), **options)
+            oracle(weight, basis, target, n_samples // 2, np.random.default_rng(seed + 1), **options)
             for oracle in (lindyn._loss_observations, monte_carlo_observations_reference)
         ]
         assert np.array_equal(observations[0], observations[1])

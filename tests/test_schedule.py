@@ -18,11 +18,8 @@ from kdiff_lab import (
     X_TARGET,
     DegenerateTarget,
     TimeMeasure,
-    effective_weight,
     k_target,
     kappa,
-    logit_normal_measure,
-    make_kappa,
     sample_t,
 )
 from kdiff_lab.analytic import gauss_legendre_nodes
@@ -162,9 +159,9 @@ class TestTimeMeasure:
         [
             UNIFORM_MEASURE,
             TimeMeasure(interval=(0.2, 0.7)),
-            logit_normal_measure(0.0, 1.0),
-            logit_normal_measure(-0.8, 0.8),
-            logit_normal_measure(0.5, 1.5, interval=(0.1, 0.9)),
+            TimeMeasure("logit_normal", mu=0.0, sigma=1.0),
+            TimeMeasure("logit_normal", mu=-0.8, sigma=0.8),
+            TimeMeasure("logit_normal", interval=(0.1, 0.9), mu=0.5, sigma=1.5),
         ],
         ids=["uniform", "uniform-sub", "ln01", "ln-pixel", "ln-truncated"],
     )
@@ -173,13 +170,13 @@ class TestTimeMeasure:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_logit_normal_density_vanishes_at_bounds(self):
-        m = logit_normal_measure(0.0, 1.0)
+        m = TimeMeasure("logit_normal", mu=0.0, sigma=1.0)
         assert m.density(0.0) == 0.0
         assert m.density(1.0) == 0.0
 
     def test_logit_normal_density_at_center(self):
         # change of variables: normal pdf at 0 divided by t(1-t) = 1/4
-        m = logit_normal_measure(0.0, 1.0)
+        m = TimeMeasure("logit_normal", mu=0.0, sigma=1.0)
         assert m.density(0.5) == pytest.approx(4.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
 
     def test_density_zero_outside_interval(self):
@@ -190,23 +187,8 @@ class TestTimeMeasure:
 
 
 class TestEffectiveWeight:
-    def test_uniform_u_loss_weight_is_one(self):
-        kap = make_kappa(FLOW_MATCHING, k_target(0.5), U_LOSS)
-        np.testing.assert_array_equal(effective_weight(UNIFORM_MEASURE, kap, TGRID), 1.0)
-
-    def test_v_target_v_loss_weight_is_one(self):
-        kap = make_kappa(FLOW_MATCHING, V_TARGET, V_LOSS)
-        np.testing.assert_allclose(
-            effective_weight(UNIFORM_MEASURE, kap, TGRID), 1.0, atol=1e-14
-        )
-
-    def test_logit_normal_center_value(self):
-        kap = make_kappa(FLOW_MATCHING, V_TARGET, U_LOSS)
-        m = logit_normal_measure(0.0, 1.0)
-        assert effective_weight(m, kap, 0.5) == pytest.approx(1.5957691216057308, rel=1e-12)
-
     def test_density_matches_empirical_histogram(self):
-        m = logit_normal_measure(0.0, 1.0)
+        m = TimeMeasure("logit_normal", mu=0.0, sigma=1.0)
         rng = np.random.default_rng(7)
         draws = sample_t(m, rng, size=1_000_000)
         hist, edges = np.histogram(draws, bins=40, range=(0.0, 1.0), density=True)
@@ -229,18 +211,18 @@ class TestSampleT:
 
     def test_logit_normal_center_draw(self):
         # underlying normal draw of zero lands exactly at sigmoid(0)
-        m = logit_normal_measure(0.0, 1.0)
+        m = TimeMeasure("logit_normal", mu=0.0, sigma=1.0)
         assert sample_t(m, ZeroNormalRNG()) == pytest.approx(0.5)
-        m2 = logit_normal_measure(-0.8, 0.8)
+        m2 = TimeMeasure("logit_normal", mu=-0.8, sigma=0.8)
         assert sample_t(m2, ZeroNormalRNG()) == pytest.approx(1.0 / (1.0 + math.exp(0.8)))
 
     @pytest.mark.parametrize(
         "measure",
         [
             UNIFORM_MEASURE,
-            logit_normal_measure(0.0, 1.0),
-            logit_normal_measure(-0.8, 0.8),
-            logit_normal_measure(0.0, 1.0, interval=(0.1, 0.8)),
+            TimeMeasure("logit_normal", mu=0.0, sigma=1.0),
+            TimeMeasure("logit_normal", mu=-0.8, sigma=0.8),
+            TimeMeasure("logit_normal", interval=(0.1, 0.8), mu=0.0, sigma=1.0),
         ],
         ids=["uniform", "ln01", "ln-pixel", "ln-truncated"],
     )
@@ -251,13 +233,13 @@ class TestSampleT:
         assert ks < 0.002
 
     def test_truncated_draws_stay_inside(self):
-        m = logit_normal_measure(0.0, 1.0, interval=(0.1, 0.8))
+        m = TimeMeasure("logit_normal", interval=(0.1, 0.8), mu=0.0, sigma=1.0)
         rng = np.random.default_rng(5)
         draws = sample_t(m, rng, size=50_000)
         assert draws.min() >= 0.1 and draws.max() <= 0.8
 
     def test_logit_normal_mean_matches_quadrature(self):
-        m = logit_normal_measure(-0.8, 0.8)
+        m = TimeMeasure("logit_normal", mu=-0.8, sigma=0.8)
         expected = _quadrature(lambda t: t * m.density(t), m.interval)
         second = _quadrature(lambda t: t * t * m.density(t), m.interval)
         rng = np.random.default_rng(99)
