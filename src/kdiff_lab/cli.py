@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, geometry, kdiff, lindyn, sampler
-from .errors import ConfigError, DimError, KDiffLabError
+from .errors import ConfigError, DimError, KDiffLabError, NonFiniteState
 from .schedule import (
     EPSILON_LOSS,
     EPSILON_TARGET,
@@ -471,20 +471,26 @@ def cmd_train(cfg: Config, out: Path) -> int:
 
 
 def cmd_sample(cfg: Config, out: Path) -> int:
-    """Integrate the sampling ODE and report off-manifold energy diagnostics."""
+    """Integrate the sampling ODE and report off-manifold energy diagnostics.
+
+    Both nets are linear, so the whole run is one propagator matrix.
+    """
     basis = _data_source(cfg)
     if cfg.net == "optimal_linear":
         moments = analytic.compute_moments(cfg.process, cfg.sample_target, cfg.loss, cfg.measure)
-        net = kdiff.PureLinear(lindyn.equilibrium_weight(basis, moments))
+        weight = lindyn.equilibrium_weight(basis, moments)
         kparam = cfg.sample_target.k
     else:
         kparam = kdiff.make_kparam(cfg.train, cfg.k_bins)
         net = kdiff.PureLinear.zeros(basis.ambient_dim)
         kdiff.train(net, kparam, basis, cfg.train)
+        weight = net.weight
 
     rng = derive_rng(cfg.seed, "sampler", "noise")
     z0 = rng.standard_normal((cfg.n_samples, basis.ambient_dim))
-    z1 = sampler.integrate(cfg.sample, net, kparam, z0)
+    z1 = z0 @ sampler.linear_propagator(cfg.sample, weight, kparam).T
+    if not np.all(np.isfinite(z1)):
+        raise NonFiniteState("state became non-finite at t = 1")
 
     header = [f"x{i}" for i in range(basis.ambient_dim)]
     write_csv(out / "samples.csv", header, z1)

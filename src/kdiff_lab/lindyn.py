@@ -234,6 +234,8 @@ def run_gradient_flow(
 
     Stochastic mode takes one Euler step per fresh batch of samples.  Each
     recorded row keeps only its unsplit weight and splits it when read.
+    In either mode a ``step_size`` at or above ``stability_bound`` warns
+    before any step, since the mean dynamics then diverge.
 
     Raises:
         Divergence: in exact mode, before any step, if a mode that starts
@@ -245,10 +247,10 @@ def run_gradient_flow(
     if isinstance(target, (int, float)):
         target = k_target(float(target))
     moments = compute_moments(process, target, loss, measure)
-    if config.mode == "exact" and config.step_size >= stability_bound(moments):
+    if config.step_size >= stability_bound(moments):
         warnings.warn(
             f"step_size {config.step_size} at or above stability bound "
-            f"{stability_bound(moments):.6g}; exact dynamics will diverge",
+            f"{stability_bound(moments):.6g}; {config.mode} dynamics will diverge",
             stacklevel=2,
         )
     if config.mode == "stochastic" and rng is None:

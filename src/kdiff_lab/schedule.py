@@ -155,7 +155,8 @@ class TimeMeasure:
 
     kind is "uniform" or "logit_normal"; the latter draws t = sigmoid(g) with
     g ~ Normal(mu, sigma^2), truncated to the interval when it is a proper
-    subinterval.  The density integrates to 1 over the interval.
+    subinterval.  The density integrates to 1 over the interval.  A uniform
+    measure takes no mu or sigma other than the defaults.
     """
 
     kind: str = "uniform"
@@ -172,6 +173,8 @@ class TimeMeasure:
             raise ValueError(f"unknown time-measure kind {self.kind!r}")
         if self.kind == "logit_normal" and self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
+        if self.kind == "uniform" and (self.mu, self.sigma) != (0.0, 1.0):
+            raise ValueError(f"mu and sigma apply to logit_normal only, got mu {self.mu} and sigma {self.sigma}")
 
     def _gauss_bounds(self) -> tuple[float, float]:
         lo, hi = self.interval

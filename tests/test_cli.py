@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kdiff_lab import ConfigError, DimError, Spectrum, TargetSpec, analytic, cli
+from kdiff_lab import ConfigError, DimError, Spectrum, TargetSpec, analytic, cli, sampler
 from kdiff_lab.cli import load_config, main, write_csv
 
 from helpers import run_python, write_csv_reference
@@ -183,9 +183,21 @@ class TestDynamics:
         )
         out = tmp_path / "out"
         assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: Divergence: ") and err.count("\n") == 1, err
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: step_size 50.0 at or above stability bound")
+        assert error.startswith("error: Divergence: ")
         assert not out.exists()
+
+    def test_stochastic_unstable_step_warns_once(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"data": {"D": 16, "d": 4}, "dynamics": {"mode": "stochastic", "steps": 50, "batch": 16, "step_size": 40.0}},
+        )
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        warning, failure = capsys.readouterr().err.splitlines()
+        assert warning == "warning: step_size 40.0 at or above stability bound 3; stochastic dynamics will diverge"
+        assert failure.startswith("check failed: convergence_to_equilibrium")
 
     def test_stochastic_mode_runs(self, tmp_path):
         cfg = write_config(
@@ -383,6 +395,33 @@ class TestSample:
             assert main(["sample", "--config", cfg, "--out", str(tmp_path / out)]) == 0
         for name in ("samples.csv", "diagnostics.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("net", ["optimal_linear", "train"])
+    def test_one_propagator_and_no_ode_steps(self, tmp_path, monkeypatch, net):
+        calls = []
+        propagator = sampler.linear_propagator
+
+        def counted(*args):
+            calls.append(args)
+            return propagator(*args)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("sample stepped the ODE over the batch")
+
+        monkeypatch.setattr(sampler, "linear_propagator", counted)
+        for name in ("integrate", "euler_step", "heun_step"):
+            monkeypatch.setattr(sampler, name, fail)
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "data": {"D": 6, "d": 2},
+                "train": {"steps": 20, "batch": 16, "k_bins": 4},
+                "sample": {"n_samples": 30, "net": net, "steps": 10, "solver": "euler"},
+            },
+        )
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_trained_net_path(self, tmp_path):
         cfg = write_config(
@@ -662,6 +701,10 @@ class TestConfigValidation:
             pytest.param(
                 "sample", {"data": {"D": 8, "d": 2}, "sample": {"clamp_floor": 0.0, "k": 1.0}},
                 "ConfigError: sample: clamp_floor must lie in (0, 1)", id="sample-clamp_floor-zero",
+            ),
+            pytest.param(
+                "theory", {"time_sampler": {"kind": "uniform", "sigma": -3, "mu": 99}},
+                "ConfigError: interval/time_sampler: mu and sigma apply to logit_normal only", id="uniform-mu-sigma",
             ),
         ],
     )

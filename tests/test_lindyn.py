@@ -318,10 +318,11 @@ class TestGradientFlow:
     def test_stochastic_divergence_raises(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(46))
         config = FlowConfig(step_size=50.0, steps=200, mode="stochastic")
-        with pytest.raises(Divergence, match="not finite"):
-            run_gradient_flow(
-                np.zeros((6, 6)), basis, config, target=1.0, rng=np.random.default_rng(47)
-            )
+        with pytest.warns(UserWarning, match="stochastic dynamics will diverge"):
+            with pytest.raises(Divergence, match="not finite"):
+                run_gradient_flow(
+                    np.zeros((6, 6)), basis, config, target=1.0, rng=np.random.default_rng(47)
+                )
 
     def test_stochastic_mode_decreases_loss(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(20))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kdiff_lab import (
     FLOW_MATCHING,
@@ -17,6 +19,7 @@ from kdiff_lab import (
     heun_step,
     integrate,
     k_target,
+    linear_propagator,
     random_orthonormal_basis,
 )
 
@@ -232,3 +235,75 @@ class TestRunSampler:
             for t, t_next in zip(grid[:-1], grid[1:]):
                 z = heun_step(z, float(t), float(t_next), net, k)
                 assert np.max(np.linalg.norm(z, axis=1)) < bound
+
+
+_KPARAMS = st.one_of(
+    st.none(),
+    st.floats(0.0, 1.0),
+    st.floats(-3.0, 3.0).map(lambda raw: KParam(np.asarray(raw))),
+    st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=6).map(lambda raw: KParam(np.array(raw))),
+)
+
+
+class TestLinearPropagator:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(1, 6),
+        steps=st.integers(1, 40),
+        solver=st.sampled_from(["euler", "heun"]),
+        kparam=_KPARAMS,
+        clamp_floor=st.floats(0.05, 0.5),
+        scale=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # k = 1 keeps the clamp active near t = 1
+    @example(dim=4, steps=50, solver="heun", kparam=1.0, clamp_floor=0.05, scale=0.5, seed=0)
+    @example(dim=4, steps=50, solver="heun", kparam=1.0, clamp_floor=0.4, scale=0.5, seed=0)
+    @example(dim=4, steps=50, solver="euler", kparam=1.0, clamp_floor=0.4, scale=0.5, seed=0)
+    def test_matches_integrate(self, dim, steps, solver, kparam, clamp_floor, scale, seed):
+        rng = np.random.default_rng(seed)
+        weight = scale * rng.standard_normal((dim, dim))
+        z0 = rng.standard_normal((7, dim))
+        run = SampleRun(steps=steps, solver=solver, clamp_floor=clamp_floor)
+        want = integrate(run, PureLinear(weight), kparam, z0)
+        got = z0 @ linear_propagator(run, weight, kparam).T
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("solver", ["euler", "heun"])
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_k_half_equals_doubled_velocity_net(self, dim, solver):
+        # k = 0.5 divides (0 I + W) by a denominator of exactly 0.5
+        weight = 0.3 * np.random.default_rng(dim).standard_normal((dim, dim))
+        run = SampleRun(steps=50, solver=solver)
+        via_k = linear_propagator(run, weight, KParam.constant(0.5))
+        np.testing.assert_array_equal(via_k, linear_propagator(run, 2.0 * weight, None))
+
+    @pytest.mark.parametrize("solver, t_bad", [("euler", "0.5"), ("heun", "0.25")])
+    def test_non_finite_product_names_the_step(self, solver, t_bad):
+        # Heun's A(t') A(t) overflows in the first step, Euler's product in the second
+        weight = 1e200 * np.eye(3)
+        run = SampleRun(steps=4, solver=solver)
+        message = f"non-finite at t = {t_bad}$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState, match=message):
+                linear_propagator(run, weight, None)
+            with pytest.raises(NonFiniteState, match=message):
+                integrate(run, PureLinear(weight), None, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("k", [0.9, 0.3])
+    @pytest.mark.parametrize("solver, low, high", [("euler", 1.8, 2.2), ("heun", 3.5, 4.5)])
+    def test_order_against_the_exact_flow(self, k, solver, low, high):
+        # with constant k and no active clamp the flow is linear with
+        # A(t) = M / (k + (1 - 2k) t), so G = expm(M * integral of 1/den)
+        from scipy.linalg import expm
+
+        dim = 16
+        weight = 0.4 * np.random.default_rng(14).standard_normal((dim, dim)) / np.sqrt(dim)
+        generator = (1.0 - 2.0 * k) * np.eye(dim) + weight
+        exact = expm(generator * np.log((1.0 - k) / k) / (1.0 - 2.0 * k))
+        errors = [
+            np.linalg.norm(linear_propagator(SampleRun(steps=n, solver=solver), weight, k) - exact)
+            for n in (50, 100, 200)
+        ]
+        for coarse, fine in zip(errors[:-1], errors[1:]):
+            assert low <= coarse / fine <= high, errors
