@@ -62,7 +62,7 @@ def main():
     print("=== On-manifold second moment of samples (k = 0.5) ===")
     z0 = np.random.default_rng(2).standard_normal((10_000, 8))
     out = integrate(SampleRun(steps=50, solver="heun"), optimal_net(0.5), 0.5, z0)
-    latents = out @ basis.matrix
+    latents = out @ basis.eigenvectors
     second = np.diag(latents.T @ latents / len(latents))
     print(f"second moment along the manifold directions: {np.round(second, 3)} (target 1)")
 

@@ -76,26 +76,19 @@ class MomentSet:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (and optionally eigenvectors) of the data second moment."""
+    """Eigenvalues of the data second moment."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
         object.__setattr__(self, "eigenvalues", lam)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a non-empty 1-d array")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("eigenvalues must be finite")
         if np.any(lam < 0.0):
             raise ValueError("eigenvalues must be non-negative")
-        if self.eigenvectors is not None:
-            q = np.asarray(self.eigenvectors, dtype=np.float64)
-            object.__setattr__(self, "eigenvectors", q)
-            if q.shape != (lam.size, lam.size):
-                raise ValueError(f"eigenvectors must be {lam.size}x{lam.size}, got {q.shape}")
-            ortho_err = np.max(np.abs(q.T @ q - np.eye(lam.size)))
-            if ortho_err > 1e-10:
-                raise ValueError(f"eigenvectors not orthonormal (max |Q^T Q - I| = {ortho_err:.2e})")
 
     @property
     def dim(self) -> int:
@@ -187,16 +180,6 @@ def compute_moments(
     return MomentSet(**values)
 
 
-def optimal_weight_coeffs(moments: MomentSet) -> tuple[float, float]:
-    """Equilibrium coefficients (c_par, c_perp) of the optimal linear weight.
-
-    The optimal weight is c_par on the manifold projector plus c_perp on its
-    orthogonal complement: the per-mode coefficients at eigenvalues 1 and 0.
-    """
-    c_par, c_perp = colored_mode_coefficients(_MANIFOLD_MODES, moments)
-    return float(c_par), float(c_perp)
-
-
 def optimal_loss(moments: MomentSet, dims: DimensionPair) -> OptimalLoss:
     """Loss at the equilibrium weight, split into parallel and perpendicular parts.
 
@@ -273,19 +256,6 @@ def colored_mode_coefficients(eigenvalues, moments: MomentSet) -> np.ndarray:
     """
     lam, den = _mode_denominators(eigenvalues, moments)
     return (lam * moments.phi_alpha + moments.psi_sigma) / den
-
-
-def colored_optimal_weight(spectrum: Spectrum, moments: MomentSet) -> np.ndarray:
-    """Optimal weight matrix for colored data: sum of per-mode rank-1 terms.
-
-    Requires explicit eigenvectors; the result is symmetric and commutes with
-    the data second moment.
-    """
-    if spectrum.eigenvectors is None:
-        raise ValueError("colored_optimal_weight requires eigenvectors")
-    coeffs = colored_mode_coefficients(spectrum.eigenvalues, moments)
-    q = spectrum.eigenvectors
-    return (q * coeffs) @ q.T
 
 
 def colored_mode_losses(eigenvalues, moments: MomentSet) -> np.ndarray:

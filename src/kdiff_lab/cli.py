@@ -223,7 +223,8 @@ def _spectrum(raw: dict, data: dict) -> analytic.Spectrum:
 
     Manifold data is the spectrum with d unit and D - d zero eigenvalues; a
     ``data.spectrum`` is taken as given, and must have D entries when the
-    config sets ``data.D``.
+    config sets ``data.D``.  ``data.d`` and ``data.seed`` make the manifold,
+    so a config with a spectrum may not set them.
     """
     if data["spectrum"] is None:
         ambient, intrinsic = data["D"], data["d"]
@@ -233,6 +234,9 @@ def _spectrum(raw: dict, data: dict) -> analytic.Spectrum:
             return analytic.Spectrum(np.repeat([1.0, 0.0], [intrinsic, ambient - intrinsic]))
         except (OverflowError, ValueError, MemoryError) as exc:
             raise DimError(f"data.D = {ambient} is too large: {exc}") from exc
+    for key in ("d", "seed"):
+        if raw["data"].get(key) is not None:
+            raise ConfigError(f"data.{key} does not apply to data.spectrum; drop it")
     spectrum = _built("data.spectrum", analytic.Spectrum, data["spectrum"])
     if "D" in raw.get("data", {}) and spectrum.dim != data["D"]:
         raise DimError(f"data.spectrum has {spectrum.dim} eigenvalues but data.D is {data['D']}")
@@ -275,6 +279,8 @@ def load_config(path, seed: int | None = None) -> Config:
     flow = _built("dynamics", lindyn.FlowConfig, **dynamics)
     sample = _section(raw, "sample")
     n_samples, net, sample_k = sample.pop("n_samples"), sample.pop("net"), sample.pop("k")
+    if net == "train" and raw.get("sample", {}).get("k") is not None:
+        raise ConfigError("sample.k applies to net optimal_linear only; a trained net uses train.k_init")
     # each size makes an array of 8-byte floats, whose byte count numpy must index
     per_row = {"sample.n_samples": n_samples, "train.batch": train.batch, "dynamics.batch": flow.batch}
     sizes = {"theory.k_points": theory["k_points"]}
@@ -352,11 +358,11 @@ def _u_loss_k_star(cfg: Config) -> float:
     return analytic.u_loss_optimal_k(cfg.spectrum.eigenvalues, moments)
 
 
-def _data_source(cfg: Config):
-    """What a command draws data from: a random D x d manifold basis made from
-    the data seed, or the colored covariance of ``data.spectrum``."""
+def _data_source(cfg: Config) -> geometry.GaussianSource:
+    """What a command draws data from: d unit eigenvalues on a random basis made
+    from the data seed, or ``data.spectrum`` along the standard basis."""
     if cfg.manifold_dim is None:
-        return geometry.ColoredCovariance.from_spectrum(cfg.spectrum.eigenvalues)
+        return geometry.GaussianSource.from_spectrum(cfg.spectrum.eigenvalues)
     basis_rng = derive_rng(cfg.data_seed, "geometry", "basis")
     return geometry.random_orthonormal_basis(cfg.spectrum.dim, cfg.manifold_dim, basis_rng)
 
@@ -402,12 +408,16 @@ def cmd_theory(cfg: Config, out: Path) -> int:
 
 
 def cmd_dynamics(cfg: Config, out: Path) -> int:
-    """Integrate the linear-model gradient flow and check convergence to equilibrium."""
-    basis = _data_source(cfg)
-    weight0 = np.zeros((basis.ambient_dim, basis.ambient_dim))
+    """Integrate the linear-model gradient flow and check convergence to equilibrium.
+
+    ``dist_par`` is the distance on the data's support, ``dist_perp`` on its
+    null space.
+    """
+    source = _data_source(cfg)
+    weight0 = np.zeros((source.ambient_dim, source.ambient_dim))
     rng = derive_rng(cfg.seed, "lindyn", "stochastic") if cfg.flow.mode == "stochastic" else None
     trajectory = lindyn.run_gradient_flow(
-        weight0, basis, cfg.flow, cfg.process, cfg.target, cfg.loss, cfg.measure, rng=rng
+        weight0, source, cfg.flow, cfg.process, cfg.target, cfg.loss, cfg.measure, rng=rng
     )
 
     rows = [(rec.step, rec.loss, rec.dist_par, rec.dist_perp) for rec in trajectory]
@@ -473,32 +483,34 @@ def cmd_train(cfg: Config, out: Path) -> int:
 def cmd_sample(cfg: Config, out: Path) -> int:
     """Integrate the sampling ODE and report off-manifold energy diagnostics.
 
-    Both nets are linear, so the whole run is one propagator matrix.
+    Both nets are linear, so the whole run is one propagator matrix.  The
+    off-manifold energy is the part outside the data's support: for a
+    ``data.spectrum``, the energy in its zero-eigenvalue modes.
     """
-    basis = _data_source(cfg)
+    source = _data_source(cfg)
     if cfg.net == "optimal_linear":
         moments = analytic.compute_moments(cfg.process, cfg.sample_target, cfg.loss, cfg.measure)
-        weight = lindyn.equilibrium_weight(basis, moments)
+        weight = lindyn.equilibrium_weight(source, moments)
         kparam = cfg.sample_target.k
     else:
         kparam = kdiff.make_kparam(cfg.train, cfg.k_bins)
-        net = kdiff.PureLinear.zeros(basis.ambient_dim)
-        kdiff.train(net, kparam, basis, cfg.train)
+        net = kdiff.PureLinear.zeros(source.ambient_dim)
+        kdiff.train(net, kparam, source, cfg.train)
         weight = net.weight
 
     rng = derive_rng(cfg.seed, "sampler", "noise")
-    z0 = rng.standard_normal((cfg.n_samples, basis.ambient_dim))
+    z0 = rng.standard_normal((cfg.n_samples, source.ambient_dim))
     z1 = z0 @ sampler.linear_propagator(cfg.sample, weight, kparam).T
     if not np.all(np.isfinite(z1)):
         raise NonFiniteState("state became non-finite at t = 1")
 
-    header = [f"x{i}" for i in range(basis.ambient_dim)]
+    header = [f"x{i}" for i in range(source.ambient_dim)]
     write_csv(out / "samples.csv", header, z1)
 
     def off_manifold_fraction(z: np.ndarray):
         if len(z) == 0:
             return None
-        perp = z - z @ basis.projector()
+        perp = z - z @ source.projector()
         return float(np.sum(perp * perp) / np.sum(z * z))
 
     diagnostics = {
@@ -546,8 +558,6 @@ def main(argv=None) -> int:
         created = []
         try:
             cfg = load_config(args.config, seed=args.seed)
-            if cfg.manifold_dim is None and args.command in ("dynamics", "sample"):
-                raise ConfigError(f"{args.command} runs on manifold data only; drop data.spectrum")
             out = Path(args.out if args.out is not None else cfg.output_dir)
             created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
             out.mkdir(parents=True, exist_ok=True)

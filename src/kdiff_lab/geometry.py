@@ -1,17 +1,20 @@
-"""Synthetic data generation on linear manifolds and colored Gaussians.
+"""Synthetic Gaussian data: one source type for linear manifolds and general spectra.
 
-Every data source is Gaussian with second moment F @ F.T for a covariance
-factor F, and one sampler serves them all.  Manifold data lives on a
-d-dimensional linear subspace of R^D: F is its D x d orthonormal basis, so
-intrinsic latents are whitened (unit second moment).  Colored data has a
-D x D factor built from a spectrum.  Ambient noise is standard normal.  All
-samplers take an explicit generator handle, so independent handles may run
-in parallel; the sources themselves are immutable and shareable.
+A ``GaussianSource`` is zero-mean Gaussian data with second moment
+Sigma = Q diag(lam) Q^T, given by r orthonormal eigenvectors and their
+eigenvalues; every other direction has eigenvalue 0.  Manifold data on a
+d-dimensional linear subspace of R^D is the case of d unit eigenvalues, so its
+covariance factor F = Q sqrt(lam) is the orthonormal basis itself and the
+intrinsic latents are whitened.  A spectrum given as eigenvalues lies along
+the standard basis.  One sampler serves every source, embedding r
+standard-normal latents by F.  Ambient noise is standard normal.  All samplers
+take an explicit generator handle, so independent handles may run in
+parallel; the sources themselves are immutable and shareable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,31 +23,52 @@ from .errors import DimError
 
 
 @dataclass(frozen=True)
-class ManifoldBasis:
-    """Orthonormal basis (D x d, orthonormal columns) of the data subspace."""
+class GaussianSource:
+    """Zero-mean Gaussian data with second moment Sigma = Q diag(lam) Q^T.
 
-    matrix: np.ndarray
+    ``eigenvectors`` Q is D x r with orthonormal columns and ``eigenvalues``
+    lam holds r non-negative values; directions outside the span of Q have
+    eigenvalue 0.  Manifold data has d unit eigenvalues.
+    """
+
+    eigenvectors: np.ndarray
+    eigenvalues: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lam = Spectrum(self.eigenvalues).eigenvalues
+        q = np.asarray(self.eigenvectors, dtype=np.float64)
+        if q.ndim != 2 or not lam.size == q.shape[1] <= q.shape[0]:
+            raise DimError(f"need D x {lam.size} eigenvectors with D >= {lam.size}, got shape {q.shape}")
+        # the copy makes this a general product: for q.T @ q numpy calls BLAS's
+        # symmetric kernel, which raised the trainer's peak RSS by about 0.2 MB
+        ortho_err = np.max(np.abs(q.T.copy() @ q - np.eye(lam.size)))
+        if ortho_err > 1e-10:
+            raise ValueError(f"eigenvectors not orthonormal (max |Q^T Q - I| = {ortho_err:.2e})")
+        object.__setattr__(self, "eigenvectors", q)
+        object.__setattr__(self, "eigenvalues", lam)
+        # Sigma = factor @ factor.T; unit eigenvalues leave the basis as it is, bit for bit
+        object.__setattr__(self, "factor", q * np.sqrt(lam))
 
     @property
     def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def factor(self) -> np.ndarray:
-        """Covariance factor: the basis itself, whose outer product is the projector."""
-        return self.matrix
+        return self.eigenvectors.shape[0]
 
     def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace."""
-        return self.matrix @ self.matrix.T
+        """Orthogonal projector onto the support: the eigenvectors of positive eigenvalue."""
+        support = self.eigenvectors[:, self.eigenvalues > 0.0]
+        return support @ support.T
+
+    @classmethod
+    def from_spectrum(cls, eigenvalues) -> "GaussianSource":
+        """The source with the given eigenvalues along the standard basis."""
+        eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+        return cls(np.eye(eigenvalues.size), eigenvalues)
 
 
-def random_orthonormal_basis(ambient: int, intrinsic: int, rng: np.random.Generator) -> ManifoldBasis:
-    """Random orthonormal basis via QR of a Gaussian matrix.
+def random_orthonormal_basis(ambient: int, intrinsic: int, rng: np.random.Generator) -> GaussianSource:
+    """Manifold data on a random d-dimensional subspace: d unit eigenvalues on an
+    orthonormal basis from the QR of a Gaussian matrix.
 
     The sign convention (positive R diagonal) makes the result a
     deterministic function of the generator state.
@@ -55,63 +79,20 @@ def random_orthonormal_basis(ambient: int, intrinsic: int, rng: np.random.Genera
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
-    return ManifoldBasis(q * signs)
+    return GaussianSource(q * signs, np.ones(intrinsic))
 
 
-def sample_latents(source, batch: int, rng: np.random.Generator) -> np.ndarray:
+def sample_latents(source: GaussianSource, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the standard-normal latents of data rows: one per column of the factor."""
     return rng.standard_normal((batch, source.factor.shape[1]))
 
 
-def sample_data(source, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw Gaussian data rows with second moment ``source.factor @ source.factor.T``.
-
-    The source is a ``ManifoldBasis`` (whitened intrinsic latents embedded in
-    ambient space) or a ``ColoredCovariance``; either way the rows are
-    ``sample_latents`` embedded by the factor.
-    """
+def sample_data(source: GaussianSource, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw Gaussian data rows with second moment ``source.factor @ source.factor.T``:
+    ``sample_latents`` embedded by the factor."""
     return sample_latents(source, batch, rng) @ source.factor.T
 
 
 def sample_noise(dim: int, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Standard Gaussian white noise rows."""
     return rng.standard_normal((batch, dim))
-
-
-@dataclass(frozen=True)
-class ColoredCovariance:
-    """Data second moment Sigma = factor @ factor.T, with its spectral view."""
-
-    factor: np.ndarray
-    spectrum: Spectrum
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
-
-    def covariance(self) -> np.ndarray:
-        return self.factor @ self.factor.T
-
-    @classmethod
-    def from_spectrum(cls, eigenvalues, eigenvectors=None) -> "ColoredCovariance":
-        """Build from eigenvalues, defaulting to the standard basis."""
-        spec = Spectrum(np.asarray(eigenvalues, dtype=np.float64), eigenvectors)
-        q = spec.eigenvectors if spec.eigenvectors is not None else np.eye(spec.dim)
-        factor = q * np.sqrt(spec.eigenvalues)
-        if spec.eigenvectors is None:
-            spec = Spectrum(spec.eigenvalues, q)
-        return cls(factor, spec)
-
-    @classmethod
-    def from_covariance(cls, cov) -> "ColoredCovariance":
-        """Build from a symmetric positive semi-definite matrix."""
-        cov = np.asarray(cov, dtype=np.float64)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise DimError(f"covariance must be square, got shape {cov.shape}")
-        if np.max(np.abs(cov - cov.T)) > 1e-10:
-            raise ValueError("covariance must be symmetric")
-        lam, q = np.linalg.eigh(cov)
-        if np.min(lam) < -1e-10:
-            raise ValueError(f"covariance not positive semi-definite (min eigenvalue {np.min(lam):.2e})")
-        lam = np.clip(lam, 0.0, None)
-        return cls(q * np.sqrt(lam), Spectrum(lam, q))

@@ -454,8 +454,8 @@ class TrainHistory:
 def train(net, kparam: KParam, data_source, config: TrainConfig) -> TrainHistory:
     """Run the training loop on fresh batches from the data source.
 
-    data_source is a manifold basis or a colored covariance; batches come
-    from ``geometry.sample_data``.  Deterministic given config.seed.
+    data_source is a ``geometry.GaussianSource``; batches come from
+    ``geometry.sample_data``.  Deterministic given config.seed.
     """
     rng = derive_rng(config.seed, "kdiff", "train")
     params = {f"net.{name}": p for name, p in net.params().items()}

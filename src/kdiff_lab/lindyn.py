@@ -1,15 +1,18 @@
 """Single-layer linear diffusion model: exact expected dynamics and Monte Carlo oracle.
 
 The model predicts the target as ``u_hat = W z`` with a time-independent
-D x D weight.  Its training loss is a positive-semidefinite quadratic in W
-whose gradient-flow dynamics decouple into a mode parallel to the data
-manifold (data recovery) and one perpendicular to it (noise elimination).
-The exact expected gradient is affine in W, so it can be assembled from
+D x D weight, on data from a ``GaussianSource`` with second moment Sigma.
+Its training loss is a positive-semidefinite quadratic in W whose
+gradient-flow dynamics decouple over the eigenspaces of Sigma: one per
+distinct positive eigenvalue (data recovery) and the null space (noise
+elimination).  Manifold data has a single unit eigenspace, the manifold, so
+the two modes are the manifold-parallel and perpendicular parts of W.  The
+exact expected gradient is affine in W, so it can be assembled from
 precomputed moments with no per-step quadrature, and its explicit Euler
-recursion has a closed form: each mode's offset from the equilibrium weight
-shrinks by a fixed factor per step.  Exact-mode flow therefore decomposes the
-initial weight once and evaluates every recorded step from scalar powers of
-the two factors; stochastic mode steps through fresh sample batches.
+recursion has a closed form: each eigenspace's offset from the equilibrium
+weight shrinks by a fixed factor per step.  Exact-mode flow therefore splits
+the initial weight once and evaluates every recorded step from scalar powers
+of the factors; stochastic mode steps through fresh sample batches.
 
 ``monte_carlo_loss`` estimates the same training loss by simulation and is
 the independent oracle for the closed-form equilibrium loss.  It evaluates
@@ -19,6 +22,7 @@ chunk size times D.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,9 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import MomentSet, compute_moments, optimal_weight_coeffs
+from .analytic import MomentSet, colored_mode_coefficients, compute_moments
 from .errors import DimError, Divergence
-from .geometry import ManifoldBasis, sample_data, sample_latents, sample_noise
+from .geometry import GaussianSource, sample_data, sample_latents, sample_noise
 from .schedule import (
     FLOW_MATCHING,
     U_LOSS,
@@ -46,7 +50,7 @@ from .schedule import (
 
 @dataclass(frozen=True)
 class ModeDecomposition:
-    """Weight split into its manifold-parallel and perpendicular components."""
+    """Weight split into its parts on the data's support (parallel) and null space (perpendicular)."""
 
     parallel: np.ndarray
     perpendicular: np.ndarray
@@ -108,45 +112,87 @@ class FlowRecord:
         return self._modes().total
 
 
-def decompose(weight: np.ndarray, basis: ManifoldBasis) -> ModeDecomposition:
-    """Split a weight into components acting on the manifold and its complement."""
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.shape != (basis.ambient_dim, basis.ambient_dim):
-        raise DimError(
-            f"weight shape {weight.shape} does not match ambient dimension {basis.ambient_dim}"
-        )
-    par = weight @ basis.projector()
+def decompose(weight: np.ndarray, source: GaussianSource) -> ModeDecomposition:
+    """Split a weight into components acting on the data's support and its null space."""
+    weight = _checked(weight, source)
+    par = weight @ source.projector()
     return ModeDecomposition(par, weight - par)
 
 
-def _equilibrium_modes(basis: ManifoldBasis, moments: MomentSet) -> ModeDecomposition:
-    c_par, c_perp = optimal_weight_coeffs(moments)
-    proj = basis.projector()
-    return ModeDecomposition(c_par * proj, c_perp * (np.eye(basis.ambient_dim) - proj))
+def _checked(weight: np.ndarray, source: GaussianSource) -> np.ndarray:
+    weight = np.asarray(weight, dtype=np.float64)
+    if weight.shape != (source.ambient_dim, source.ambient_dim):
+        raise DimError(
+            f"weight shape {weight.shape} does not match ambient dimension {source.ambient_dim}"
+        )
+    return weight
 
 
-def equilibrium_weight(basis: ManifoldBasis, moments: MomentSet) -> np.ndarray:
-    """Global minimiser of the quadratic training loss (the flow's fixed point)."""
-    return _equilibrium_modes(basis, moments).total
+def _eigenspaces(weight: np.ndarray, source: GaussianSource, moments: MomentSet):
+    """Per eigenspace of Sigma, each distinct positive eigenvalue's (smallest
+    first) and then the null space: its curvature lam * alpha_sq + sigma_sq,
+    the equilibrium weight's part c(lam) P and the offset W P - c(lam) P of
+    ``weight``'s part from it, with P the eigenspace's projector.
+
+    The projectors are built one at a time, so a caller that keeps none holds
+    O(D^2) memory whatever the spectrum.  The null space's parts are the
+    weight and W* less their parts on the support.
+    """
+    lam = source.eigenvalues
+    values = sorted(set(lam[lam > 0.0].tolist()))  # np.unique would import numpy.ma
+    *coefficients, null = colored_mode_coefficients([*values, 0.0], moments)
+    support, weight_support = np.zeros_like(weight), np.zeros_like(weight)
+    for value, coefficient in zip(values, coefficients):
+        vectors = source.eigenvectors[:, lam == value]
+        proj = vectors @ vectors.T
+        part, star = weight @ proj, coefficient * proj
+        support += proj
+        weight_support += part
+        yield value * moments.alpha_sq + moments.sigma_sq, star, part - star
+    star = null * (np.eye(source.ambient_dim) - support)
+    yield moments.sigma_sq, star, weight - weight_support - star
 
 
-def exact_gradient(weight: np.ndarray, basis: ManifoldBasis, moments: MomentSet) -> np.ndarray:
+def _shifted(
+    weight: np.ndarray, source: GaussianSource, moments: MomentSet, decays, step: int
+) -> ModeDecomposition:
+    """W* plus each eigenspace's offset of ``weight`` times its decay**step,
+    split into the support's part and the null space's (the last decay's)."""
+    parallel, part = np.zeros_like(weight), None
+    for (_, star, offset), decay in zip(_eigenspaces(weight, source, moments), decays):
+        if part is not None:
+            parallel += part
+        part = star + decay**step * offset
+    return ModeDecomposition(parallel, part)
+
+
+def _equilibrium_modes(source: GaussianSource, moments: MomentSet) -> ModeDecomposition:
+    return _shifted(np.zeros((source.ambient_dim,) * 2), source, moments, itertools.repeat(0.0), 1)
+
+
+def equilibrium_weight(source: GaussianSource, moments: MomentSet) -> np.ndarray:
+    """Global minimiser of the quadratic training loss (the flow's fixed point).
+
+    Sum over the distinct eigenvalues lam of c(lam) times the projector onto
+    their eigenspace, plus c(0) times the projector onto the null space, with
+    c from ``colored_mode_coefficients``.
+    """
+    return _equilibrium_modes(source, moments).total
+
+
+def exact_gradient(weight: np.ndarray, source: GaussianSource, moments: MomentSet) -> np.ndarray:
     """Expected descent direction at the given weight.
 
     A gradient-flow step is ``weight + step_size * exact_gradient(...)``;
     the returned matrix vanishes exactly at the equilibrium weight.
     """
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.shape != (basis.ambient_dim, basis.ambient_dim):
-        raise DimError(
-            f"weight shape {weight.shape} does not match ambient dimension {basis.ambient_dim}"
-        )
-    proj = basis.projector()
-    eye = np.eye(basis.ambient_dim)
+    weight = _checked(weight, source)
+    sigma = source.factor @ source.factor.T
+    eye = np.eye(source.ambient_dim)
     return -(
-        moments.alpha_sq * weight @ proj
+        moments.alpha_sq * weight @ sigma
         + moments.sigma_sq * weight
-        - moments.phi_alpha * proj
+        - moments.phi_alpha * sigma
         - moments.psi_sigma * eye
     )
 
@@ -180,25 +226,22 @@ def stochastic_gradient(
     return -(resid.T @ z) / len(t)
 
 
-def quadratic_loss(weight: np.ndarray, basis: ManifoldBasis, moments: MomentSet) -> float:
+def quadratic_loss(weight: np.ndarray, source: GaussianSource, moments: MomentSet) -> float:
     """Exact training loss of an arbitrary weight (quadratic in the weight)."""
     weight = np.asarray(weight, dtype=np.float64)
-    proj = basis.projector()
-    wp = weight @ proj
-    d = basis.intrinsic_dim
-    ambient = basis.ambient_dim
+    ws = weight @ (source.factor @ source.factor.T)
     return 0.5 * (
-        moments.alpha_sq * float(np.sum(wp * weight))
+        moments.alpha_sq * float(np.sum(ws * weight))
         + moments.sigma_sq * float(np.sum(weight * weight))
-        - 2.0 * (moments.phi_alpha * float(np.trace(wp)) + moments.psi_sigma * float(np.trace(weight)))
-        + moments.phi_sq * d
-        + moments.psi_sq * ambient
+        - 2.0 * (moments.phi_alpha * float(np.trace(ws)) + moments.psi_sigma * float(np.trace(weight)))
+        + moments.phi_sq * float(np.sum(source.eigenvalues))
+        + moments.psi_sq * source.ambient_dim
     )
 
 
-def stability_bound(moments: MomentSet) -> float:
-    """Largest stable explicit-Euler step for the exact dynamics."""
-    return 2.0 / (moments.alpha_sq + moments.sigma_sq)
+def stability_bound(source: GaussianSource, moments: MomentSet) -> float:
+    """Largest stable explicit-Euler step for the exact dynamics: 2 / (lam_max alpha_sq + sigma_sq)."""
+    return 2.0 / (float(np.max(source.eigenvalues)) * moments.alpha_sq + moments.sigma_sq)
 
 
 def _log_steps(total: int) -> set[int]:
@@ -211,7 +254,7 @@ def _log_steps(total: int) -> set[int]:
 
 def run_gradient_flow(
     weight0: np.ndarray,
-    basis: ManifoldBasis,
+    source: GaussianSource,
     config: FlowConfig,
     process: ProcessSpec = FLOW_MATCHING,
     target: TargetSpec | float = 1.0,
@@ -221,16 +264,22 @@ def run_gradient_flow(
 ) -> list[FlowRecord]:
     """Integrate the training dynamics with explicit Euler steps.
 
-    In exact mode the Euler recursion is solved in closed form.  Each mode's
-    offset from the equilibrium weight W* shrinks by a fixed factor per step,
-    a = 1 - step*(alpha_sq + sigma_sq) on the manifold and
-    b = 1 - step*sigma_sq off it, so at step i the weight is
-    W* + a**i * (W0_par - W*_par) + b**i * (W0_perp - W*_perp), the distances
-    are |a|**i and |b|**i times the initial ones, and the loss is
-    L* + (alpha_sq + sigma_sq) * dist_par**2 / 2 + sigma_sq * dist_perp**2 / 2.
-    ``weight0`` is decomposed once and every recorded row costs O(1).  The
-    perpendicular trajectory depends only on sigma_sq, psi_sigma and W0, so
-    it is bit-identical across runs that differ only in the data coefficient.
+    In exact mode the Euler recursion is solved in closed form, one
+    eigenspace of Sigma at a time.  The offset from the equilibrium weight W*
+    on the eigenspace of a distinct positive eigenvalue lam shrinks by
+    a_lam = 1 - step*(lam*alpha_sq + sigma_sq) per step, and on the null space
+    by b = 1 - step*sigma_sq, so at step i the weight is
+    W* + sum_lam a_lam**i * (W0 - W*) P_lam + b**i * (W0 - W*) (I - Pi), where
+    P_lam projects onto lam's eigenspace and Pi onto the support.  Each
+    eigenspace's distance is |a_lam|**i times its initial one; ``dist_par``
+    combines the support's (on manifold data, the one unit eigenspace) and
+    ``dist_perp`` is the null space's.  The loss is
+    L* + sum_lam (lam*alpha_sq + sigma_sq) * dist_lam**2 / 2 + sigma_sq * dist_perp**2 / 2.
+    The eigenspaces are visited once, and every recorded row costs O(1) per
+    eigenspace and keeps no D x D matrix of its own: a row rebuilds its weight
+    from W0 when read.  The perpendicular trajectory depends only on
+    sigma_sq, psi_sigma and W0, so it is bit-identical across runs that
+    differ only in the data coefficient.
 
     Stochastic mode takes one Euler step per fresh batch of samples.  Each
     recorded row keeps only its unsplit weight and splits it when read.
@@ -247,94 +296,80 @@ def run_gradient_flow(
     if isinstance(target, (int, float)):
         target = k_target(float(target))
     moments = compute_moments(process, target, loss, measure)
-    if config.step_size >= stability_bound(moments):
+    bound = stability_bound(source, moments)
+    if config.step_size >= bound:
         warnings.warn(
             f"step_size {config.step_size} at or above stability bound "
-            f"{stability_bound(moments):.6g}; {config.mode} dynamics will diverge",
+            f"{bound:.6g}; {config.mode} dynamics will diverge",
             stacklevel=2,
         )
     if config.mode == "stochastic" and rng is None:
         raise ValueError("stochastic mode needs an rng")
 
-    equilibrium = _equilibrium_modes(basis, moments)
-    # a stochastic row keeps this array, so a caller's later edit must not reach it
-    weight = np.array(weight0, dtype=np.float64)
-    modes = decompose(weight, basis)
+    # a row keeps this array, so a caller's later edit must not reach it
+    weight = np.array(_checked(weight0, source))
     if config.mode == "exact":
-        return _closed_form_flow(modes, equilibrium, basis, moments, config)
+        return _closed_form_flow(weight, source, moments, config)
+
+    equilibrium = _equilibrium_modes(source, moments)
 
     def record(step: int, weight: np.ndarray, modes: ModeDecomposition) -> FlowRecord:
         rec = FlowRecord(
             step=step,
-            loss=quadratic_loss(modes.total, basis, moments),
+            loss=quadratic_loss(modes.total, source, moments),
             dist_par=float(np.linalg.norm(modes.parallel - equilibrium.parallel)),
             dist_perp=float(np.linalg.norm(modes.perpendicular - equilibrium.perpendicular)),
-            _modes=partial(decompose, weight, basis),
+            _modes=partial(decompose, weight, source),
         )
         if not all(map(math.isfinite, (rec.loss, rec.dist_par, rec.dist_perp))):
             raise Divergence(f"stochastic flow is not finite at step {step} (loss {rec.loss:.6g})")
         return rec
 
     keep = _log_steps(config.steps)
+    modes = decompose(weight, source)
     trajectory = [record(0, weight, modes)]
     # an overflow surfaces as the Divergence raised by record
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, config.steps + 1):
-            x = sample_data(basis, config.batch, rng)
-            noise = sample_noise(basis.ambient_dim, config.batch, rng)
+            x = sample_data(source, config.batch, rng)
+            noise = sample_noise(source.ambient_dim, config.batch, rng)
             t = sample_t(measure, rng, size=config.batch)
             total = modes.total
             weight = total + config.step_size * stochastic_gradient(total, x, noise, t, process, target, loss)
-            modes = decompose(weight, basis)
+            modes = decompose(weight, source)
             if i in keep:
                 trajectory.append(record(i, weight, modes))
     return trajectory
 
 
-def _shifted(
-    equilibrium: ModeDecomposition, offset: ModeDecomposition, factor_par: float, factor_perp: float
-) -> ModeDecomposition:
-    return ModeDecomposition(
-        equilibrium.parallel + factor_par * offset.parallel,
-        equilibrium.perpendicular + factor_perp * offset.perpendicular,
-    )
-
-
 def _closed_form_flow(
-    initial: ModeDecomposition,
-    equilibrium: ModeDecomposition,
-    basis: ManifoldBasis,
-    moments: MomentSet,
-    config: FlowConfig,
+    weight0: np.ndarray, source: GaussianSource, moments: MomentSet, config: FlowConfig
 ) -> list[FlowRecord]:
-    offset = ModeDecomposition(
-        initial.parallel - equilibrium.parallel, initial.perpendicular - equilibrium.perpendicular
-    )
-    norm_par = float(np.linalg.norm(offset.parallel))
-    norm_perp = float(np.linalg.norm(offset.perpendicular))
-    curv_par = moments.alpha_sq + moments.sigma_sq
-    curv_perp = moments.sigma_sq
+    rates, norms, weight_star = [], [], 0.0
+    for rate, star, offset in _eigenspaces(weight0, source, moments):
+        rates.append(rate)
+        norms.append(float(np.linalg.norm(offset)))
+        weight_star = weight_star + star
     # a mode that starts at its equilibrium stays there, whatever its factor
-    decay_par = 1.0 - config.step_size * curv_par if norm_par > 0.0 else 0.0
-    decay_perp = 1.0 - config.step_size * curv_perp if norm_perp > 0.0 else 0.0
-    for name, decay in (("parallel", decay_par), ("perpendicular", decay_perp)):
+    decays = [1.0 - config.step_size * rate if norm > 0.0 else 0.0 for rate, norm in zip(rates, norms)]
+    for index, decay in enumerate(decays):
         if abs(decay) > 1.0:
+            name = "perpendicular" if index == len(decays) - 1 else "parallel"
             raise Divergence(
                 f"{name} mode grows by a factor {abs(decay):.6g} per step "
                 f"(step_size {config.step_size})"
             )
-    loss_star = quadratic_loss(equilibrium.total, basis, moments)
+    loss_star = quadratic_loss(weight_star, source, moments)
     trajectory = []
     for i in sorted(_log_steps(config.steps)):
-        a, b = decay_par**i, decay_perp**i
-        dist_par, dist_perp = abs(a) * norm_par, abs(b) * norm_perp
+        dists = [abs(decay**i) * norm for decay, norm in zip(decays, norms)]
         trajectory.append(
             FlowRecord(
                 step=i,
-                loss=loss_star + 0.5 * (curv_par * dist_par**2 + curv_perp * dist_perp**2),
-                dist_par=dist_par,
-                dist_perp=dist_perp,
-                _modes=partial(_shifted, equilibrium, offset, a, b),
+                loss=loss_star + 0.5 * sum(rate * dist**2 for rate, dist in zip(rates, dists)),
+                dist_par=math.hypot(*dists[:-1]),
+                dist_perp=dists[-1],
+                _modes=partial(_shifted, weight0, source, moments, decays, i),
             )
         )
     return trajectory
@@ -348,7 +383,7 @@ _BLOCK_ROWS = 1024
 
 def monte_carlo_loss(
     weight: np.ndarray,
-    basis: ManifoldBasis,
+    source: GaussianSource,
     target: TargetSpec | float,
     n_samples: int,
     rng: np.random.Generator,
@@ -395,7 +430,7 @@ def monte_carlo_loss(
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     values = _loss_observations(
-        np.asarray(weight, dtype=np.float64), basis, target, n_pairs, rng,
+        np.asarray(weight, dtype=np.float64), source, target, n_pairs, rng,
         process, loss, measure, clamp_floor, chunk,
     )
     estimate = float(np.mean(values))
@@ -405,7 +440,7 @@ def monte_carlo_loss(
 
 def _loss_observations(
     weight: np.ndarray,
-    basis: ManifoldBasis,
+    source: GaussianSource,
     target: TargetSpec,
     n_pairs: int,
     rng: np.random.Generator,
@@ -416,13 +451,13 @@ def _loss_observations(
     chunk: int,
 ) -> np.ndarray:
     """The observations ``monte_carlo_loss`` averages, one per antithetic pair."""
-    embed = basis.factor.T
+    embed = source.factor.T
     values = np.empty(n_pairs)
     done = 0
     while done < n_pairs:
         m = min(chunk, n_pairs - done)
         t = sample_t(measure, rng, size=m)
-        latents = sample_latents(basis, m, rng)
+        latents = sample_latents(source, m, rng)
         a = np.asarray(process.alpha(t), dtype=np.float64)[:, None]
         s = np.asarray(process.sigma(t), dtype=np.float64)[:, None]
         p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
@@ -432,7 +467,7 @@ def _loss_observations(
         for lo, hi in zip(edges, edges[1:]):
             block = slice(lo, hi)
             x = latents[block] @ embed
-            noise = sample_noise(basis.ambient_dim, hi - lo, rng)
+            noise = sample_noise(source.ambient_dim, hi - lo, rng)
             data_part = x @ weight.T
             data_part *= a[block]
             data_part -= p[block] * x

@@ -137,36 +137,38 @@ def random_gradient_instance(rng: np.random.Generator, loss_mode: str):
     return net, kparam, x, config, seed, float(margin)
 
 
-def euler_flow_reference(weight0, basis, moments, step_size: float, steps: int):
+def euler_flow_reference(weight0, source, moments, step_size: float, steps: int):
     """Exact-mode gradient flow by the step-by-step explicit Euler recursion.
 
-    Each mode follows w <- decay * w + drive * projector.  Returns one
-    (loss, dist_par, dist_perp, weight_par, weight_perp) tuple per step,
-    from 0 to ``steps``: the reference for the closed-form flow.
+    The whole weight follows w <- w + step_size * exact_gradient(w), and its
+    distances are measured from the equilibrium weight solved from the normal
+    equations W* (alpha_sq Sigma + sigma_sq I) = phi_alpha Sigma + psi_sigma I.
+    Returns one (loss, dist_par, dist_perp, weight_par, weight_perp) tuple per
+    step, from 0 to ``steps``: the reference for the closed-form flow.
     """
-    from kdiff_lab import decompose, optimal_weight_coeffs, quadratic_loss
+    from kdiff_lab import exact_gradient, quadratic_loss
 
-    proj = basis.projector()
-    comp = np.eye(basis.ambient_dim) - proj
-    c_par, c_perp = optimal_weight_coeffs(moments)
-    modes = decompose(weight0, basis)
-    w_par, w_perp = modes.parallel, modes.perpendicular
-    decay_par = 1.0 - step_size * (moments.alpha_sq + moments.sigma_sq)
-    drive_par = step_size * (moments.phi_alpha + moments.psi_sigma)
-    decay_perp = 1.0 - step_size * moments.sigma_sq
-    drive_perp = step_size * moments.psi_sigma
+    sigma = source.factor @ source.factor.T
+    eye = np.eye(source.ambient_dim)
+    # both sides are symmetric, so W* solves the transposed system as well
+    w_star = np.linalg.solve(
+        moments.alpha_sq * sigma + moments.sigma_sq * eye, moments.phi_alpha * sigma + moments.psi_sigma * eye
+    )
+    proj = source.projector()
+    weight = np.asarray(weight0, dtype=np.float64)
     rows = []
     for i in range(steps + 1):
         if i:
-            w_par = decay_par * w_par + drive_par * proj
-            w_perp = decay_perp * w_perp + drive_perp * comp
+            weight = weight + step_size * exact_gradient(weight, source, moments)
+        w_par = weight @ proj
+        offset = weight - w_star
         rows.append(
             (
-                quadratic_loss(w_par + w_perp, basis, moments),
-                float(np.linalg.norm(w_par - c_par * proj)),
-                float(np.linalg.norm(w_perp - c_perp * comp)),
+                quadratic_loss(weight, source, moments),
+                float(np.linalg.norm(offset @ proj)),
+                float(np.linalg.norm(offset - offset @ proj)),
                 w_par,
-                w_perp,
+                weight - w_par,
             )
         )
     return rows

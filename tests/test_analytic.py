@@ -13,6 +13,7 @@ from kdiff_lab import (
     V_LOSS,
     X_LOSS,
     DimensionPair,
+    GaussianSource,
     ProcessSpec,
     QuadratureDivergence,
     SingularEquilibrium,
@@ -23,13 +24,12 @@ from kdiff_lab import (
     colored_mode_losses,
     colored_optimal_k,
     colored_optimal_loss,
-    colored_optimal_weight,
     compute_moments,
+    equilibrium_weight,
     k_target,
     optimal_k,
     optimal_loss,
     optimal_loss_poly,
-    optimal_weight_coeffs,
     u_loss_optimal_k,
 )
 from kdiff_lab import analytic
@@ -38,6 +38,12 @@ from kdiff_lab.schedule import constant_fn
 
 def moments_for_k(k, loss=U_LOSS, measure=UNIFORM_MEASURE, nodes=64):
     return compute_moments(FLOW_MATCHING, k_target(k), loss, measure, quad_nodes=nodes)
+
+
+def manifold_coefficients(moments):
+    """(c_par, c_perp): the equilibrium coefficients of the unit and zero eigenvalues."""
+    c_par, c_perp = colored_mode_coefficients([1.0, 0.0], moments)
+    return float(c_par), float(c_perp)
 
 
 class TestComputeMoments:
@@ -110,13 +116,13 @@ class TestComputeMoments:
 
 class TestOptimalWeightCoeffs:
     def test_x_prediction(self):
-        assert optimal_weight_coeffs(moments_for_k(1.0)) == pytest.approx((0.75, 0.0), abs=1e-12)
+        assert manifold_coefficients(moments_for_k(1.0)) == pytest.approx((0.75, 0.0), abs=1e-12)
 
     def test_v_prediction(self):
-        assert optimal_weight_coeffs(moments_for_k(0.5)) == pytest.approx((0.0, -0.75), abs=1e-12)
+        assert manifold_coefficients(moments_for_k(0.5)) == pytest.approx((0.0, -0.75), abs=1e-12)
 
     def test_epsilon_prediction(self):
-        assert optimal_weight_coeffs(moments_for_k(0.0)) == pytest.approx((-0.75, -1.5), abs=1e-12)
+        assert manifold_coefficients(moments_for_k(0.0)) == pytest.approx((-0.75, -1.5), abs=1e-12)
 
     def test_singular_denominator_raises(self):
         # a noiseless process has sigma_sq = 0
@@ -125,7 +131,7 @@ class TestOptimalWeightCoeffs:
         )
         m = compute_moments(noiseless, k_target(1.0), U_LOSS, UNIFORM_MEASURE)
         with pytest.raises(SingularEquilibrium):
-            optimal_weight_coeffs(m)
+            manifold_coefficients(m)
         with pytest.raises(SingularEquilibrium):
             optimal_loss(m, DimensionPair(4, 2))
 
@@ -247,9 +253,12 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum(np.array([1.0, -0.1]))
 
-    def test_non_orthonormal_vectors_rejected(self):
-        with pytest.raises(ValueError):
-            Spectrum(np.array([1.0, 2.0]), np.array([[1.0, 0.1], [0.0, 1.0]]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            GaussianSource.from_spectrum([bad, 1.0])
 
     def test_trace(self):
         assert Spectrum(np.array([2.0, 1.0, 0.0])).trace == pytest.approx(3.0)
@@ -341,40 +350,36 @@ class TestColored:
 
     def test_zero_eigenvalue_matches_perpendicular_coefficient(self):
         m = moments_for_k(0.7)
-        _, c_perp = optimal_weight_coeffs(m)
+        _, c_perp = manifold_coefficients(m)
         assert colored_mode_coefficients(np.array([0.0]), m)[0] == pytest.approx(c_perp, abs=1e-14)
 
     def test_unit_eigenvalue_matches_parallel_coefficient(self):
         m = moments_for_k(0.7)
-        c_par, _ = optimal_weight_coeffs(m)
+        c_par, _ = manifold_coefficients(m)
         assert colored_mode_coefficients(np.array([1.0]), m)[0] == pytest.approx(c_par, abs=1e-14)
 
     def test_optimal_weight_matrix(self):
         rng = np.random.default_rng(53)
         lam = rng.uniform(0.0, 4.0, size=5)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        spec = Spectrum(lam, q)
         m = moments_for_k(0.6)
-        w_star = colored_optimal_weight(spec, m)
+        w_star = equilibrium_weight(GaussianSource(q, lam), m)
         np.testing.assert_allclose(w_star, w_star.T, atol=1e-12)
         cov = (q * lam) @ q.T
         np.testing.assert_allclose(w_star @ cov, cov @ w_star, atol=1e-9)
+        # the per-mode coefficients on the rank-1 eigenprojectors
+        coeffs = colored_mode_coefficients(lam, m)
+        np.testing.assert_allclose(w_star, (q * coeffs) @ q.T, atol=1e-12)
 
     def test_optimal_weight_binary_spectrum_matches_projector_form(self):
         rng = np.random.default_rng(59)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         lam = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         m = moments_for_k(0.8)
-        c_par, c_perp = optimal_weight_coeffs(m)
+        c_par, c_perp = manifold_coefficients(m)
         proj = q[:, :2] @ q[:, :2].T
         expected = c_par * proj + c_perp * (np.eye(6) - proj)
-        np.testing.assert_allclose(
-            colored_optimal_weight(Spectrum(lam, q), m), expected, atol=1e-12
-        )
-
-    def test_optimal_weight_requires_eigenvectors(self):
-        with pytest.raises(ValueError):
-            colored_optimal_weight(Spectrum(np.ones(3)), moments_for_k(0.5))
+        np.testing.assert_allclose(equilibrium_weight(GaussianSource(q, lam), m), expected, atol=1e-12)
 
     def test_colored_optimal_k(self):
         # binary spectrum reduces to the dimension-pair formula

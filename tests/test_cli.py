@@ -12,7 +12,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kdiff_lab import ConfigError, DimError, Spectrum, TargetSpec, analytic, cli, sampler
+from kdiff_lab import (
+    FLOW_MATCHING,
+    U_LOSS,
+    UNIFORM_MEASURE,
+    ConfigError,
+    DimError,
+    Spectrum,
+    TargetSpec,
+    analytic,
+    cli,
+    k_target,
+    sampler,
+)
 from kdiff_lab.cli import load_config, main, write_csv
 
 from helpers import run_python, write_csv_reference
@@ -73,7 +85,7 @@ class TestTheory:
 
     def test_spectrum_summary(self, tmp_path):
         cfg = write_config(
-            tmp_path, "c.json", {"data": {"D": 3, "d": 1, "spectrum": [2.0, 1.0, 0.0]}}
+            tmp_path, "c.json", {"data": {"D": 3, "spectrum": [2.0, 1.0, 0.0]}}
         )
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         summary = json.loads((tmp_path / "out" / "theory_summary.json").read_text())
@@ -155,6 +167,22 @@ class TestDynamics:
         header, rows = read_csv(tmp_path / "out" / "dynamics.csv")
         assert header == ["step", "loss", "dist_par", "dist_perp"]
         assert rows[0, 0] == 0 and rows[-1, 0] == 200
+
+    def test_spectrum_runs_with_one_distance_per_subspace(self, tmp_path):
+        # an explicit null is the same as leaving data.seed out
+        lam = [2.0, 1.0, 1.0, 0.5, 0.0, 0.0]
+        cfg = write_config(tmp_path, "c.json", {"data": {"spectrum": lam, "seed": None}, "target": {"k": 0.7}})
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "dynamics_summary.json").read_text())
+        assert summary["converged"] is True
+        _, rows = read_csv(tmp_path / "out" / "dynamics.csv")
+        # from W0 = 0 each eigenspace starts |c(lam)| sqrt(multiplicity) from W*
+        moments = analytic.compute_moments(FLOW_MATCHING, k_target(0.7), U_LOSS, UNIFORM_MEASURE)
+        c = analytic.colored_mode_coefficients(np.array(lam), moments)
+        assert rows[0, 2] == pytest.approx(math.sqrt(np.sum(c[:4] ** 2)), rel=1e-14)
+        assert rows[0, 3] == pytest.approx(abs(c[5]) * math.sqrt(2.0), rel=1e-14)
+        # and the loss is (phi_sq tr Sigma + psi_sq D) / 2, with phi = k and psi = k - 1
+        assert rows[0, 1] == pytest.approx(0.5 * (0.7**2 * 4.5 + 0.3**2 * 6.0), rel=1e-14)
 
     def test_unstable_step_size_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"dynamics": {"step_size": 4.0}})
@@ -377,6 +405,17 @@ class TestSample:
         assert header == [f"x{i}" for i in range(8)]
         assert rows.shape == (200, 8)
 
+    def test_spectrum_off_manifold_fraction_is_the_zero_mode_energy(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "c.json", {"data": {"spectrum": [2.0, 1.0, 0.5, 0.0, 0.0]}, "sample": {"n_samples": 300}}
+        )
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        _, z = read_csv(tmp_path / "out" / "samples.csv")
+        # the spectrum lies along the standard basis, so its null space is the last two coordinates
+        assert diag["off_manifold_fraction_t1"] == pytest.approx(np.sum(z[:, 3:] ** 2) / np.sum(z * z), rel=1e-12)
+        assert diag["off_manifold_fraction_t1"] < 0.1 < diag["off_manifold_fraction_t0"]
+
     def test_zero_samples_writes_header_only(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json", {"data": {"D": 4, "d": 1}, "sample": {"n_samples": 0}}
@@ -533,12 +572,16 @@ class TestConfigValidation:
                 id="negative-eigenvalue",
             ),
             pytest.param(
-                "dynamics", {"data": {"spectrum": [1.0, 0.0]}}, "ConfigError: dynamics runs on manifold",
-                id="dynamics-spectrum",
+                "train", {"data": {"spectrum": [1.0, 1.0, 0.0, 0.0], "d": 3}},
+                "ConfigError: data.d does not apply to data.spectrum", id="spectrum-with-d",
             ),
             pytest.param(
-                "sample", {"data": {"spectrum": [1.0, 0.0]}}, "ConfigError: sample runs on manifold",
-                id="sample-spectrum",
+                "dynamics", {"data": {"spectrum": [1.0, 0.0], "seed": 3}},
+                "ConfigError: data.seed does not apply to data.spectrum", id="spectrum-with-seed",
+            ),
+            pytest.param(
+                "sample", {"sample": {"net": "train", "k": 0.9}},
+                "ConfigError: sample.k applies to net optimal_linear only", id="trained-net-with-k",
             ),
             pytest.param("theory", {"theory": {"k_points": 0}}, "ConfigError: theory.k_points", id="k_points-0"),
             pytest.param("theory", {"theory": {"k_points": 1}}, "ConfigError: theory.k_points", id="k_points-1"),

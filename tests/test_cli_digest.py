@@ -1,0 +1,31 @@
+"""The CLI digest matrix in tools/cli_digest.py runs, and every run exits as it expects."""
+
+import importlib.util
+from pathlib import Path
+
+from helpers import run_python
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("cli_digest", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_matrix_covers_every_command_on_both_data_kinds():
+    covered = {(command, "spectrum" in cfg["data"]) for command, cfg, _ in _tool().RUNS}
+    assert covered == {(c, s) for c in ("theory", "dynamics", "train", "sample") for s in (False, True)}
+
+
+def test_every_run_prints_its_expected_exit_code(tmp_path):
+    proc = run_python([str(_TOOL)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    runs = _tool().RUNS
+    assert [(int(i), command) for i, command, _, _ in lines] == [(i, command) for i, (command, _, _) in enumerate(runs)]
+    assert [int(code) for _, _, code, _ in lines] == [expected for _, _, expected in runs]
+    assert all(len(sha) == 64 for *_, sha in lines)
+    assert not any(tmp_path.iterdir())  # every run's directory is removed

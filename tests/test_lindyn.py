@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdiff_lab import (
@@ -17,8 +17,10 @@ from kdiff_lab import (
     DimensionPair,
     Divergence,
     FlowConfig,
+    GaussianSource,
     TargetSpec,
     TimeMeasure,
+    colored_mode_losses,
     compute_moments,
     decompose,
     equilibrium_weight,
@@ -117,7 +119,7 @@ class TestStochasticGradient:
         exact = exact_gradient(weight, basis, moments)
         chunks = []
         for _ in range(100):
-            x = basis.matrix @ rng.standard_normal((2, 10_000))
+            x = basis.eigenvectors @ rng.standard_normal((2, 10_000))
             x = x.T
             noise = rng.standard_normal((10_000, 4))
             t = rng.random(10_000)
@@ -250,7 +252,7 @@ class TestGradientFlow:
     def test_divergence_above_stability_bound(self):
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(19))
         moments = uniform_moments(1.0)
-        bad_step = stability_bound(moments) * 1.2
+        bad_step = stability_bound(basis, moments) * 1.2
         # the growing mode is caught before the run, so fewer than 10 steps too
         for steps in (200, 3):
             config = FlowConfig(step_size=bad_step, steps=steps, mode="exact")
@@ -288,6 +290,10 @@ class TestGradientFlow:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         dims=st.integers(1, 32).flatmap(lambda D: st.tuples(st.just(D), st.integers(1, D))),
+        # None is manifold data; a list gives the first d of its values, with
+        # repeats and zeros, to the d columns of the random basis
+        eigenvalues=st.none()
+        | st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]) | st.floats(0.0, 4.0), min_size=32, max_size=32),
         phi=st.floats(-2.0, 2.0),
         psi=st.floats(-2.0, 2.0),
         step_fraction=st.floats(0.05, 0.95),
@@ -295,21 +301,28 @@ class TestGradientFlow:
         scale=st.floats(0.1, 2.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_closed_form_matches_euler_recursion(self, dims, phi, psi, step_fraction, steps, scale, seed):
+    # D = d: the null space is rounding noise and its loss about 1e-32
+    @example(dims=(2, 2), eigenvalues=None, phi=0.0, psi=0.0, step_fraction=0.5, steps=1, scale=1.0, seed=0)
+    def test_closed_form_matches_euler_recursion(
+        self, dims, eigenvalues, phi, psi, step_fraction, steps, scale, seed
+    ):
         ambient, d = dims
         target = TargetSpec(constant_fn(phi), constant_fn(psi), name="linear")
         moments = compute_moments(FLOW_MATCHING, target, U_LOSS, UNIFORM_MEASURE)
         rng = np.random.default_rng(seed)
-        basis = random_orthonormal_basis(ambient, d, rng)
+        source = random_orthonormal_basis(ambient, d, rng)
+        if eigenvalues is not None:
+            source = GaussianSource(source.eigenvectors, eigenvalues[:d])
         weight0 = scale / math.sqrt(ambient) * rng.standard_normal((ambient, ambient))
-        step = step_fraction * stability_bound(moments)
-        traj = run_gradient_flow(weight0, basis, FlowConfig(step, steps), target=target)
-        reference = euler_flow_reference(weight0, basis, moments, step, steps)
+        step = step_fraction * stability_bound(source, moments)
+        traj = run_gradient_flow(weight0, source, FlowConfig(step, steps), target=target)
+        reference = euler_flow_reference(weight0, source, moments, step, steps)
         assert [rec.step for rec in traj] == list(range(steps + 1))
+        # relative error means nothing once the loss has fallen to rounding
+        # noise, such as a null space of a D = d manifold or a zero target
+        abs_tol = 1e-12 * reference[0][0]
         for rec, (loss, dist_par, dist_perp, w_par, w_perp) in zip(traj, reference):
-            # a zero target drives the loss towards 0; below 1e-300 the
-            # squares of the weights underflow, so relative error means nothing
-            assert math.isclose(rec.loss, loss, rel_tol=1e-12, abs_tol=1e-300), (rec.step, rec.loss, loss)
+            assert math.isclose(rec.loss, loss, rel_tol=1e-12, abs_tol=abs_tol), (rec.step, rec.loss, loss)
             assert abs(rec.dist_par - dist_par) <= 1e-12
             assert abs(rec.dist_perp - dist_perp) <= 1e-12
             np.testing.assert_allclose(rec.weight_par, w_par, rtol=0.0, atol=1e-12)
@@ -538,3 +551,74 @@ class TestMonteCarloBlocks:
             tracemalloc.stop()
         # the chunk-wide loop peaks at about 44 MB here
         assert peak < 8 * 2**20, peak
+
+
+class TestSpectralSource:
+    """The flow and the oracle on a general spectrum: colored theory against simulation."""
+
+    def test_oracle_matches_colored_mode_losses_at_the_equilibrium(self):
+        rng = np.random.default_rng(60)
+        for case in range(5):
+            ambient = int(rng.integers(2, 9))
+            rank = int(rng.integers(1, ambient + 1))
+            # repeated and zero eigenvalues on random orthonormal columns
+            eigenvalues = rng.choice([0.0, 0.5, 1.0, 3.0, float(rng.uniform(0.1, 4.0))], size=rank)
+            source = GaussianSource(random_orthonormal_basis(ambient, rank, rng).eigenvectors, eigenvalues)
+            k = float(rng.uniform(0.0, 1.0))
+            moments = uniform_moments(k)
+            w_star = equilibrium_weight(source, moments)
+            # the zero modes outside the eigenvectors' span count too
+            lam = np.concatenate([source.eigenvalues, np.zeros(ambient - source.eigenvalues.size)])
+            expected = float(np.sum(colored_mode_losses(lam, moments)))
+            assert quadratic_loss(w_star, source, moments) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+            assert np.max(np.abs(exact_gradient(w_star, source, moments))) < 1e-12
+            estimate, se = monte_carlo_loss(w_star, source, k, 1 << 18, np.random.default_rng(61 + case))
+            assert abs(estimate - expected) < 3.0 * se, (case, estimate, expected, se)
+
+    def test_zero_one_spectrum_on_a_full_basis_is_the_manifold(self):
+        rng = np.random.default_rng(62)
+        basis = random_orthonormal_basis(7, 3, rng)
+        full, _ = np.linalg.qr(np.hstack([basis.eigenvectors, rng.standard_normal((7, 4))]))
+        source = GaussianSource(full, np.repeat([1.0, 0.0], [3, 4]))
+        moments = uniform_moments(0.6)
+        np.testing.assert_allclose(
+            equilibrium_weight(source, moments), equilibrium_weight(basis, moments), rtol=0.0, atol=1e-12
+        )
+        weight0 = rng.standard_normal((7, 7))
+        config = FlowConfig(step_size=0.7, steps=30)
+        for got, want in zip(*(run_gradient_flow(weight0, s, config, target=0.6) for s in (source, basis))):
+            assert got.step == want.step
+            for name in ("loss", "dist_par", "dist_perp"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0.0, abs=1e-12)
+            np.testing.assert_allclose(got.weight_par, want.weight_par, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got.weight_perp, want.weight_perp, rtol=0.0, atol=1e-12)
+
+    def test_stability_bound_uses_the_largest_eigenvalue(self):
+        source = GaussianSource.from_spectrum([3.0, 1.0, 0.0])
+        moments = uniform_moments(1.0)
+        # 2 / (3 alpha_sq + sigma_sq) with alpha_sq = sigma_sq = 1/3
+        assert stability_bound(source, moments) == pytest.approx(1.5, rel=1e-14)
+        # stable for the unit eigenvalue's bound of 3, not for the largest's
+        with pytest.warns(UserWarning, match="stability bound 1.5"):
+            with pytest.raises(Divergence, match="parallel mode grows by a factor 1.4 "):
+                run_gradient_flow(np.zeros((3, 3)), source, FlowConfig(step_size=1.8, steps=10), target=1.0)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # every eigenvalue distinct: one eigenspace projector at a time, none kept
+            GaussianSource.from_spectrum(np.linspace(0.01, 2.0, 128)),
+            # rows that kept their weight's two modes held 3.1 MB here
+            random_orthonormal_basis(256, 16, np.random.default_rng(63)),
+        ],
+        ids=["D128-distinct", "manifold-D256"],
+    )
+    def test_exact_flow_holds_quadratic_memory(self, source):
+        weight0 = np.zeros((source.ambient_dim, source.ambient_dim))
+        tracemalloc.start()
+        try:
+            traj = run_gradient_flow(weight0, source, FlowConfig(step_size=0.5, steps=1000), target=0.8)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 1001 and held < 2 * 2**20, held

@@ -220,7 +220,7 @@ class TestRunSampler:
         net = optimal_linear_net(basis, 0.5)
         z0 = np.random.default_rng(11).standard_normal((10_000, 8))
         out = integrate(SampleRun(steps=50, solver="heun"), net, 0.5, z0)
-        latents = out @ basis.matrix
+        latents = out @ basis.eigenvectors
         second = latents.T @ latents / len(latents)
         assert np.max(np.abs(np.diag(second) - 1.0)) < 0.1
 

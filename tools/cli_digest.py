@@ -1,0 +1,100 @@
+"""Digest every output of a fixed matrix of CLI runs, to compare two checkouts byte for byte.
+
+Usage:
+    PYTHONPATH=<checkout>/src python3 tools/cli_digest.py > digest.txt
+
+Each run calls ``kdiff_lab.cli.main`` in this process, in a fresh temporary
+directory, and prints one line:
+
+    <index> <command> <exit code> <sha256 of output files, stdout and stderr>
+
+The files are hashed by name and content in name order.  Run the script once
+per checkout, with the same BLAS thread count (for example
+``OPENBLAS_NUM_THREADS=1``), and diff the two outputs: a line that differs
+names the run whose bytes changed.  ``RUNS`` pairs each config with the exit
+code it has at this commit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import tempfile
+from pathlib import Path
+
+from kdiff_lab.cli import main
+
+_MANIFOLD = {"D": 12, "d": 3, "seed": 7}
+_SQUARE = {"D": 5, "d": 5, "seed": 3}
+_SPECTRUM = {"spectrum": [3.0, 1.0, 1.0, 0.2, 0.0]}
+_ZERO_MODES = {"spectrum": [2.0, 1.0, 1.0, 0.5, 0.0, 0.0]}
+_LOGIT_NORMAL = {"kind": "logit_normal", "mu": -0.4, "sigma": 0.9}
+
+
+def _theory_runs():
+    for loss, measure, interval, data in itertools.product(
+        ("u", "x", "epsilon", "v"),
+        ({"kind": "uniform"}, _LOGIT_NORMAL),
+        ([0.0, 1.0], [0.05, 0.95]),
+        (_MANIFOLD, _SQUARE, _SPECTRUM),
+    ):
+        cfg = {"loss": loss, "time_sampler": measure, "interval": interval, "data": data}
+        yield "theory", {**cfg, "theory": {"k_points": 21}}, 0
+
+
+def _dynamics_runs():
+    exact = {"mode": "exact", "steps": 200, "step_size": 0.5, "tol": 1e-6}
+    stochastic = {"mode": "stochastic", "steps": 40, "step_size": 0.3, "batch": 32, "tol": 10.0}
+    for data, k, flow in itertools.product((_MANIFOLD, _SQUARE, _ZERO_MODES), (1.0, 0.5, 0.2), (exact, stochastic)):
+        yield "dynamics", {"data": data, "target": {"kind": "k", "k": k}, "dynamics": flow}, 0
+    yield "dynamics", {"data": _MANIFOLD, "loss": "v", "time_sampler": _LOGIT_NORMAL,
+                       "interval": [0.05, 0.95], "target": "x", "dynamics": {"steps": 3000, "tol": 1e-6}}, 0
+    yield "dynamics", {"data": _MANIFOLD, "dynamics": {"steps": 5, "tol": 1e-6}}, 2
+    yield "dynamics", {"data": _MANIFOLD, "dynamics": {"step_size": 4.0}}, 1
+    yield "dynamics", {"data": _ZERO_MODES, "dynamics": {"step_size": 2.5}}, 1
+
+
+def _train_runs():
+    train = {"steps": 60, "batch": 32}
+    yield "train", {"data": _MANIFOLD, "train": train}, 0
+    yield "train", {"data": _MANIFOLD, "train": {**train, "k_trainable": False, "optimizer": "sgd"}}, 0
+    yield "train", {"data": _MANIFOLD, "train": {**train, "loss_mode": "v_alg1", "k_bins": 4}}, 0
+    yield "train", {"data": _SQUARE, "time_sampler": _LOGIT_NORMAL, "train": train}, 0
+    yield "train", {"data": _SPECTRUM, "train": train}, 0
+
+
+def _sample_runs():
+    for data, solver, net in itertools.product((_MANIFOLD, _ZERO_MODES), ("euler", "heun"), ("optimal_linear", "train")):
+        sample = {"n_samples": 40, "steps": 20, "solver": solver, "net": net}
+        if net == "optimal_linear":
+            sample["k"] = 0.8
+        yield "sample", {"data": data, "train": {"steps": 40, "batch": 16}, "sample": sample}, 0
+
+
+RUNS = [*_theory_runs(), *_dynamics_runs(), *_train_runs(), *_sample_runs()]
+
+
+def digest(command: str, cfg: dict, seed: int = 11) -> tuple[int, str]:
+    """Run one command on a config in a fresh directory: its exit code and output digest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = root / "config.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config), "--out", str(root / "out"), "--seed", str(seed)])
+        sha = hashlib.sha256()
+        files = sorted((root / "out").iterdir()) if (root / "out").is_dir() else []
+        for path in files:
+            sha.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        sha.update(out.getvalue().encode() + b"\0" + err.getvalue().encode())
+    return code, sha.hexdigest()
+
+
+if __name__ == "__main__":
+    for index, (command, cfg, _) in enumerate(RUNS):
+        code, sha = digest(command, cfg)
+        print(f"{index} {command} {code} {sha}")
