@@ -36,13 +36,14 @@ class GaussianSource:
     factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = Spectrum(self.eigenvalues).eigenvalues
+        # no eigenvectors at all is the zero source, an all-zero spectrum
+        lam = Spectrum(self.eigenvalues).eigenvalues if np.size(self.eigenvalues) else np.zeros(0)
         q = np.asarray(self.eigenvectors, dtype=np.float64)
         if q.ndim != 2 or not lam.size == q.shape[1] <= q.shape[0]:
             raise DimError(f"need D x {lam.size} eigenvectors with D >= {lam.size}, got shape {q.shape}")
         # the copy makes this a general product: for q.T @ q numpy calls BLAS's
         # symmetric kernel, which raised the trainer's peak RSS by about 0.2 MB
-        ortho_err = np.max(np.abs(q.T.copy() @ q - np.eye(lam.size)))
+        ortho_err = np.max(np.abs(q.T.copy() @ q - np.eye(lam.size)), initial=0.0)
         if ortho_err > 1e-10:
             raise ValueError(f"eigenvectors not orthonormal (max |Q^T Q - I| = {ortho_err:.2e})")
         object.__setattr__(self, "eigenvectors", q)
@@ -61,9 +62,9 @@ class GaussianSource:
 
     @classmethod
     def from_spectrum(cls, eigenvalues) -> "GaussianSource":
-        """The source with the given eigenvalues along the standard basis."""
-        eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-        return cls(np.eye(eigenvalues.size), eigenvalues)
+        """The source with the given eigenvalues along the standard basis, a column per positive one."""
+        lam = Spectrum(eigenvalues).eigenvalues
+        return cls(np.eye(lam.size)[:, lam > 0.0], lam[lam > 0.0])
 
 
 def random_orthonormal_basis(ambient: int, intrinsic: int, rng: np.random.Generator) -> GaussianSource:
@@ -82,15 +83,10 @@ def random_orthonormal_basis(ambient: int, intrinsic: int, rng: np.random.Genera
     return GaussianSource(q * signs, np.ones(intrinsic))
 
 
-def sample_latents(source: GaussianSource, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw the standard-normal latents of data rows: one per column of the factor."""
-    return rng.standard_normal((batch, source.factor.shape[1]))
-
-
 def sample_data(source: GaussianSource, batch: int, rng: np.random.Generator) -> np.ndarray:
     """Draw Gaussian data rows with second moment ``source.factor @ source.factor.T``:
-    ``sample_latents`` embedded by the factor."""
-    return sample_latents(source, batch, rng) @ source.factor.T
+    standard-normal latents, one per column of the factor, embedded by the factor."""
+    return rng.standard_normal((batch, source.factor.shape[1])) @ source.factor.T
 
 
 def sample_noise(dim: int, batch: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,13 +15,14 @@ the initial weight once and evaluates every recorded step from scalar powers
 of the factors; stochastic mode steps through fresh sample batches.
 
 ``monte_carlo_loss`` estimates the same training loss by simulation and is
-the independent oracle for the closed-form equilibrium loss.  It evaluates
-its draws in blocks of 1024 rows, so its memory does not grow with the
-chunk size times D.
+the independent oracle for the closed-form equilibrium loss.  It draws and
+evaluates 1024 rows at a time, so its memory grows with D but not with the
+number of samples times D.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import warnings
@@ -33,7 +34,7 @@ import numpy as np
 
 from .analytic import MomentSet, colored_mode_coefficients, compute_moments
 from .errors import DimError, Divergence
-from .geometry import GaussianSource, sample_data, sample_latents, sample_noise
+from .geometry import GaussianSource, sample_data, sample_noise
 from .schedule import (
     FLOW_MATCHING,
     U_LOSS,
@@ -90,7 +91,7 @@ class FlowRecord:
     """Trajectory snapshot: loss and distances to equilibrium, weights on demand.
 
     The weight components are built when read, so a trajectory holds no D x D
-    matrix per row in exact mode and one, the unsplit weight, in stochastic mode.
+    matrix per row (``run_gradient_flow`` says what a read costs).
     """
 
     step: int
@@ -215,15 +216,19 @@ def stochastic_gradient(
         target = k_target(float(target))
     weight = np.asarray(weight, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    a = np.asarray(process.alpha(t), dtype=np.float64)[:, None]
-    s = np.asarray(process.sigma(t), dtype=np.float64)[:, None]
-    p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
-    q = np.asarray(target.psi(t), dtype=np.float64)[:, None]
-    kap = np.asarray(kappa(process, target, loss, t), dtype=np.float64)
+    a, s, p, q, kap2 = _time_coefficients(process, target, loss, t)
     z = a * x + s * noise
     u = p * x + q * noise
-    resid = (kap * kap)[:, None] * (z @ weight.T - u)
+    resid = kap2 * (z @ weight.T - u)
     return -(resid.T @ z) / len(t)
+
+
+def _time_coefficients(process, target, loss, t, clamp_floor=None):
+    """alpha, sigma, phi, psi and kappa^2 at each t, as columns."""
+    functions = (process.alpha, process.sigma, target.phi, target.psi)
+    columns = [np.asarray(f(t), dtype=np.float64)[:, None] for f in functions]
+    kap = np.asarray(kappa(process, target, loss, t, clamp_floor), dtype=np.float64)[:, None]
+    return (*columns, kap * kap)
 
 
 def quadratic_loss(weight: np.ndarray, source: GaussianSource, moments: MomentSet) -> float:
@@ -241,7 +246,7 @@ def quadratic_loss(weight: np.ndarray, source: GaussianSource, moments: MomentSe
 
 def stability_bound(source: GaussianSource, moments: MomentSet) -> float:
     """Largest stable explicit-Euler step for the exact dynamics: 2 / (lam_max alpha_sq + sigma_sq)."""
-    return 2.0 / (float(np.max(source.eigenvalues)) * moments.alpha_sq + moments.sigma_sq)
+    return 2.0 / (float(np.max(source.eigenvalues, initial=0.0)) * moments.alpha_sq + moments.sigma_sq)
 
 
 def _log_steps(total: int) -> set[int]:
@@ -281,8 +286,10 @@ def run_gradient_flow(
     sigma_sq, psi_sigma and W0, so it is bit-identical across runs that
     differ only in the data coefficient.
 
-    Stochastic mode takes one Euler step per fresh batch of samples.  Each
-    recorded row keeps only its unsplit weight and splits it when read.
+    Stochastic mode takes one Euler step per fresh batch of samples.  Only
+    the last row keeps its weight: reading an earlier one replays the run from
+    W0 and a copy of ``rng`` taken before the first draw, once for all rows
+    read in step order, and from step 0 again for a row before the last read.
     In either mode a ``step_size`` at or above ``stability_bound`` warns
     before any step, since the mean dynamics then diverge.
 
@@ -312,34 +319,57 @@ def run_gradient_flow(
         return _closed_form_flow(weight, source, moments, config)
 
     equilibrium = _equilibrium_modes(source, moments)
-
-    def record(step: int, weight: np.ndarray, modes: ModeDecomposition) -> FlowRecord:
-        rec = FlowRecord(
-            step=step,
-            loss=quadratic_loss(modes.total, source, moments),
-            dist_par=float(np.linalg.norm(modes.parallel - equilibrium.parallel)),
-            dist_perp=float(np.linalg.norm(modes.perpendicular - equilibrium.perpendicular)),
-            _modes=partial(decompose, weight, source),
-        )
-        if not all(map(math.isfinite, (rec.loss, rec.dist_par, rec.dist_perp))):
-            raise Divergence(f"stochastic flow is not finite at step {step} (loss {rec.loss:.6g})")
-        return rec
-
+    steps = partial(_stochastic_steps, source, config, process, target, loss, measure)
+    replay = _replay(steps, weight, copy.deepcopy(rng))
     keep = _log_steps(config.steps)
-    modes = decompose(weight, source)
-    trajectory = [record(0, weight, modes)]
-    # an overflow surfaces as the Divergence raised by record
+    trajectory = []
+    # an overflow surfaces as the Divergence raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, config.steps + 1):
-            x = sample_data(source, config.batch, rng)
-            noise = sample_noise(source.ambient_dim, config.batch, rng)
-            t = sample_t(measure, rng, size=config.batch)
-            total = modes.total
-            weight = total + config.step_size * stochastic_gradient(total, x, noise, t, process, target, loss)
-            modes = decompose(weight, source)
-            if i in keep:
-                trajectory.append(record(i, weight, modes))
+        for i, weight, modes in steps(weight, rng):
+            if i not in keep:
+                continue
+            rec = FlowRecord(
+                step=i,
+                loss=quadratic_loss(modes.total, source, moments),
+                dist_par=float(np.linalg.norm(modes.parallel - equilibrium.parallel)),
+                dist_perp=float(np.linalg.norm(modes.perpendicular - equilibrium.perpendicular)),
+                _modes=partial(decompose, weight, source) if i == config.steps else partial(replay, i),
+            )
+            if not all(map(math.isfinite, (rec.loss, rec.dist_par, rec.dist_perp))):
+                raise Divergence(f"stochastic flow is not finite at step {i} (loss {rec.loss:.6g})")
+            trajectory.append(rec)
     return trajectory
+
+
+def _stochastic_steps(source, config, process, target, loss, measure, weight, rng):
+    """Yield (step, weight, modes) from step 0; each step draws data, noise and t from ``rng``."""
+    modes = decompose(weight, source)
+    yield 0, weight, modes
+    for i in range(1, config.steps + 1):
+        x = sample_data(source, config.batch, rng)
+        noise = sample_noise(source.ambient_dim, config.batch, rng)
+        t = sample_t(measure, rng, size=config.batch)
+        total = modes.total
+        weight = total + config.step_size * stochastic_gradient(total, x, noise, t, process, target, loss)
+        modes = decompose(weight, source)
+        yield i, weight, modes
+
+
+def _replay(steps, weight0: np.ndarray, rng: np.random.Generator) -> Callable[[int], ModeDecomposition]:
+    """Read a stochastic run's modes at any step by stepping it again, bit for bit, from W0
+    and ``rng``, a copy of the run's generator taken before its first draw.  One cursor
+    (step, modes, step generator) serves every read; reads hand out copies."""
+    cursor = (math.inf, None, None)
+
+    def modes(step: int) -> ModeDecomposition:
+        nonlocal cursor
+        at, found, run = cursor if cursor[0] <= step else (-1, None, steps(weight0, copy.deepcopy(rng)))
+        while at < step:
+            at, _, found = next(run)
+        cursor = (at, found, run)
+        return ModeDecomposition(found.parallel.copy(), found.perpendicular.copy())
+
+    return modes
 
 
 def _closed_form_flow(
@@ -375,10 +405,7 @@ def _closed_form_flow(
     return trajectory
 
 
-# Rows per Monte Carlo block.  The remainder of a chunk joins its last block,
-# so no block is small: BLAS switches kernels for few rows, which changes the
-# last bits of a row's product.
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 1024  # pairs the Monte Carlo oracle draws and evaluates at a time
 
 
 def monte_carlo_loss(
@@ -391,7 +418,6 @@ def monte_carlo_loss(
     loss: LossTargetSpec = U_LOSS,
     measure: TimeMeasure = UNIFORM_MEASURE,
     clamp_floor: float | None = None,
-    chunk: int = 1 << 15,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the training loss with its standard error.
 
@@ -403,22 +429,14 @@ def monte_carlo_loss(
     pair's residuals are A + N and A - N, so its mean is
     kappa^2 (|A|^2 + |N|^2) / 2 and neither residual is formed.
 
-    Observations are drawn ``chunk`` at a time, in the order t, data latents,
-    noise.  Each chunk is then evaluated in blocks of 1024 rows, the rows
-    left after the last full block joining that block (a chunk of fewer than
-    2048 rows is one block): each block embeds its latents, draws its noise,
-    forms the two residual parts and writes its observations.  Besides
-    8 bytes per observation, the working set is a few 1024 x D blocks and
-    the chunk's latents and time coefficients, so it does not grow with
-    chunk x D: 5.5 MB traced at D = 32, d = 4 and 2^18 samples, where
-    evaluating each chunk in one piece took 43.8 MB.  Consecutive noise
-    draws continue one stream and no block is small enough for BLAS to
-    switch kernels, so the result is bit-identical to that chunk-wide
-    evaluation for a given generator state and BLAS thread count.
+    The pairs are drawn and evaluated 1024 at a time, each block drawing its
+    t, data latents and noise in that order, so besides 8 bytes per
+    observation the working set is a few 1024 x D arrays: 7.1 MB traced at
+    D = d = 128 with 2^18 samples, where drawing 32768 pairs at once took 70.5 MB.
 
     Raises:
         ValueError: if there are fewer than 2 pairs, that is ``n_samples``
-            below 4, or if ``chunk`` is below 1.
+            below 4.
     """
     if isinstance(target, (int, float)):
         target = k_target(float(target))
@@ -427,11 +445,9 @@ def monte_carlo_loss(
         raise ValueError(
             f"need at least 4 samples with antithetic pairs for a standard error, got {n_samples}"
         )
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     values = _loss_observations(
         np.asarray(weight, dtype=np.float64), source, target, n_pairs, rng,
-        process, loss, measure, clamp_floor, chunk,
+        process, loss, measure, clamp_floor,
     )
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / math.sqrt(n_pairs))
@@ -448,35 +464,22 @@ def _loss_observations(
     loss: LossTargetSpec,
     measure: TimeMeasure,
     clamp_floor: float | None,
-    chunk: int,
 ) -> np.ndarray:
     """The observations ``monte_carlo_loss`` averages, one per antithetic pair."""
-    embed = source.factor.T
     values = np.empty(n_pairs)
-    done = 0
-    while done < n_pairs:
-        m = min(chunk, n_pairs - done)
+    for lo in range(0, n_pairs, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, n_pairs - lo)
         t = sample_t(measure, rng, size=m)
-        latents = sample_latents(source, m, rng)
-        a = np.asarray(process.alpha(t), dtype=np.float64)[:, None]
-        s = np.asarray(process.sigma(t), dtype=np.float64)[:, None]
-        p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
-        q = np.asarray(target.psi(t), dtype=np.float64)[:, None]
-        kap2 = np.asarray(kappa(process, target, loss, t, clamp_floor), dtype=np.float64) ** 2
-        edges = [*range(0, max(m // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS), m]
-        for lo, hi in zip(edges, edges[1:]):
-            block = slice(lo, hi)
-            x = latents[block] @ embed
-            noise = sample_noise(source.ambient_dim, hi - lo, rng)
-            data_part = x @ weight.T
-            data_part *= a[block]
-            data_part -= p[block] * x
-            noise_part = noise @ weight.T
-            noise_part *= s[block]
-            noise_part -= q[block] * noise
-            sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(
-                "ij,ij->i", noise_part, noise_part
-            )
-            values[done + lo : done + hi] = 0.5 * kap2[block] * sq_norm
-        done += m
+        x = sample_data(source, m, rng)
+        noise = sample_noise(source.ambient_dim, m, rng)
+        a, s, p, q, kap2 = _time_coefficients(process, target, loss, t, clamp_floor)
+        # in place: a fresh array per operation made the oracle about 5% slower
+        data_part = x @ weight.T
+        data_part *= a
+        data_part -= p * x
+        noise_part = noise @ weight.T
+        noise_part *= s
+        noise_part -= q * noise
+        sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum("ij,ij->i", noise_part, noise_part)
+        values[lo : lo + m] = 0.5 * kap2[:, 0] * sq_norm
     return values

@@ -300,20 +300,19 @@ def run_python(args, cwd, preexec_fn=None) -> subprocess.CompletedProcess:
 
 
 def monte_carlo_observations_reference(
-    weight, basis, target, n_pairs, rng, process, loss, measure, clamp_floor, chunk
+    weight, basis, target, n_pairs, rng, process, loss, measure, clamp_floor
 ):
-    """``lindyn._loss_observations`` with each chunk evaluated in one piece.
+    """``lindyn._loss_observations`` as a plain loop over 1024-pair blocks.
 
-    Draws t, the data, then the noise for a whole chunk and forms every
-    (chunk, D) array at once: the reference that the blocked oracle must
+    Each block draws its t, data and noise, in that order, and forms its two
+    residual parts from whole expressions: the reference that the oracle must
     match bit for bit.
     """
     from kdiff_lab import kappa, sample_data, sample_noise, sample_t
 
-    values = np.empty(n_pairs)
-    done = 0
-    while done < n_pairs:
-        m = min(chunk, n_pairs - done)
+    values = []
+    for start in range(0, n_pairs, 1024):
+        m = min(1024, n_pairs - start)
         t = sample_t(measure, rng, size=m)
         x = sample_data(basis, m, rng)
         noise = sample_noise(basis.ambient_dim, m, rng)
@@ -322,30 +321,46 @@ def monte_carlo_observations_reference(
         p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
         q = np.asarray(target.psi(t), dtype=np.float64)[:, None]
         kap2 = np.asarray(kappa(process, target, loss, t, clamp_floor), dtype=np.float64) ** 2
-        data_part = x @ weight.T
-        data_part *= a
-        data_part -= p * x
-        noise_part = noise @ weight.T
-        noise_part *= s
-        noise_part -= q * noise
+        data_part = (x @ weight.T) * a - p * x
+        noise_part = (noise @ weight.T) * s - q * noise
         sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(
             "ij,ij->i", noise_part, noise_part
         )
-        values[done : done + m] = 0.5 * kap2 * sq_norm
-        done += m
-    return values
+        values.append(0.5 * kap2 * sq_norm)
+    return np.concatenate(values)
 
 
 def monte_carlo_loss_reference(
     weight, basis, target, n_samples, rng, process=kdiff_lab.FLOW_MATCHING, loss=kdiff_lab.U_LOSS,
-    measure=kdiff_lab.UNIFORM_MEASURE, clamp_floor=None, chunk=1 << 15,
+    measure=kdiff_lab.UNIFORM_MEASURE, clamp_floor=None,
 ):
-    """``lindyn.monte_carlo_loss`` reduced from the chunk-wide observations."""
+    """``lindyn.monte_carlo_loss`` reduced from the reference observations."""
     if isinstance(target, (int, float)):
         target = kdiff_lab.k_target(float(target))
     n_pairs = n_samples // 2
     values = monte_carlo_observations_reference(
         np.asarray(weight, dtype=np.float64), basis, target, n_pairs, rng,
-        process, loss, measure, clamp_floor, chunk,
+        process, loss, measure, clamp_floor,
     )
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_pairs))
+
+
+def stochastic_flow_reference(weight0, source, config, target, rng):
+    """Stochastic gradient flow under uniform time that keeps every step's weight.
+
+    Each step draws data, noise and t from ``rng``, in that order, and steps
+    the sum of the weight's two modes.  Returns the ``ModeDecomposition`` of
+    every step from 0 to ``config.steps``: the reference that a stochastic
+    ``run_gradient_flow`` row must rebuild bit for bit.
+    """
+    from kdiff_lab import UNIFORM_MEASURE, decompose, sample_data, sample_noise, sample_t, stochastic_gradient
+
+    modes = [decompose(np.array(weight0, dtype=np.float64), source)]
+    for _ in range(config.steps):
+        x = sample_data(source, config.batch, rng)
+        noise = sample_noise(source.ambient_dim, config.batch, rng)
+        t = sample_t(UNIFORM_MEASURE, rng, size=config.batch)
+        total = modes[-1].total
+        weight = total + config.step_size * stochastic_gradient(total, x, noise, t, target=target)
+        modes.append(decompose(weight, source))
+    return modes

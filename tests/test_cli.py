@@ -483,6 +483,19 @@ _SPECIAL = [
 ]
 
 
+@pytest.mark.parametrize("command", ["theory", "dynamics", "train", "sample"])
+def test_all_zero_spectrum_runs_every_command(tmp_path, command):
+    # the zero source keeps no eigenvector: no latents to draw and no support to project on
+    cfg = write_config(tmp_path, "c.json", {
+        "data": {"spectrum": [0.0, 0.0, 0.0]},
+        "dynamics": {"mode": "stochastic", "steps": 20, "batch": 16},
+        "train": {"steps": 20, "batch": 16},
+        "sample": {"net": "train", "n_samples": 10, "steps": 5},
+    })
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert any((tmp_path / "out").iterdir())
+
+
 class TestWriteCsv:
     """The row-format writer against the per-value reference, byte for byte."""
 

@@ -23,9 +23,16 @@ def test_matrix_covers_every_command_on_both_data_kinds():
 def test_every_run_prints_its_expected_exit_code(tmp_path):
     proc = run_python([str(_TOOL)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    tool = _tool()
+    runs, oracle = tool.RUNS, tool.ORACLE
     lines = [line.split() for line in proc.stdout.splitlines()]
-    runs = _tool().RUNS
-    assert [(int(i), command) for i, command, _, _ in lines] == [(i, command) for i, (command, _, _) in enumerate(runs)]
-    assert [int(code) for _, _, code, _ in lines] == [expected for _, _, expected in runs]
+    cli_lines, oracle_lines = lines[: len(runs)], lines[len(runs) :]
+    assert [(int(i), command) for i, command, _, _ in cli_lines] == [(i, command) for i, (command, _, _) in enumerate(runs)]
+    assert [int(code) for _, _, code, _ in cli_lines] == [expected for _, _, expected in runs]
+    # then one line per oracle case, numbered on from the runs
+    assert [(int(i), command, name) for i, command, name, _ in oracle_lines] == [
+        (i, "oracle", name) for i, (name, _) in enumerate(oracle, start=len(runs))
+    ]
     assert all(len(sha) == 64 for *_, sha in lines)
     assert not any(tmp_path.iterdir())  # every run's directory is removed
+

@@ -113,8 +113,10 @@ class TestSampleNoise:
 class TestColoredCovariance:
     def test_zero_covariance_gives_zero_samples(self):
         cov = GaussianSource.from_spectrum(np.zeros(4))
+        assert cov.eigenvectors.shape == (4, 0) and cov.ambient_dim == 4
         x = sample_data(cov, 100, np.random.default_rng(13))
         np.testing.assert_array_equal(x, np.zeros((100, 4)))
+        np.testing.assert_array_equal(cov.projector(), np.zeros((4, 4)))
 
     def test_identity_covariance_trace(self):
         cov = GaussianSource.from_spectrum(np.ones(6))
@@ -136,6 +138,10 @@ class TestColoredCovariance:
         assert np.max(np.abs(cov_a - cov_b)) < 6.0 / np.sqrt(len(a))
 
     def test_spectrum_lies_along_the_standard_basis(self):
+        # a zero eigenvalue keeps no column, so a row draws one latent per positive one
         cov = GaussianSource.from_spectrum([4.0, 0.0, 0.25])
-        np.testing.assert_array_equal(cov.factor, np.diag([2.0, 0.0, 0.5]))
+        np.testing.assert_array_equal(cov.factor, np.diag([2.0, 0.0, 0.5])[:, [0, 2]])
+        np.testing.assert_array_equal(cov.factor @ cov.factor.T, np.diag([4.0, 0.0, 0.25]))
+        assert cov.ambient_dim == 3
+        assert sample_data(cov, 5, np.random.default_rng(20)).shape == (5, 3)
         np.testing.assert_array_equal(cov.projector(), np.diag([1.0, 0.0, 1.0]))

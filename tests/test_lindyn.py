@@ -42,7 +42,12 @@ from kdiff_lab import lindyn
 from kdiff_lab.errors import DimError
 from kdiff_lab.schedule import constant_fn
 
-from helpers import euler_flow_reference, monte_carlo_loss_reference, monte_carlo_observations_reference
+from helpers import (
+    euler_flow_reference,
+    monte_carlo_loss_reference,
+    monte_carlo_observations_reference,
+    stochastic_flow_reference,
+)
 
 
 def uniform_moments(k):
@@ -372,8 +377,70 @@ class TestGradientFlow:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 301 rows of one 64 x 64 weight are 9.9 MB; two per row took 20.6 MB
-        assert len(traj) == 301 and peak < 12 * 2**20, peak
+        # rows that kept one 64 x 64 weight each peaked at 10.6 MB, two each at 20.6 MB;
+        # only the last row keeps one now, and the others replay the run when read
+        assert len(traj) == 301 and peak < 3 * 2**20, peak
+
+    def test_stochastic_rows_replay_the_weights_of_a_loop_that_keeps_them(self):
+        basis = random_orthonormal_basis(5, 2, np.random.default_rng(54))
+        # past 1000 steps the rows are log-spaced, so the replay skips unrecorded steps
+        config = FlowConfig(step_size=0.3, steps=1100, mode="stochastic", batch=16)
+        weight0 = 0.2 * np.random.default_rng(55).standard_normal((5, 5))
+        traj = run_gradient_flow(weight0, basis, config, target=0.7, rng=np.random.default_rng(56))
+        reference = stochastic_flow_reference(weight0, basis, config, 0.7, np.random.default_rng(56))
+        assert traj[-1].step == 1100 and len(traj) < 1101
+        for rec in traj:
+            want = reference[rec.step]
+            assert np.array_equal(rec.weight_par, want.parallel), rec.step
+            assert np.array_equal(rec.weight_perp, want.perpendicular), rec.step
+            assert np.array_equal(rec.weight, want.total), rec.step
+
+    def test_stochastic_rows_read_in_any_order_give_the_same_arrays(self):
+        basis = random_orthonormal_basis(6, 2, np.random.default_rng(57))
+        config = FlowConfig(step_size=0.3, steps=30, mode="stochastic", batch=16)
+        traj = run_gradient_flow(np.eye(6), basis, config, target=0.5, rng=np.random.default_rng(58))
+        forward = [(rec.weight_par, rec.weight_perp) for rec in traj]
+        backward = [(rec.weight_par, rec.weight_perp) for rec in reversed(traj)][::-1]
+        for rec, (par, perp), (par_back, perp_back) in zip(traj, forward, backward):
+            assert np.array_equal(par, par_back) and np.array_equal(perp, perp_back), rec.step
+        # a read hands out copies: editing one reaches neither the cursor nor a later read
+        traj[3].weight_par[:] = 7.0
+        assert np.array_equal(traj[4].weight_par, forward[4][0])
+        assert np.array_equal(traj[3].weight_par, forward[3][0])
+
+    def test_reading_stochastic_rows_in_step_order_replays_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(*args, **kwargs):
+            calls["gradient"] += 1
+            return stochastic_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(lindyn, "stochastic_gradient", counted)
+        basis = random_orthonormal_basis(6, 3, np.random.default_rng(59))
+        config = FlowConfig(step_size=0.3, steps=40, mode="stochastic", batch=16)
+        traj = run_gradient_flow(np.zeros((6, 6)), basis, config, target=0.8, rng=np.random.default_rng(60))
+        assert calls["gradient"] == config.steps
+        calls.clear()
+        for rec in traj:
+            rec.weight
+        # one replay up to the last row but one: the last row keeps its own weight
+        assert calls["gradient"] == config.steps - 1
+        calls.clear()
+        traj[-1].weight
+        traj[-2].weight
+        assert calls["gradient"] == 0
+
+    def test_stochastic_rows_never_draw_from_the_callers_generator(self):
+        basis = random_orthonormal_basis(6, 2, np.random.default_rng(61))
+        config = FlowConfig(step_size=0.3, steps=25, mode="stochastic", batch=16)
+        rng, reference_rng = np.random.default_rng(62), np.random.default_rng(62)
+        traj = run_gradient_flow(np.zeros((6, 6)), basis, config, target=0.6, rng=rng)
+        stochastic_flow_reference(np.zeros((6, 6)), basis, config, 0.6, reference_rng)
+        # the run draws what the loop that keeps its weights draws, and no more
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        for rec in reversed(traj):
+            rec.weight
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_records_start_at_step_zero(self):
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(22))
@@ -426,28 +493,28 @@ class TestMonteCarloLoss:
         assert abs(estimate - expected) < 3.0 * se
 
     @pytest.mark.parametrize(
-        "loss, measure, chunk",
+        "loss, measure, n_samples",
         [
-            (U_LOSS, UNIFORM_MEASURE, 1 << 15),
-            (U_LOSS, UNIFORM_MEASURE, 700),
-            (V_LOSS, TimeMeasure("logit_normal", mu=-0.5, sigma=1.0), 700),
+            (U_LOSS, UNIFORM_MEASURE, 1802),
+            (U_LOSS, UNIFORM_MEASURE, 5002),
+            (V_LOSS, TimeMeasure("logit_normal", mu=-0.5, sigma=1.0), 4402),
         ],
-        ids=["u-one-chunk", "u-chunks", "v-logit-normal"],
+        ids=["u-one-block", "u-blocks", "v-logit-normal"],
     )
-    def test_antithetic_pair_mean_matches_two_residuals(self, loss, measure, chunk):
+    def test_antithetic_pair_mean_matches_two_residuals(self, loss, measure, n_samples):
         rng = np.random.default_rng(48)
         basis = random_orthonormal_basis(7, 3, rng)
         weight = rng.standard_normal((7, 7))
-        target, n_samples, clamp = k_target(0.3), 4002, 0.05
+        target, clamp = k_target(0.3), 0.05
         estimate, se = monte_carlo_loss(
             weight, basis, target, n_samples, np.random.default_rng(49),
-            loss=loss, measure=measure, clamp_floor=clamp, chunk=chunk,
+            loss=loss, measure=measure, clamp_floor=clamp,
         )
-        # the same draws in the same order, each pair's two residuals in full
+        # the same draws in the same order, 1024 pairs at a time, each pair's two residuals in full
         draws = np.random.default_rng(49)
         values = []
-        for start in range(0, n_samples // 2, chunk):
-            m = min(chunk, n_samples // 2 - start)
+        for start in range(0, n_samples // 2, 1024):
+            m = min(1024, n_samples // 2 - start)
             t = sample_t(measure, draws, size=m)
             x = sample_data(basis, m, draws)
             noise = sample_noise(7, m, draws)
@@ -479,23 +546,9 @@ class TestMonteCarloLoss:
         odd = monte_carlo_loss(np.eye(5), basis, 0.5, 2049, np.random.default_rng(41))
         assert odd == monte_carlo_loss(np.eye(5), basis, 0.5, 2048, np.random.default_rng(41))
 
-    def test_chunk_must_be_positive(self):
-        basis = random_orthonormal_basis(2, 1, np.random.default_rng(42))
-        with pytest.raises(ValueError, match="chunk"):
-            monte_carlo_loss(np.eye(2), basis, 0.5, 100, np.random.default_rng(43), chunk=0)
-
-
-# Chunks below, at and just above multiples of 1024, and some with a short
-# remainder past the last full block, which must join that block.
-_CHUNKS = st.one_of(
-    st.builds(lambda blocks, extra: 1024 * blocks + extra, st.integers(1, 5), st.integers(-1, 40)),
-    st.integers(1, 6000),
-    st.just(1 << 15),
-)
-
 
 class TestMonteCarloBlocks:
-    """The blocked oracle against the chunk-wide loop, compared with ``==``."""
+    """The oracle against a plain per-block loop, compared with ``==``."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
@@ -503,12 +556,16 @@ class TestMonteCarloBlocks:
         dims=st.one_of(st.integers(1, 32), st.integers(24, 32)).flatmap(
             lambda D: st.tuples(st.just(D), st.integers(1, D))
         ),
-        n_samples=st.one_of(st.integers(4, 5000), st.integers(4, 50_000)),
-        chunk=_CHUNKS,
+        # sample counts below, at and just above multiples of the 1024-pair block
+        n_samples=st.one_of(
+            st.integers(4, 5000),
+            st.integers(4, 50_000),
+            st.builds(lambda blocks, extra: 2048 * blocks + extra, st.integers(1, 5), st.integers(-3, 80)),
+        ),
         v_loss=st.booleans(),
         seed=st.integers(0, 2**31),
     )
-    def test_bit_identical_to_chunk_wide_loop(self, dims, n_samples, chunk, v_loss, seed):
+    def test_bit_identical_to_per_block_loop(self, dims, n_samples, v_loss, seed):
         D, d = dims
         rng = np.random.default_rng(seed)
         basis = random_orthonormal_basis(D, d, rng)
@@ -518,7 +575,6 @@ class TestMonteCarloBlocks:
         if v_loss:
             measure = TimeMeasure("logit_normal", mu=-0.4, sigma=0.9)
             options.update(loss=V_LOSS, measure=measure, clamp_floor=0.05)
-        options.update(chunk=chunk)
         # a mean hides last-bit differences of single observations, so compare those too
         observations = [
             oracle(weight, basis, target, n_samples // 2, np.random.default_rng(seed + 1), **options)
@@ -541,16 +597,18 @@ class TestMonteCarloBlocks:
         assert results[0] == results[1]
 
     def test_working_set_is_bounded(self):
-        basis = random_orthonormal_basis(32, 4, np.random.default_rng(44))
-        weight = equilibrium_weight(basis, uniform_moments(0.5))
-        tracemalloc.start()
-        try:
-            monte_carlo_loss(weight, basis, 0.5, 1 << 18, np.random.default_rng(45))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the chunk-wide loop peaks at about 44 MB here
-        assert peak < 8 * 2**20, peak
+        # drawing 32768 pairs at a time peaked at 5.5 MB at D = 32, d = 4 (43.8 MB
+        # when each chunk was evaluated in one piece) and at 70.5 MB at D = d = 128
+        for dims, bound_mb in (((32, 4), 8), ((128, 128), 10)):
+            basis = random_orthonormal_basis(*dims, np.random.default_rng(44))
+            weight = equilibrium_weight(basis, uniform_moments(0.5))
+            tracemalloc.start()
+            try:
+                monte_carlo_loss(weight, basis, 0.5, 1 << 18, np.random.default_rng(45))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mb * 2**20, (dims, peak)
 
 
 class TestSpectralSource:

@@ -8,11 +8,16 @@ directory, and prints one line:
 
     <index> <command> <exit code> <sha256 of output files, stdout and stderr>
 
-The files are hashed by name and content in name order.  Run the script once
-per checkout, with the same BLAS thread count (for example
-``OPENBLAS_NUM_THREADS=1``), and diff the two outputs: a line that differs
-names the run whose bytes changed.  ``RUNS`` pairs each config with the exit
-code it has at this commit.
+The files are hashed by name and content in name order.  Then each case of
+``ORACLE`` prints one line with the digest of the Monte Carlo oracle's single
+observations, which a mean and standard error can hide:
+
+    <index> oracle <case> <sha256 of lindyn._loss_observations>
+
+Run the script once per checkout, with the same BLAS thread count (for
+example ``OPENBLAS_NUM_THREADS=1``), and diff the two outputs: a line that
+differs names the run whose bytes changed.  ``RUNS`` pairs each config with
+the exit code it has at this commit.
 """
 
 from __future__ import annotations
@@ -23,8 +28,24 @@ import io
 import itertools
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
 
+import numpy as np
+
+from kdiff_lab import (
+    FLOW_MATCHING,
+    U_LOSS,
+    UNIFORM_MEASURE,
+    V_LOSS,
+    GaussianSource,
+    TimeMeasure,
+    compute_moments,
+    equilibrium_weight,
+    k_target,
+    lindyn,
+    random_orthonormal_basis,
+)
 from kdiff_lab.cli import main
 
 _MANIFOLD = {"D": 12, "d": 3, "seed": 7}
@@ -77,6 +98,43 @@ def _sample_runs():
 RUNS = [*_theory_runs(), *_dynamics_runs(), *_train_runs(), *_sample_runs()]
 
 
+def _bench_oracle(index: int, D: int, d: int, k: float) -> tuple:
+    # the oracle_flow benchmark's case: basis, then draws, from one fixed stream
+    rng = np.random.default_rng(3000 + index)
+    source = random_orthonormal_basis(D, d, rng)
+    weight = equilibrium_weight(source, compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, UNIFORM_MEASURE))
+    return weight, source, k_target(k), 1 << 17, rng, FLOW_MATCHING, U_LOSS, UNIFORM_MEASURE, None
+
+
+def _spectrum_oracle() -> tuple:
+    rng = np.random.default_rng(3100)
+    source = GaussianSource(random_orthonormal_basis(9, 5, rng).eigenvectors, [3.0, 1.0, 1.0, 0.2, 0.0])
+    weight = 0.3 * rng.standard_normal((9, 9))
+    return weight, source, k_target(0.6), 3000, rng, FLOW_MATCHING, U_LOSS, UNIFORM_MEASURE, None
+
+
+def _v_loss_oracle() -> tuple:
+    rng = np.random.default_rng(3200)
+    source = random_orthonormal_basis(12, 3, rng)
+    weight = 0.3 * rng.standard_normal((12, 12))
+    measure = TimeMeasure("logit_normal", mu=-0.4, sigma=0.9)
+    return weight, source, k_target(0.3), 2500, rng, FLOW_MATCHING, V_LOSS, measure, 0.05
+
+
+# name and arguments of lindyn._loss_observations, built when digested
+ORACLE = [
+    *((f"bench-D{D}-d{d}-k{k:g}", partial(_bench_oracle, index, D, d, k))
+      for index, (D, d, k) in enumerate(((2, 1, 0.5), (8, 2, 0.25), (16, 4, 0.75), (32, 4, 1.0), (32, 16, 0.0)))),
+    ("spectrum", _spectrum_oracle),
+    ("v-logit-normal", _v_loss_oracle),
+]
+
+
+def oracle_digest(arguments) -> str:
+    """Digest of the oracle's observations, one per antithetic pair, for one case's arguments."""
+    return hashlib.sha256(lindyn._loss_observations(*arguments()).tobytes()).hexdigest()
+
+
 def digest(command: str, cfg: dict, seed: int = 11) -> tuple[int, str]:
     """Run one command on a config in a fresh directory: its exit code and output digest."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -98,3 +156,5 @@ if __name__ == "__main__":
     for index, (command, cfg, _) in enumerate(RUNS):
         code, sha = digest(command, cfg)
         print(f"{index} {command} {code} {sha}")
+    for index, (name, arguments) in enumerate(ORACLE, start=len(RUNS)):
+        print(f"{index} oracle {name} {oracle_digest(arguments)}")
