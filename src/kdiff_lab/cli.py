@@ -483,28 +483,30 @@ def cmd_train(cfg: Config, out: Path) -> int:
 def cmd_sample(cfg: Config, out: Path) -> int:
     """Integrate the sampling ODE and report off-manifold energy diagnostics.
 
-    Both nets are linear, so the whole run is one propagator matrix.  The
-    off-manifold energy is the part outside the data's support: for a
-    ``data.spectrum``, the energy in its zero-eigenvalue modes.
+    Both nets are linear, so their field is linear in the state: the run
+    integrates the D x D identity once, which gives the transposed
+    propagator, and maps every noise row through it.  The off-manifold
+    energy is the part outside the data's support: for a ``data.spectrum``,
+    the energy in its zero-eigenvalue modes.
     """
     source = _data_source(cfg)
+    dim = source.ambient_dim
     if cfg.net == "optimal_linear":
         moments = analytic.compute_moments(cfg.process, cfg.sample_target, cfg.loss, cfg.measure)
-        weight = lindyn.equilibrium_weight(source, moments)
+        net = kdiff.PureLinear(lindyn.equilibrium_weight(source, moments))
         kparam = cfg.sample_target.k
     else:
         kparam = kdiff.make_kparam(cfg.train, cfg.k_bins)
-        net = kdiff.PureLinear.zeros(source.ambient_dim)
+        net = kdiff.PureLinear.zeros(dim)
         kdiff.train(net, kparam, source, cfg.train)
-        weight = net.weight
 
     rng = derive_rng(cfg.seed, "sampler", "noise")
-    z0 = rng.standard_normal((cfg.n_samples, source.ambient_dim))
-    z1 = z0 @ sampler.linear_propagator(cfg.sample, weight, kparam).T
+    z0 = rng.standard_normal((cfg.n_samples, dim))
+    z1 = z0 @ sampler.integrate(cfg.sample, net, kparam, np.eye(dim))
     if not np.all(np.isfinite(z1)):
         raise NonFiniteState("state became non-finite at t = 1")
 
-    header = [f"x{i}" for i in range(source.ambient_dim)]
+    header = [f"x{i}" for i in range(dim)]
     write_csv(out / "samples.csv", header, z1)
 
     def off_manifold_fraction(z: np.ndarray):

@@ -5,9 +5,10 @@ clamped denominator used in training; with k = 0.5 the conversion collapses
 to doubling the output, so sampling coincides with plain velocity
 prediction.  Trajectories are independent across the batch dimension.
 
-A linear net's field is linear in the state, so ``linear_propagator`` folds a
-whole run into one D x D matrix; ``integrate`` steps any net, such as
-``TwoLayer``, over the batch.
+``integrate`` steps any net over the batch.  A linear net's field is linear
+in the state, so integrating the D x D identity gives the transposed
+propagator G^T of the whole run, and ``z0 @ G^T`` maps any number of noise
+rows for the cost of ``steps`` D x D steps.
 """
 
 from __future__ import annotations
@@ -92,43 +93,3 @@ def integrate(run: SampleRun, net, kparam, z0) -> np.ndarray:
     for t, t_next in zip(grid[:-1], grid[1:]):
         z = step(z, float(t), float(t_next), net, kparam, run.clamp_floor)
     return z
-
-
-def linear_propagator(run: SampleRun, weight, kparam) -> np.ndarray:
-    """The D x D matrix G that maps noise to samples for ``PureLinear(weight)``.
-
-    ``z0 @ G.T`` equals ``integrate(run, PureLinear(weight), kparam, z0)`` up
-    to rounding.  The net's velocity is z A(t)^T with
-    A(t) = ((1 - 2k(t)) I + W) / max(k(1 - t) + (1 - k) t, clamp_floor), or
-    A = W when ``kparam`` is None.  One Euler step maps z to z S^T with
-    S = I + dt A(t); one Heun step uses
-    S = I + dt/2 (A(t) + A(t')) + dt^2/2 A(t') A(t).  G is the product of
-    the steps' S, built from D x D products only, so its cost does not grow
-    with the number of samples.  Constant, binned and clamped k are covered.
-
-    Raises:
-        NonFiniteState: at the first grid time where the product is not finite.
-    """
-    weight = np.asarray(weight, dtype=np.float64)
-    eye = np.eye(len(weight))
-
-    def rate(t: float) -> np.ndarray:
-        # the velocity conversion applied to z = I and u = W is A(t) itself
-        if kparam is None:
-            return weight
-        return u_to_v(weight, eye, t, _k_at(kparam, t), run.clamp_floor)
-
-    grid = run.time_grid()
-    prop = eye
-    a_here = rate(float(grid[0]))
-    for t, t_next in zip(grid[:-1].tolist(), grid[1:].tolist()):
-        dt = t_next - t
-        a_next = rate(t_next)
-        if run.solver == "euler":
-            step = eye + dt * a_here
-        else:
-            step = eye + (0.5 * dt) * (a_here + a_next) + (0.5 * dt * dt) * (a_next @ a_here)
-        prop = step @ prop
-        _check_finite(prop, t_next)
-        a_here = a_next
-    return prop

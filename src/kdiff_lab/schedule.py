@@ -165,6 +165,8 @@ class TimeMeasure:
     sigma: float = 1.0
 
     def __post_init__(self):
+        if len(self.interval) != 2:
+            raise ValueError(f"interval must be [lo, hi], got {list(self.interval)}")
         lo, hi = self.interval
         object.__setattr__(self, "interval", (float(lo), float(hi)))
         if not (0.0 <= lo < hi <= 1.0):

@@ -437,19 +437,15 @@ class TestSample:
 
     @pytest.mark.parametrize("net", ["optimal_linear", "train"])
     def test_one_propagator_and_no_ode_steps(self, tmp_path, monkeypatch, net):
-        calls = []
-        propagator = sampler.linear_propagator
+        # a linear net's run is one integration of the D x D identity, never of the batch
+        inputs = []
+        integrate = sampler.integrate
 
-        def counted(*args):
-            calls.append(args)
-            return propagator(*args)
+        def counted(run, net, kparam, z0):
+            inputs.append(np.array(z0))
+            return integrate(run, net, kparam, z0)
 
-        def fail(*args, **kwargs):
-            raise AssertionError("sample stepped the ODE over the batch")
-
-        monkeypatch.setattr(sampler, "linear_propagator", counted)
-        for name in ("integrate", "euler_step", "heun_step"):
-            monkeypatch.setattr(sampler, name, fail)
+        monkeypatch.setattr(sampler, "integrate", counted)
         cfg = write_config(
             tmp_path,
             "c.json",
@@ -460,7 +456,8 @@ class TestSample:
             },
         )
         assert main(["sample", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == 1
+        assert len(inputs) == 1
+        np.testing.assert_array_equal(inputs[0], np.eye(6))
 
     def test_trained_net_path(self, tmp_path):
         cfg = write_config(
@@ -606,6 +603,15 @@ class TestConfigValidation:
             pytest.param("dynamics", {"dynamics": {"steps": 0}}, "ConfigError: dynamics: steps", id="zero-steps"),
             pytest.param(
                 "theory", {"interval": [0.5, 0.2]}, "ConfigError: interval/time_sampler: interval", id="reversed-interval"
+            ),
+            pytest.param(
+                "theory", {"interval": []}, "ConfigError: interval/time_sampler: interval must be [lo, hi], got []",
+                id="empty-interval",
+            ),
+            pytest.param(
+                "theory", {"interval": [0.1, 0.5, 0.9]},
+                "ConfigError: interval/time_sampler: interval must be [lo, hi], got [0.1, 0.5, 0.9]",
+                id="three-number-interval",
             ),
             pytest.param("sample", {"sample": {"steps": 0}}, "ConfigError: sample: steps must be >= 1", id="sample-zero-steps"),
             pytest.param("sample", {"sample": {"solver": "rk4"}}, "ConfigError: sample: unknown solver", id="sample-rk4"),

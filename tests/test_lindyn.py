@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -454,6 +455,52 @@ class TestGradientFlow:
         traj = run_gradient_flow(np.zeros((4, 4)), basis, config, target=1.0)
         assert len(traj) < 1200
         assert traj[0].step == 0 and traj[-1].step == 5000
+
+
+class TestExactIsTheStochasticMean:
+    """The batch gradient is affine in W, and its coefficients are drawn
+    independently of W, so the mean of the stochastic weights follows the
+    exact recursion: E W_{i+1} = E W_i + step * exact_gradient(E W_i)."""
+
+    RUNS = 256
+    FAMILY_ALPHA = 0.01  # chance that any one entry of any row leaves its band by chance
+
+    @pytest.mark.parametrize(
+        "source, k, measure",
+        [
+            pytest.param(random_orthonormal_basis(5, 2, np.random.default_rng(70)), 0.7, UNIFORM_MEASURE, id="manifold"),
+            pytest.param(
+                GaussianSource(np.eye(4)[:, :3], [2.0, 0.5, 0.5]), 0.4,
+                TimeMeasure("logit_normal", mu=-0.4, sigma=0.9), id="spectrum-logit-normal",
+            ),
+        ],
+    )
+    def test_mean_weight_follows_the_exact_trajectory(self, source, k, measure):
+        dim = source.ambient_dim
+        weight0 = 0.5 * np.random.default_rng(71).standard_normal((dim, dim))
+        exact_config = FlowConfig(step_size=0.3, steps=25)
+        config = FlowConfig(step_size=0.3, steps=25, mode="stochastic", batch=8)
+
+        def exact(target):
+            rows = run_gradient_flow(weight0, source, exact_config, target=target, measure=measure)
+            return np.array([rec.weight for rec in rows])
+
+        weights = np.array([
+            [rec.weight for rec in run_gradient_flow(
+                weight0, source, config, target=k, measure=measure, rng=np.random.default_rng([72, run])
+            )]
+            for run in range(self.RUNS)
+        ])
+        mean = weights.mean(axis=0)
+        se = weights.std(axis=0, ddof=1) / math.sqrt(self.RUNS)
+        # two-sided CLT band per entry, Bonferroni over every entry of every row after
+        # step 0; the absolute term absorbs rounding where the spread is 0 (step 0)
+        z = NormalDist().inv_cdf(1.0 - self.FAMILY_ALPHA / (2 * se[1:].size))
+        band = z * se + 1e-12
+        deviation = np.abs(mean - exact(k))
+        assert np.all(deviation <= band), np.max(deviation / band)
+        # the band is narrow enough to tell a neighbouring target's trajectory apart
+        assert np.any(np.abs(mean - exact(k + 0.1)) > band)
 
 
 class TestMonteCarloLoss:

@@ -19,7 +19,6 @@ from kdiff_lab import (
     heun_step,
     integrate,
     k_target,
-    linear_propagator,
     random_orthonormal_basis,
 )
 
@@ -246,6 +245,9 @@ _KPARAMS = st.one_of(
 
 
 class TestLinearPropagator:
+    """A linear net's field is linear in the state, so integrating the D x D
+    identity gives the transposed propagator G^T of the whole run."""
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         dim=st.integers(1, 6),
@@ -262,11 +264,11 @@ class TestLinearPropagator:
     @example(dim=4, steps=50, solver="euler", kparam=1.0, clamp_floor=0.4, scale=0.5, seed=0)
     def test_matches_integrate(self, dim, steps, solver, kparam, clamp_floor, scale, seed):
         rng = np.random.default_rng(seed)
-        weight = scale * rng.standard_normal((dim, dim))
+        net = PureLinear(scale * rng.standard_normal((dim, dim)))
         z0 = rng.standard_normal((7, dim))
         run = SampleRun(steps=steps, solver=solver, clamp_floor=clamp_floor)
-        want = integrate(run, PureLinear(weight), kparam, z0)
-        got = z0 @ linear_propagator(run, weight, kparam).T
+        want = integrate(run, net, kparam, z0)
+        got = z0 @ integrate(run, net, kparam, np.eye(dim))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("solver", ["euler", "heun"])
@@ -274,21 +276,20 @@ class TestLinearPropagator:
     def test_k_half_equals_doubled_velocity_net(self, dim, solver):
         # k = 0.5 divides (0 I + W) by a denominator of exactly 0.5
         weight = 0.3 * np.random.default_rng(dim).standard_normal((dim, dim))
-        run = SampleRun(steps=50, solver=solver)
-        via_k = linear_propagator(run, weight, KParam.constant(0.5))
-        np.testing.assert_array_equal(via_k, linear_propagator(run, 2.0 * weight, None))
+        run, eye = SampleRun(steps=50, solver=solver), np.eye(dim)
+        via_k = integrate(run, PureLinear(weight), KParam.constant(0.5), eye)
+        np.testing.assert_array_equal(via_k, integrate(run, PureLinear(2.0 * weight), None, eye))
 
     @pytest.mark.parametrize("solver, t_bad", [("euler", "0.5"), ("heun", "0.25")])
     def test_non_finite_product_names_the_step(self, solver, t_bad):
-        # Heun's A(t') A(t) overflows in the first step, Euler's product in the second
-        weight = 1e200 * np.eye(3)
+        # Heun's predicted slope overflows in the first step, Euler's state in the second
+        net = PureLinear(1e200 * np.eye(3))
         run = SampleRun(steps=4, solver=solver)
         message = f"non-finite at t = {t_bad}$"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteState, match=message):
-                linear_propagator(run, weight, None)
-            with pytest.raises(NonFiniteState, match=message):
-                integrate(run, PureLinear(weight), None, np.ones((2, 3)))
+            for z0 in (np.eye(3), np.ones((2, 3))):
+                with pytest.raises(NonFiniteState, match=message):
+                    integrate(run, net, None, z0)
 
     @pytest.mark.parametrize("k", [0.9, 0.3])
     @pytest.mark.parametrize("solver, low, high", [("euler", 1.8, 2.2), ("heun", 3.5, 4.5)])
@@ -298,11 +299,11 @@ class TestLinearPropagator:
         from scipy.linalg import expm
 
         dim = 16
-        weight = 0.4 * np.random.default_rng(14).standard_normal((dim, dim)) / np.sqrt(dim)
-        generator = (1.0 - 2.0 * k) * np.eye(dim) + weight
+        net = PureLinear(0.4 * np.random.default_rng(14).standard_normal((dim, dim)) / np.sqrt(dim))
+        generator = (1.0 - 2.0 * k) * np.eye(dim) + net.weight
         exact = expm(generator * np.log((1.0 - k) / k) / (1.0 - 2.0 * k))
         errors = [
-            np.linalg.norm(linear_propagator(SampleRun(steps=n, solver=solver), weight, k) - exact)
+            np.linalg.norm(integrate(SampleRun(steps=n, solver=solver), net, k, np.eye(dim)) - exact.T)
             for n in (50, 100, 200)
         ]
         for coarse, fine in zip(errors[:-1], errors[1:]):

@@ -93,6 +93,9 @@ def _sample_runs():
         if net == "optimal_linear":
             sample["k"] = 0.8
         yield "sample", {"data": data, "train": {"steps": 40, "batch": 16}, "sample": sample}, 0
+    # binned k from k_init 0.9 has k(1 - t) + (1 - k) t below the floor 0.2 past t = 0.875
+    yield "sample", {"data": _MANIFOLD, "train": {"steps": 40, "batch": 16, "k_init": 0.9, "k_bins": 4},
+                     "sample": {"n_samples": 40, "steps": 20, "net": "train", "clamp_floor": 0.2}}, 0
 
 
 RUNS = [*_theory_runs(), *_dynamics_runs(), *_train_runs(), *_sample_runs()]
