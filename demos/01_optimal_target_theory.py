@@ -19,11 +19,12 @@ from kdiff_lab import (
     U_LOSS,
     UNIFORM_MEASURE,
     DimensionPair,
+    Spectrum,
     TimeMeasure,
     argmin_k,
+    colored_optimal_k,
     compute_moments,
     k_target,
-    optimal_k,
     optimal_loss,
     optimal_loss_poly,
     u_loss_optimal_k,
@@ -36,15 +37,16 @@ def main():
     for ambient, d in [(8, 8), (16, 4), (100, 10), (1024, 8)]:
         dims = DimensionPair(ambient, d)
         curve = " ".join(f"{optimal_loss_poly(float(k), dims):7.3f}" for k in ks)
-        print(f"D={ambient:5d} d={d:3d}:  {curve}   k* = {optimal_k(dims):.4f}")
+        k_star = colored_optimal_k(Spectrum.manifold(ambient, d))
+        print(f"D={ambient:5d} d={d:3d}:  {curve}   k* = {k_star:.4f}")
     print("(columns are k = 0.0, 0.1, ..., 1.0)")
 
     print()
     print("=== The polynomial agrees with the quadrature route ===")
-    dims = DimensionPair(48, 6)
+    dims, spectrum = DimensionPair(48, 6), Spectrum.manifold(48, 6)
     for k in (0.0, 0.37, 0.92):
         moments = compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, UNIFORM_MEASURE)
-        split = optimal_loss(moments, dims)
+        split = optimal_loss(moments, spectrum)
         poly = optimal_loss_poly(k, dims)
         print(
             f"k={k:4.2f}: quadrature {split.total:.12f} (par {split.parallel:.6f}, "
@@ -57,12 +59,12 @@ def main():
     for ambient, d in [(2, 1), (64, 4), (512, 512)]:
         dims = DimensionPair(ambient, d)
         numeric = argmin_k(lambda k: optimal_loss_poly(k, dims), tol=1e-8)
-        print(f"D={ambient:4d} d={d:3d}: argmin {numeric:.8f}  closed form {optimal_k(dims):.8f}")
+        closed = colored_optimal_k(Spectrum.manifold(ambient, d))
+        print(f"D={ambient:4d} d={d:3d}: argmin {numeric:.8f}  closed form {closed:.8f}")
 
     print()
     print("=== A non-uniform time sampler shifts the optimum ===")
-    dims = DimensionPair(64, 4)
-    spectrum = np.repeat([1.0, 0.0], [dims.intrinsic, dims.ambient - dims.intrinsic])
+    spectrum = Spectrum.manifold(64, 4)
     for label, measure in [
         ("uniform", UNIFORM_MEASURE),
         ("logit-normal(0, 1)", TimeMeasure("logit_normal", mu=0.0, sigma=1.0)),
@@ -72,9 +74,9 @@ def main():
         def moments_at(k):
             return compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, measure, quad_nodes=128)
 
-        numeric = argmin_k(lambda k: optimal_loss(moments_at(k), dims).total, tol=1e-8)
+        numeric = argmin_k(lambda k: optimal_loss(moments_at(k), spectrum).total, tol=1e-8)
         # under the u-loss the moments that fix k* do not depend on k
-        exact = u_loss_optimal_k(spectrum, moments_at(1.0))
+        exact = u_loss_optimal_k(spectrum.eigenvalues, moments_at(1.0))
         print(f"{label:26s}: numeric k* = {numeric:.6f}  exact k* = {exact:.6f}")
     print("(a time sampler symmetric about t=0.5 leaves the minimiser at D/(D+d);")
     print(" an asymmetric one genuinely moves it)")

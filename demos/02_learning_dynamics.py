@@ -15,8 +15,8 @@ from kdiff_lab import (
     FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
-    DimensionPair,
     FlowConfig,
+    Spectrum,
     TargetSpec,
     compute_moments,
     equilibrium_weight,
@@ -65,7 +65,7 @@ def main():
         moments = compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, UNIFORM_MEASURE)
         data_basis = random_orthonormal_basis(ambient, d, rng)
         w_star = equilibrium_weight(data_basis, moments)
-        expected = optimal_loss(moments, DimensionPair(ambient, d)).total
+        expected = optimal_loss(moments, Spectrum.manifold(ambient, d)).total
         estimate, se = monte_carlo_loss(
             w_star, data_basis, k, 200_000, np.random.default_rng(2)
         )

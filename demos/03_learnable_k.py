@@ -12,9 +12,9 @@ import numpy as np
 from kdiff_lab import (
     KParam,
     PureLinear,
+    Spectrum,
     TrainConfig,
-    optimal_k,
-    DimensionPair,
+    colored_optimal_k,
     random_orthonormal_basis,
     train,
 )
@@ -35,7 +35,7 @@ def main():
     print("step      loss      k")
     for i in (0, 99, 499, 999, 1999, 3999):
         print(f"{history.steps[i]:5d}  {history.losses[i]:8.4f}   {history.k_values[i]:.4f}")
-    print(f"final k = {history.final_k:.4f}, theory {optimal_k(DimensionPair(16, 4)):.4f}")
+    print(f"final k = {history.final_k:.4f}, theory {colored_optimal_k(Spectrum.manifold(16, 4)):.4f}")
 
     print()
     print("=== Dense control: D=d=8 (optimal k = 0.5, velocity prediction) ===")
@@ -52,7 +52,7 @@ def main():
     probes = ", ".join(
         f"k({p:g})={v:.3f}" for p, v in zip(history.probe_points, history.k_values[-1])
     )
-    print(f"final probe values: {probes}")
+    print(f"final probe values: {probes}; final k (central probe) = {history.final_k:.3f}")
     print("(a constant k is the recommended configuration; the binned variant")
     print(" exists to study time dependence)")
 

@@ -5,37 +5,29 @@ The central objects are time integrals against the effective measure
 single-linear-layer weight and the loss at that optimum decouple over the
 eigenmodes of the data second moment: a mode with eigenvalue lam has its own
 coefficient and loss, each a function of lam and the moments alone
-(``colored_mode_coefficients``, ``colored_mode_losses``).  Manifold data is
-the spectrum with d unit and D - d zero eigenvalues, so its weight is one
-coefficient on the manifold projector and one on its complement, and its
-loss is d times the unit-mode loss (parallel) plus D - d times the zero-mode
-loss (perpendicular).
+(``colored_mode_coefficients``, ``colored_mode_losses``).  ``optimal_loss``
+sums them by eigenspace: each distinct positive eigenvalue's mode loss times
+its multiplicity is the support's part (parallel), and the zero eigenvalues'
+count times the zero-mode loss the null space's part (perpendicular).
+Manifold data is the spectrum with d unit and D - d zero eigenvalues
+(``Spectrum.manifold``), so its weight is one coefficient on the manifold
+projector and one on its complement, and its loss is d times the unit-mode
+loss plus D - d times the zero-mode loss.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureDivergence, SingularEquilibrium
-from .schedule import (
-    FLOW_MATCHING,
-    U_LOSS,
-    UNIFORM_MEASURE,
-    LossTargetSpec,
-    ProcessSpec,
-    TargetSpec,
-    TimeMeasure,
-    k_target,
-    kappa,
-)
+from .errors import DimError, QuadratureDivergence, SingularEquilibrium
+from .schedule import LossTargetSpec, ProcessSpec, TargetSpec, TimeMeasure, kappa
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-# the two eigenvalues of manifold data: 1 on the subspace, 0 off it
-_MANIFOLD_MODES = np.array([1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -90,6 +82,13 @@ class Spectrum:
         if np.any(lam < 0.0):
             raise ValueError("eigenvalues must be non-negative")
 
+    @classmethod
+    def manifold(cls, ambient: int, intrinsic: int) -> "Spectrum":
+        """The spectrum of manifold data: d unit and D - d zero eigenvalues."""
+        if not 1 <= intrinsic <= ambient:
+            raise DimError(f"need 1 <= d <= D, got d={intrinsic}, D={ambient}")
+        return cls(np.repeat([1.0, 0.0], [intrinsic, ambient - intrinsic]))
+
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.size)
@@ -101,19 +100,11 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class OptimalLoss:
-    """Loss at the equilibrium weight, split by mode."""
+    """Loss at the equilibrium weight, split into the data's support and null space."""
 
     total: float
     parallel: float
     perpendicular: float
-
-
-@dataclass(frozen=True)
-class ColoredLoss:
-    """Equilibrium loss for colored data, with per-eigenmode contributions."""
-
-    total: float
-    per_mode: np.ndarray
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -180,16 +171,27 @@ def compute_moments(
     return MomentSet(**values)
 
 
-def optimal_loss(moments: MomentSet, dims: DimensionPair) -> OptimalLoss:
+def _positive_eigenspaces(eigenvalues: np.ndarray) -> tuple[list[float], list[int]]:
+    """The distinct positive eigenvalues, smallest first, and how often each occurs."""
+    counts = Counter(eigenvalues[eigenvalues > 0.0].tolist())  # np.unique would import numpy.ma
+    values = sorted(counts)
+    return values, [counts[value] for value in values]
+
+
+def optimal_loss(moments: MomentSet, spectrum: Spectrum) -> OptimalLoss:
     """Loss at the equilibrium weight, split into parallel and perpendicular parts.
 
-    The per-mode losses at eigenvalues 1 and 0, weighted by the d unit and
-    D - d zero modes of the manifold's spectrum.  Both parts are non-negative
-    (Cauchy-Schwarz) up to roundoff.
+    The parallel part sums each distinct positive eigenvalue's mode loss
+    times its multiplicity; the perpendicular part is the number of zero
+    eigenvalues times the zero-mode loss.  The result does not depend on the
+    order of the eigenvalues, and on ``Spectrum.manifold(D, d)`` it is d times
+    the unit-mode loss plus D - d times the zero-mode loss.  Both parts are
+    non-negative (Cauchy-Schwarz) up to roundoff.
     """
-    unit, zero = colored_mode_losses(_MANIFOLD_MODES, moments)
-    parallel = dims.intrinsic * float(unit)
-    perpendicular = (dims.ambient - dims.intrinsic) * float(zero)
+    values, counts = _positive_eigenspaces(spectrum.eigenvalues)
+    *losses, zero = colored_mode_losses([*values, 0.0], moments)
+    parallel = float(np.sum(np.multiply(counts, losses)))
+    perpendicular = (spectrum.dim - sum(counts)) * float(zero)
     return OptimalLoss(parallel + perpendicular, parallel, perpendicular)
 
 
@@ -205,11 +207,6 @@ def optimal_loss_poly(k, dims: DimensionPair):
     if np.ndim(k) == 0:
         return float(out)
     return out
-
-
-def optimal_k(dims: DimensionPair) -> float:
-    """Minimiser of the closed-form loss over k: D / (D + d)."""
-    return dims.ambient / (dims.ambient + dims.intrinsic)
 
 
 def argmin_k(loss_fn, tol: float = 1e-8, bracket: tuple[float, float] = (0.0, 1.0)) -> float:
@@ -238,12 +235,23 @@ def argmin_k(loss_fn, tol: float = 1e-8, bracket: tuple[float, float] = (0.0, 1.
 
 
 def _mode_denominators(eigenvalues, moments: MomentSet) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues as an array and the per-mode denominators lam * alpha_sq + sigma_sq."""
+    """Eigenvalues as an array and the per-mode denominators lam * alpha_sq + sigma_sq.
+
+    Every per-mode formula squares a term no larger than (lam + 1) times the
+    largest moment, so a spectrum whose largest eigenvalue makes that square
+    overflow is rejected here rather than given infinite or zero results.
+    """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     den = lam * moments.alpha_sq + moments.sigma_sq
     if np.any(den <= 0.0):
         raise SingularEquilibrium(
             f"per-mode denominator not positive (min {np.min(den):.3e})"
+        )
+    top, moment = float(np.max(lam, initial=0.0)), max(abs(v) for v in vars(moments).values())
+    bound = (top + 1.0) * moment
+    if not math.isfinite(bound * bound):
+        raise SingularEquilibrium(
+            f"per-mode terms overflow: largest eigenvalue {top:.3e}, largest moment {moment:.3e}"
         )
     return lam, den
 
@@ -278,19 +286,6 @@ def u_loss_optimal_k(eigenvalues, moments: MomentSet) -> float:
     slope = np.sum(moments.one - moments.sigma * b / den)
     curvature = np.sum((1.0 + lam) * moments.one - b * b / den)
     return float(np.clip(slope / curvature, 0.0, 1.0))
-
-
-def colored_optimal_loss(
-    spectrum: Spectrum,
-    k: float,
-    process: ProcessSpec = FLOW_MATCHING,
-    loss: LossTargetSpec = U_LOSS,
-    measure: TimeMeasure = UNIFORM_MEASURE,
-) -> ColoredLoss:
-    """Equilibrium loss of the k-target on colored data, summed over eigenmodes."""
-    moments = compute_moments(process, k_target(k), loss, measure)
-    per_mode = colored_mode_losses(spectrum.eigenvalues, moments)
-    return ColoredLoss(float(np.sum(per_mode)), per_mode)
 
 
 def colored_optimal_k(spectrum: Spectrum) -> float:

@@ -227,13 +227,10 @@ def _spectrum(raw: dict, data: dict) -> analytic.Spectrum:
     so a config with a spectrum may not set them.
     """
     if data["spectrum"] is None:
-        ambient, intrinsic = data["D"], data["d"]
-        if not 1 <= intrinsic <= ambient:
-            raise DimError(f"need 1 <= d <= D, got d={intrinsic}, D={ambient}")
         try:
-            return analytic.Spectrum(np.repeat([1.0, 0.0], [intrinsic, ambient - intrinsic]))
+            return analytic.Spectrum.manifold(data["D"], data["d"])
         except (OverflowError, ValueError, MemoryError) as exc:
-            raise DimError(f"data.D = {ambient} is too large: {exc}") from exc
+            raise DimError(f"data.D = {data['D']} is too large: {exc}") from exc
     for key in ("d", "seed"):
         if raw["data"].get(key) is not None:
             raise ConfigError(f"data.{key} does not apply to data.spectrum; drop it")
@@ -370,30 +367,24 @@ def _data_source(cfg: Config) -> geometry.GaussianSource:
 def cmd_theory(cfg: Config, out: Path) -> int:
     """Sweep the equilibrium loss over a k grid and report its minimiser.
 
-    Manifold and colored data run the same per-mode losses.  A manifold row
-    takes its total and its parallel and perpendicular parts (the d unit and
-    the D - d zero modes) from ``optimal_loss``.  Under the u-loss k* is
+    Every source writes the same ``theory.csv``: a row's total and its
+    parallel and perpendicular parts come from ``optimal_loss``, the support
+    and the null space of the data's spectrum (for manifold data, the d unit
+    and the D - d zero modes), as in ``dynamics.csv``.  Under the u-loss k* is
     exact.  Under any other loss it is searched inside the two grid cells
     around the grid's lowest row (the lowest k on a tie), and is that row's k
     if the search ends above it: the curve need not have a single minimum
     (the v-loss at D = d peaks at 1/2).
     """
-    if cfg.manifold_dim is not None:
-        dims = analytic.DimensionPair(cfg.spectrum.dim, cfg.manifold_dim)
-        csv_name, parts = "theory.csv", ["delta_parallel", "delta_perpendicular"]
-    else:
-        csv_name, parts = "theory_colored.csv", []
 
     def row(k: float) -> tuple:
         moments = analytic.compute_moments(cfg.process, k_target(k), cfg.loss, cfg.measure)
-        if parts:
-            loss = analytic.optimal_loss(moments, dims)
-            return (k, loss.total, loss.parallel, loss.perpendicular)
-        return (k, float(np.sum(analytic.colored_mode_losses(cfg.spectrum.eigenvalues, moments))))
+        loss = analytic.optimal_loss(moments, cfg.spectrum)
+        return (k, loss.total, loss.parallel, loss.perpendicular)
 
     grid = np.linspace(0.0, 1.0, cfg.k_points).tolist()
     rows = [row(k) for k in grid]
-    write_csv(out / csv_name, ["k", "delta_total", *parts], rows)
+    write_csv(out / "theory.csv", ["k", "delta_total", "delta_parallel", "delta_perpendicular"], rows)
     if cfg.loss.follows_target:
         k_star = _u_loss_k_star(cfg)
     else:
@@ -454,12 +445,8 @@ def cmd_train(cfg: Config, out: Path) -> int:
     net = kdiff.PureLinear.zeros(cfg.spectrum.dim)
     history = kdiff.train(net, kparam, _data_source(cfg), config)
 
-    if kparam.is_binned:
-        k_header = [f"k_t{p:g}" for p in history.probe_points]
-        final_k = float(history.k_values[-1][history.probe_points.size // 2])
-    else:
-        k_header = ["k"]
-        final_k = float(history.k_values[-1])
+    k_header = [f"k_t{p:g}" for p in history.probe_points] if kparam.is_binned else ["k"]
+    final_k = history.final_k
     k_columns = history.k_values.reshape(len(history.steps), -1)
     rows = [(int(s), l, *kv) for s, l, kv in zip(history.steps, history.losses, k_columns)]
     write_csv(out / "history.csv", ["step", "loss", *k_header], rows)

@@ -14,7 +14,7 @@ class QuadratureDivergence(KDiffLabError):
 
 
 class SingularEquilibrium(KDiffLabError):
-    """An equilibrium-weight denominator is not strictly positive."""
+    """An equilibrium-weight denominator is not strictly positive, or its per-mode terms overflow."""
 
 
 class DimError(KDiffLabError):

@@ -444,11 +444,12 @@ class TrainHistory:
     probe_points: np.ndarray | None = None
 
     @property
-    def final_k(self):
+    def final_k(self) -> float:
+        """The last k; for binned k, its value at the central probe point."""
         last = self.k_values[-1]
         if np.ndim(last) == 0:
             return float(last)
-        return np.asarray(last)
+        return float(last[self.probe_points.size // 2])
 
 
 def train(net, kparam: KParam, data_source, config: TrainConfig) -> TrainHistory:

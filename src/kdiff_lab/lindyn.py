@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import MomentSet, colored_mode_coefficients, compute_moments
+from .analytic import MomentSet, _positive_eigenspaces, colored_mode_coefficients, compute_moments
 from .errors import DimError, Divergence
 from .geometry import GaussianSource, sample_data, sample_noise
 from .schedule import (
@@ -140,7 +140,7 @@ def _eigenspaces(weight: np.ndarray, source: GaussianSource, moments: MomentSet)
     weight and W* less their parts on the support.
     """
     lam = source.eigenvalues
-    values = sorted(set(lam[lam > 0.0].tolist()))  # np.unique would import numpy.ma
+    values, _ = _positive_eigenspaces(lam)
     *coefficients, null = colored_mode_coefficients([*values, 0.0], moments)
     support, weight_support = np.zeros_like(weight), np.zeros_like(weight)
     for value, coefficient in zip(values, coefficients):

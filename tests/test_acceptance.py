@@ -30,14 +30,12 @@ from kdiff_lab import (
     argmin_k,
     colored_mode_losses,
     colored_optimal_k,
-    colored_optimal_loss,
     compute_moments,
     equilibrium_weight,
     integrate,
     k_target,
     kappa,
     monte_carlo_loss,
-    optimal_k,
     optimal_loss,
     optimal_loss_poly,
     random_orthonormal_basis,
@@ -67,7 +65,7 @@ def test_criterion_1_closed_form_minimiser():
     for ambient, d in pairs:
         dims = DimensionPair(ambient, d)
         numeric = argmin_k(lambda k: optimal_loss_poly(k, dims), tol=1e-8)
-        assert abs(numeric - optimal_k(dims)) <= 1e-6, (ambient, d)
+        assert abs(numeric - colored_optimal_k(Spectrum.manifold(ambient, d))) <= 1e-6, (ambient, d)
     _report(1, "closed-form optimal k", time.perf_counter() - start, 1.0)
 
 
@@ -85,7 +83,7 @@ def test_criterion_2_monte_carlo_oracle_matches_equilibrium_loss():
         moments = compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, UNIFORM_MEASURE)
         basis = random_orthonormal_basis(ambient, d, rng)
         w_star = equilibrium_weight(basis, moments)
-        expected = optimal_loss(moments, DimensionPair(ambient, d)).total
+        expected = optimal_loss(moments, Spectrum.manifold(ambient, d)).total
         estimate, se = monte_carlo_loss(
             w_star, basis, k, 1_000_000, np.random.default_rng(3000 + index)
         )
@@ -231,7 +229,10 @@ def test_criterion_8_colored_data_consistency():
         dim = int(rng.integers(1, 17))
         spectrum = Spectrum(rng.uniform(0.0, 4.0, size=dim))
         numeric = argmin_k(
-            lambda k: colored_optimal_loss(spectrum, k).total, tol=1e-8
+            lambda k: optimal_loss(
+                compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, UNIFORM_MEASURE), spectrum
+            ).total,
+            tol=1e-8,
         )
         assert abs(numeric - colored_optimal_k(spectrum)) <= 1e-6
 
@@ -242,7 +243,7 @@ def test_criterion_8_colored_data_consistency():
         lam = np.concatenate([np.ones(d), np.zeros(ambient - d)])
         moments = compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, UNIFORM_MEASURE)
         per_mode = colored_mode_losses(lam, moments)
-        split = optimal_loss(moments, DimensionPair(ambient, d))
+        split = optimal_loss(moments, Spectrum(lam))
         assert abs(np.sum(per_mode[:d]) - split.parallel) <= 1e-10
         assert abs(np.sum(per_mode[d:]) - split.perpendicular) <= 1e-10
     _report(8, "colored-data consistency", time.perf_counter() - start, 5.0)

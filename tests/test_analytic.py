@@ -12,6 +12,7 @@ from kdiff_lab import (
     UNIFORM_MEASURE,
     V_LOSS,
     X_LOSS,
+    DimError,
     DimensionPair,
     GaussianSource,
     ProcessSpec,
@@ -23,11 +24,9 @@ from kdiff_lab import (
     colored_mode_coefficients,
     colored_mode_losses,
     colored_optimal_k,
-    colored_optimal_loss,
     compute_moments,
     equilibrium_weight,
     k_target,
-    optimal_k,
     optimal_loss,
     optimal_loss_poly,
     u_loss_optimal_k,
@@ -38,6 +37,26 @@ from kdiff_lab.schedule import constant_fn
 
 def moments_for_k(k, loss=U_LOSS, measure=UNIFORM_MEASURE, nodes=64):
     return compute_moments(FLOW_MATCHING, k_target(k), loss, measure, quad_nodes=nodes)
+
+
+def loss_at(k, spectrum, loss=U_LOSS, measure=UNIFORM_MEASURE):
+    """The equilibrium loss of the k-target on a spectrum."""
+    return optimal_loss(compute_moments(FLOW_MATCHING, k_target(k), loss, measure), spectrum)
+
+
+def _bits(loss) -> bytes:
+    """An ``OptimalLoss``'s three floats as bytes, so that even -0.0 and 0.0 differ."""
+    return np.array([loss.total, loss.parallel, loss.perpendicular]).tobytes()
+
+
+# uniform time on [0, 1] or a logit-normal measure
+_MEASURES = st.one_of(
+    st.just(UNIFORM_MEASURE),
+    st.builds(TimeMeasure, st.just("logit_normal"), mu=st.floats(-2.0, 2.0), sigma=st.floats(0.3, 2.0)),
+)
+_LOSSES = st.sampled_from([U_LOSS, X_LOSS, EPSILON_LOSS, V_LOSS])
+# a few fixed values make repeated and zero eigenvalues common
+_EIGENVALUES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0), min_size=1, max_size=48)
 
 
 def manifold_coefficients(moments):
@@ -133,23 +152,23 @@ class TestOptimalWeightCoeffs:
         with pytest.raises(SingularEquilibrium):
             manifold_coefficients(m)
         with pytest.raises(SingularEquilibrium):
-            optimal_loss(m, DimensionPair(4, 2))
+            optimal_loss(m, Spectrum.manifold(4, 2))
 
 
 class TestOptimalLoss:
     def test_x_prediction_has_no_perpendicular_loss(self):
         for d in (1, 3, 8):
-            res = optimal_loss(moments_for_k(1.0), DimensionPair(d, d))
+            res = optimal_loss(moments_for_k(1.0), Spectrum.manifold(d, d))
             assert res.perpendicular == pytest.approx(0.0, abs=1e-12)
             assert res.total == pytest.approx(5.0 * d / 16.0, abs=1e-10)
 
     def test_v_prediction_low_dim_value(self):
-        res = optimal_loss(moments_for_k(0.5), DimensionPair(2, 1))
+        res = optimal_loss(moments_for_k(0.5), Spectrum.manifold(2, 1))
         assert res.total == pytest.approx(0.28125, abs=1e-12)
 
     def test_epsilon_prediction_dense_value(self):
         for d in (1, 5):
-            res = optimal_loss(moments_for_k(0.0), DimensionPair(d, d))
+            res = optimal_loss(moments_for_k(0.0), Spectrum.manifold(d, d))
             assert res.total == pytest.approx(5.0 * d / 16.0, abs=1e-10)
             assert res.perpendicular == pytest.approx(0.0, abs=1e-12)
 
@@ -158,9 +177,42 @@ class TestOptimalLoss:
         for _ in range(50):
             d = int(rng.integers(1, 9))
             ambient = int(rng.integers(d, d + 20))
-            res = optimal_loss(moments_for_k(rng.uniform(0, 1)), DimensionPair(ambient, d))
+            res = optimal_loss(moments_for_k(rng.uniform(0, 1)), Spectrum.manifold(ambient, d))
             assert res.parallel >= -1e-12
             assert res.perpendicular >= -1e-12
+
+
+class TestOptimalLossOverTheSpectrum:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lam=_EIGENVALUES, k=st.floats(0.0, 1.0), loss=_LOSSES, measure=_MEASURES, data=st.data())
+    def test_sums_the_mode_losses_by_eigenspace(self, lam, k, loss, measure, data):
+        moments = compute_moments(FLOW_MATCHING, k_target(k), loss, measure)
+        got = optimal_loss(moments, Spectrum(lam))
+        total = np.sum(colored_mode_losses(lam, moments))
+        assert got.total == pytest.approx(total, rel=1e-12, abs=0.0)
+        assert got.parallel + got.perpendicular == got.total
+        zero = colored_mode_losses([0.0], moments)[0]
+        assert got.perpendicular == lam.count(0.0) * zero
+        # the order of the eigenvalues does not reach a single bit
+        shuffled = data.draw(st.permutations(lam))
+        assert _bits(optimal_loss(moments, Spectrum(shuffled))) == _bits(got)
+
+    def test_overflowing_eigenvalue_is_rejected(self):
+        # the per-mode formulas square a term of order lam, which overflows above about 1.3e154
+        for k, measure in ((0.5, UNIFORM_MEASURE), (0.3, TimeMeasure("logit_normal", mu=-0.4, sigma=0.9))):
+            m = moments_for_k(k, measure=measure)
+            for lam in ([1e155, 0.0], [1.0, 1e200], [0.0, 1e300]):
+                for formula in (colored_mode_coefficients, colored_mode_losses, u_loss_optimal_k):
+                    with pytest.raises(SingularEquilibrium, match="overflow"):
+                        formula(lam, m)
+                with pytest.raises(SingularEquilibrium, match="overflow"):
+                    optimal_loss(m, Spectrum(lam))
+            # below that every result is finite
+            lam = [1e150, 0.0]
+            assert np.all(np.isfinite(colored_mode_coefficients(lam, m)))
+            assert np.all(np.isfinite(colored_mode_losses(lam, m)))
+            assert 0.0 <= u_loss_optimal_k(lam, m) <= 1.0
+            assert np.isfinite(optimal_loss(m, Spectrum(lam)).total)
 
 
 class TestOptimalLossPoly:
@@ -176,9 +228,8 @@ class TestOptimalLossPoly:
             d = int(rng.integers(1, 30))
             ambient = int(rng.integers(d, d + 60))
             k = float(rng.uniform(0, 1))
-            dims = DimensionPair(ambient, d)
-            via_moments = optimal_loss(moments_for_k(k), dims).total
-            assert optimal_loss_poly(k, dims) == pytest.approx(via_moments, abs=1e-10)
+            via_moments = optimal_loss(moments_for_k(k), Spectrum.manifold(ambient, d)).total
+            assert optimal_loss_poly(k, DimensionPair(ambient, d)) == pytest.approx(via_moments, abs=1e-10)
 
     def test_vectorised_over_k(self):
         ks = np.linspace(0, 1, 11)
@@ -187,27 +238,31 @@ class TestOptimalLossPoly:
         np.testing.assert_allclose(out, [optimal_loss_poly(float(k), dims) for k in ks])
 
 
+def manifold_k(ambient, d):
+    """D / (D + d), the closed-form k* of manifold data."""
+    return colored_optimal_k(Spectrum.manifold(ambient, d))
+
+
 class TestOptimalK:
     def test_dense_data_prefers_v_prediction(self):
         for d in (1, 4, 32):
-            assert optimal_k(DimensionPair(d, d)) == pytest.approx(0.5)
+            assert manifold_k(d, d) == pytest.approx(0.5)
 
     def test_formula_values(self):
-        assert optimal_k(DimensionPair(100, 10)) == pytest.approx(10.0 / 11.0)
-        assert optimal_k(DimensionPair(64, 4)) == pytest.approx(16.0 / 17.0)
+        assert manifold_k(100, 10) == pytest.approx(10.0 / 11.0)
+        assert manifold_k(64, 4) == pytest.approx(16.0 / 17.0)
 
     def test_matches_numeric_minimiser(self):
-        dims = DimensionPair(64, 4)
-        numeric = argmin_k(lambda k: optimal_loss_poly(k, dims), tol=1e-8)
-        assert abs(numeric - optimal_k(dims)) < 1e-7
+        numeric = argmin_k(lambda k: optimal_loss_poly(k, DimensionPair(64, 4)), tol=1e-8)
+        assert abs(numeric - manifold_k(64, 4)) < 1e-7
 
     def test_monotonicity_in_dimensions(self):
         # nondecreasing in D at fixed d, nonincreasing in d at fixed D
         for d in (1, 3, 17):
-            ks = [optimal_k(DimensionPair(D, d)) for D in range(d, d + 50)]
+            ks = [manifold_k(D, d) for D in range(d, d + 50)]
             assert all(a <= b for a, b in zip(ks, ks[1:]))
         for D in (16, 128):
-            ks = [optimal_k(DimensionPair(D, d)) for d in range(1, D + 1)]
+            ks = [manifold_k(D, d) for d in range(1, D + 1)]
             assert all(a >= b for a, b in zip(ks, ks[1:]))
 
     def test_range(self):
@@ -215,7 +270,7 @@ class TestOptimalK:
         for _ in range(50):
             d = int(rng.integers(1, 512))
             ambient = int(rng.integers(d, 513))
-            assert 0.5 <= optimal_k(DimensionPair(ambient, d)) <= 1.0
+            assert 0.5 <= manifold_k(ambient, d) <= 1.0
 
 
 class TestArgminK:
@@ -229,7 +284,7 @@ class TestArgminK:
 
     def test_colored_quadratic(self):
         spec = Spectrum(np.array([2.0, 1.0, 0.0]))
-        got = argmin_k(lambda k: colored_optimal_loss(spec, k).total, tol=1e-8)
+        got = argmin_k(lambda k: loss_at(k, spec).total, tol=1e-8)
         assert abs(got - 0.5) < 1e-6
 
     def test_tol_validation(self):
@@ -263,6 +318,13 @@ class TestSpectrum:
     def test_trace(self):
         assert Spectrum(np.array([2.0, 1.0, 0.0])).trace == pytest.approx(3.0)
 
+    def test_manifold(self):
+        np.testing.assert_array_equal(Spectrum.manifold(5, 2).eigenvalues, [1.0, 1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(Spectrum.manifold(3, 3).eigenvalues, [1.0, 1.0, 1.0])
+        for ambient, d in ((4, 0), (3, 4), (0, 0)):
+            with pytest.raises(DimError, match=rf"need 1 <= d <= D, got d={d}, D={ambient}"):
+                Spectrum.manifold(ambient, d)
+
 
 class TestDimensionPair:
     def test_validation(self):
@@ -290,7 +352,7 @@ class TestColored:
             lam = np.concatenate([np.ones(d), np.zeros(ambient - d)])
             moments = moments_for_k(k)
             per_mode = colored_mode_losses(lam, moments)
-            split = optimal_loss(moments, DimensionPair(ambient, d))
+            split = optimal_loss(moments, Spectrum.manifold(ambient, d))
             assert np.sum(per_mode[:d]) == pytest.approx(split.parallel, abs=1e-10)
             assert np.sum(per_mode[d:]) == pytest.approx(split.perpendicular, abs=1e-10)
             assert np.sum(per_mode) == pytest.approx(split.total, abs=1e-10)
@@ -299,49 +361,47 @@ class TestColored:
     @given(
         dims=st.integers(1, 256).flatmap(lambda D: st.tuples(st.just(D), st.integers(1, D))),
         k=st.floats(0.0, 1.0),
-        loss=st.sampled_from([U_LOSS, X_LOSS, EPSILON_LOSS, V_LOSS]),
-        measure=st.one_of(
-            st.just(UNIFORM_MEASURE),
-            st.builds(
-                TimeMeasure, st.just("logit_normal"), mu=st.floats(-2.0, 2.0), sigma=st.floats(0.3, 2.0)
-            ),
-        ),
+        loss=_LOSSES,
+        measure=_MEASURES,
     )
     def test_zero_one_spectrum_is_the_manifold_case(self, dims, k, loss, measure):
+        # d unit-mode losses plus D - d zero-mode losses, bit for bit
         ambient, d = dims
-        spectrum = Spectrum(np.repeat([1.0, 0.0], [d, ambient - d]))
-        colored = colored_optimal_loss(spectrum, k, loss=loss, measure=measure)
+        spectrum = Spectrum.manifold(ambient, d)
         moments = compute_moments(FLOW_MATCHING, k_target(k), loss, measure)
-        manifold = optimal_loss(moments, DimensionPair(ambient, d))
-        assert colored.total == pytest.approx(manifold.total, rel=1e-12, abs=0.0)
-        assert colored_optimal_k(spectrum) == optimal_k(DimensionPair(ambient, d))
+        unit, zero = colored_mode_losses([1.0, 0.0], moments)
+        parallel, perpendicular = d * float(unit), (ambient - d) * float(zero)
+        got = optimal_loss(moments, spectrum)
+        assert _bits(got) == _bits(analytic.OptimalLoss(parallel + perpendicular, parallel, perpendicular))
+        total = np.sum(colored_mode_losses(spectrum.eigenvalues, moments))
+        assert got.total == pytest.approx(total, rel=1e-12, abs=0.0)
+        assert colored_optimal_k(spectrum) == ambient / (ambient + d)
 
     def test_unit_spectrum_matches_poly(self):
         for D in (1, 4, 9):
-            res = colored_optimal_loss(Spectrum(np.ones(D)), 0.31)
+            res = loss_at(0.31, Spectrum(np.ones(D)))
             assert res.total == pytest.approx(
                 optimal_loss_poly(0.31, DimensionPair(D, D)), abs=1e-12
             )
 
     def test_single_mode_value(self):
-        res = colored_optimal_loss(Spectrum(np.array([3.0])), 0.5)
+        res = loss_at(0.5, Spectrum(np.array([3.0])))
         assert res.total == pytest.approx(0.40625, abs=1e-12)
-        np.testing.assert_allclose(res.per_mode, [0.40625], atol=1e-12)
+        assert (res.parallel, res.perpendicular) == (res.total, 0.0)
 
     def test_closed_form_total(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             lam = rng.uniform(0.0, 5.0, size=int(rng.integers(1, 10)))
             k = float(rng.uniform(0, 1))
-            res = colored_optimal_loss(Spectrum(lam), k)
+            res = loss_at(k, Spectrum(lam))
             assert res.total == pytest.approx(_colored_total_closed_form(lam, k), abs=1e-10)
 
     def test_per_mode_losses_non_negative(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
             lam = rng.uniform(0.0, 10.0, size=6)
-            res = colored_optimal_loss(Spectrum(lam), float(rng.uniform(0, 1)))
-            assert np.all(res.per_mode >= -1e-12)
+            assert np.all(colored_mode_losses(lam, moments_for_k(float(rng.uniform(0, 1)))) >= -1e-12)
 
     def test_large_eigenvalue_coefficient_limit(self):
         m = moments_for_k(0.7)
@@ -384,9 +444,7 @@ class TestColored:
     def test_colored_optimal_k(self):
         # binary spectrum reduces to the dimension-pair formula
         lam = np.concatenate([np.ones(4), np.zeros(12)])
-        assert colored_optimal_k(Spectrum(lam)) == pytest.approx(
-            optimal_k(DimensionPair(16, 4))
-        )
+        assert colored_optimal_k(Spectrum(lam)) == pytest.approx(16.0 / 20.0)
         assert colored_optimal_k(Spectrum(np.array([2.0, 1.0, 0.0]))) == pytest.approx(0.5)
         assert colored_optimal_k(Spectrum(np.zeros(5))) == pytest.approx(1.0)
 
@@ -395,19 +453,19 @@ class TestColored:
         for _ in range(5):
             lam = rng.uniform(0.0, 3.0, size=int(rng.integers(1, 8)))
             spec = Spectrum(lam)
-            numeric = argmin_k(lambda k: colored_optimal_loss(spec, k).total, tol=1e-8)
+            numeric = argmin_k(lambda k: loss_at(k, spec).total, tol=1e-8)
             assert abs(numeric - colored_optimal_k(spec)) < 1e-6
 
     def test_v_loss_moments_change_the_minimiser(self):
         # with a non-unit weighting the closed form no longer applies;
         # the numeric minimiser is still well-defined and inside [0, 1]
-        dims = DimensionPair(12, 3)
+        spectrum = Spectrum.manifold(12, 3)
 
         def total(k):
             m = compute_moments(
                 FLOW_MATCHING, k_target(k), V_LOSS, UNIFORM_MEASURE, quad_nodes=96
             )
-            return optimal_loss(m, dims).total
+            return optimal_loss(m, spectrum).total
 
         got = argmin_k(total, tol=1e-8)
         assert 0.0 <= got <= 1.0
@@ -459,7 +517,7 @@ class TestULossOptimalK:
         if measure.kind == "uniform" and measure.interval == (0.0, 1.0):
             assert abs(got - colored_optimal_k(Spectrum(lam))) <= 1e-13
             if d is not None:
-                assert abs(got - optimal_k(DimensionPair(lam.size, d))) <= 1e-13
+                assert abs(got - lam.size / (lam.size + d)) <= 1e-13
 
     def test_any_k_target_gives_the_same_k_star(self):
         lam = np.array([2.0, 1.0, 0.5, 0.0])

@@ -90,7 +90,12 @@ class TestTheory:
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         summary = json.loads((tmp_path / "out" / "theory_summary.json").read_text())
         assert summary["k_star"] == pytest.approx(0.5, abs=1e-9)
-        assert (tmp_path / "out" / "theory_colored.csv").exists()
+        # the same file as manifold data, split into the support and the null space
+        header, rows = read_csv(tmp_path / "out" / "theory.csv")
+        assert header == ["k", "delta_total", "delta_parallel", "delta_perpendicular"]
+        assert rows.shape == (101, 4)
+        np.testing.assert_array_equal(rows[:, 1], rows[:, 2] + rows[:, 3])
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["theory.csv", "theory_summary.json"]
 
     def test_spectrum_without_D_sets_the_dimension(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"data": {"spectrum": [1.0, 1.0, 0.0, 0.0, 0.0]}})
@@ -767,6 +772,21 @@ class TestConfigValidation:
             pytest.param(
                 "theory", {"time_sampler": {"kind": "uniform", "sigma": -3, "mu": 99}},
                 "ConfigError: interval/time_sampler: mu and sigma apply to logit_normal only", id="uniform-mu-sigma",
+            ),
+            # the per-mode losses square terms of order lam, which overflow above about 1.3e154
+            pytest.param(
+                "theory", {"data": {"spectrum": [1e155, 0]}},
+                "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+155", id="theory-overflow",
+            ),
+            pytest.param(
+                "theory", {"data": {"spectrum": [1e200, 0]}, "time_sampler": {"kind": "logit_normal"}},
+                "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+200",
+                id="theory-logit-normal-overflow",
+            ),
+            pytest.param(
+                "train", {"data": {"spectrum": [1e200, 0]}, "time_sampler": {"kind": "logit_normal"}},
+                "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+200",
+                id="train-logit-normal-overflow",
             ),
         ],
     )

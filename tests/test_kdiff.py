@@ -215,7 +215,7 @@ class TestTrainingStep:
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(4))
         k = 0.75
         moments = compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, UNIFORM_MEASURE)
-        from kdiff_lab import optimal_loss, DimensionPair, sample_data
+        from kdiff_lab import Spectrum, optimal_loss, sample_data
 
         net = PureLinear(equilibrium_weight(basis, moments))
         kparam = KParam.constant(k, trainable=False)
@@ -228,7 +228,7 @@ class TestTrainingStep:
             losses.append(loss)
         losses = np.asarray(losses)
         se = losses.std(ddof=1) / math.sqrt(len(losses))
-        expected = optimal_loss(moments, DimensionPair(6, 2)).total
+        expected = optimal_loss(moments, Spectrum.manifold(6, 2)).total
         assert abs(losses.mean() - expected) < 3.0 * se
 
     def test_non_finite_loss_raises(self):
@@ -557,6 +557,7 @@ class TestTrain:
         history = train(net, kparam, basis, config)
         assert history.k_values.shape == (50, 5)
         np.testing.assert_array_equal(history.probe_points, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert history.final_k == history.k_values[-1, 2]  # the central probe
 
     def test_two_layer_network_trains(self):
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(19))

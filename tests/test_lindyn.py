@@ -15,10 +15,10 @@ from kdiff_lab import (
     U_LOSS,
     UNIFORM_MEASURE,
     V_LOSS,
-    DimensionPair,
     Divergence,
     FlowConfig,
     GaussianSource,
+    Spectrum,
     TargetSpec,
     TimeMeasure,
     colored_mode_losses,
@@ -164,7 +164,7 @@ class TestQuadraticLoss:
             moments = uniform_moments(k)
             basis = random_orthonormal_basis(ambient, d, rng)
             w_star = equilibrium_weight(basis, moments)
-            expected = optimal_loss(moments, DimensionPair(ambient, d)).total
+            expected = optimal_loss(moments, Spectrum.manifold(ambient, d)).total
             assert quadratic_loss(w_star, basis, moments) == pytest.approx(expected, abs=1e-12)
 
     def test_convex_along_segments(self):
@@ -525,7 +525,7 @@ class TestMonteCarloLoss:
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(28))
         moments = uniform_moments(0.5)
         w_star = equilibrium_weight(basis, moments)
-        optimum = optimal_loss(moments, DimensionPair(4, 2)).total
+        optimum = optimal_loss(moments, Spectrum.manifold(4, 2)).total
         perturbed = w_star + 0.2 * np.random.default_rng(29).standard_normal((4, 4))
         estimate, se = monte_carlo_loss(perturbed, basis, 0.5, 200_000, np.random.default_rng(30))
         assert estimate - optimum > 3.0 * se

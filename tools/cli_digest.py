@@ -98,7 +98,11 @@ def _sample_runs():
                      "sample": {"n_samples": 40, "steps": 20, "net": "train", "clamp_floor": 0.2}}, 0
 
 
-RUNS = [*_theory_runs(), *_dynamics_runs(), *_train_runs(), *_sample_runs()]
+RUNS = [
+    *_theory_runs(), *_dynamics_runs(), *_train_runs(), *_sample_runs(),
+    # eigenvalues out of order, one repeated and zeros between them: theory groups them by eigenspace
+    ("theory", {"data": {"spectrum": [1.0, 0.0, 2.0, 1.0, 0.0]}, "loss": "v", "time_sampler": _LOGIT_NORMAL}, 0),
+]
 
 
 def _bench_oracle(index: int, D: int, d: int, k: float) -> tuple:
