@@ -247,13 +247,18 @@ def _mode_denominators(eigenvalues, moments: MomentSet) -> tuple[np.ndarray, np.
         raise SingularEquilibrium(
             f"per-mode denominator not positive (min {np.min(den):.3e})"
         )
-    top, moment = float(np.max(lam, initial=0.0)), max(abs(v) for v in vars(moments).values())
+    _check_mode_terms(lam, max(abs(v) for v in vars(moments).values()))
+    return lam, den
+
+
+def _check_mode_terms(eigenvalues: np.ndarray, moment: float) -> None:
+    """Raise SingularEquilibrium if (largest eigenvalue + 1) * moment overflows when squared."""
+    top = float(np.max(eigenvalues, initial=0.0))
     bound = (top + 1.0) * moment
     if not math.isfinite(bound * bound):
         raise SingularEquilibrium(
             f"per-mode terms overflow: largest eigenvalue {top:.3e}, largest moment {moment:.3e}"
         )
-    return lam, den
 
 
 def colored_mode_coefficients(eigenvalues, moments: MomentSet) -> np.ndarray:
@@ -293,6 +298,9 @@ def colored_optimal_k(spectrum: Spectrum) -> float:
 
     Holds for flow matching with uniform time sampling and unit loss
     weighting; a binary 0/1 spectrum reduces it to D / (D + d), and an
-    all-zero spectrum gives pure data prediction, k = 1.
+    all-zero spectrum gives pure data prediction, k = 1.  There the largest
+    u-loss moment is ``one`` = 1, so a spectrum whose per-mode terms overflow
+    raises SingularEquilibrium here as in ``u_loss_optimal_k``.
     """
+    _check_mode_terms(spectrum.eigenvalues, 1.0)
     return spectrum.dim / (spectrum.dim + spectrum.trace)

@@ -74,13 +74,12 @@ def random_orthonormal_basis(ambient: int, intrinsic: int, rng: np.random.Genera
     The sign convention (positive R diagonal) makes the result a
     deterministic function of the generator state.
     """
-    if not 1 <= intrinsic <= ambient:
-        raise DimError(f"need 1 <= d <= D, got d={intrinsic}, D={ambient}")
+    ones = Spectrum.manifold(ambient, intrinsic).eigenvalues[:intrinsic]  # DimError unless 1 <= d <= D
     g = rng.standard_normal((ambient, intrinsic))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
-    return GaussianSource(q * signs, np.ones(intrinsic))
+    return GaussianSource(q * signs, ones)
 
 
 def sample_data(source: GaussianSource, batch: int, rng: np.random.Generator) -> np.ndarray:

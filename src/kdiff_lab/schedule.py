@@ -9,8 +9,10 @@ equivalent to weighting the target MSE by ``kappa(t)^2`` with
 
 All types here are immutable after construction and safe to share across
 threads; samplers take an explicit ``numpy.random.Generator`` so parallel
-callers can use independent streams.  ``scipy.special`` is imported by the
-logit-normal branches only, so a uniform-time run never loads it.
+callers can use independent streams.  The logit-normal density takes the
+standard normal CDF of its truncation bounds from the C library's ``erfc``, so
+only logit-normal draws and CDF values import ``scipy.special``: a run that
+only integrates against a time measure never loads it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,18 @@ from .errors import DegenerateTarget
 ScheduleFn = Callable[[np.ndarray], np.ndarray]
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF of a scalar, erfc(-x / sqrt 2) / 2.
+
+    Scaling by the rounded 1 / sqrt 2, as Cephes' ``ndtr`` does, keeps the
+    result within 1e-14 relative of ``scipy.special.ndtr`` out to 15 standard
+    deviations; dividing by the rounded sqrt 2 does so only to about 6.
+    """
+    return 0.5 * math.erfc(-x * _SQRT1_2)
 
 
 def _farray(t) -> np.ndarray:
@@ -155,8 +169,9 @@ class TimeMeasure:
 
     kind is "uniform" or "logit_normal"; the latter draws t = sigmoid(g) with
     g ~ Normal(mu, sigma^2), truncated to the interval when it is a proper
-    subinterval.  The density integrates to 1 over the interval.  A uniform
-    measure takes no mu or sigma other than the defaults.
+    subinterval.  The density integrates to 1 over the interval; a
+    logit-normal interval whose probability is not a normal double is
+    rejected.  A uniform measure takes no mu or sigma other than the defaults.
     """
 
     kind: str = "uniform"
@@ -177,12 +192,29 @@ class TimeMeasure:
             raise ValueError("sigma must be positive")
         if self.kind == "uniform" and (self.mu, self.sigma) != (0.0, 1.0):
             raise ValueError(f"mu and sigma apply to logit_normal only, got mu {self.mu} and sigma {self.sigma}")
+        if self.kind == "logit_normal" and not (mass := self._mass()) >= _TINY:
+            raise ValueError(
+                f"interval {list(self.interval)} holds logit-normal mass {mass:.3e}, "
+                "below the smallest normal double"
+            )
 
-    def _gauss_bounds(self) -> tuple[float, float]:
+    def _gauss_bounds(self) -> tuple[float, float, float]:
+        """Sign s and the interval's standardised normal bounds, each times s.
+
+        s is -1 when both bounds lie above the mean and 1 otherwise, so the
+        mirrored bounds never both lie in the upper tail, where Phi rounds to 1
+        and the truncation mass |Phi(s gb) - Phi(s ga)| would cancel to 0.
+        """
         lo, hi = self.interval
         ga = -math.inf if lo <= 0.0 else (math.log(lo / (1.0 - lo)) - self.mu) / self.sigma
         gb = math.inf if hi >= 1.0 else (math.log(hi / (1.0 - hi)) - self.mu) / self.sigma
-        return ga, gb
+        s = -1.0 if ga > 0.0 else 1.0
+        return s, s * ga, s * gb
+
+    def _mass(self) -> float:
+        """Probability that the untruncated logit-normal time falls in the interval."""
+        _, ga, gb = self._gauss_bounds()
+        return abs(_ndtr(gb) - _ndtr(ga))
 
     def density(self, t):
         """Probability density at t; zero outside the interval."""
@@ -192,10 +224,7 @@ class TimeMeasure:
         if self.kind == "uniform":
             out = np.where(inside, 1.0 / (hi - lo), 0.0)
         else:
-            from scipy.special import ndtr
-
-            ga, gb = self._gauss_bounds()
-            norm = ndtr(gb) - ndtr(ga)
+            norm = self._mass()
             # the density vanishes (in the limit) at t = 0 and t = 1
             interior = inside & (tt > 0.0) & (tt < 1.0)
             out = np.zeros(tt.shape)
@@ -215,11 +244,11 @@ class TimeMeasure:
             return _match_scalar(out, t)
         from scipy.special import ndtr
 
-        ga, gb = self._gauss_bounds()
+        s, ga, gb = self._gauss_bounds()
         za, zb = ndtr(ga), ndtr(gb)
         tc = np.clip(tt, 1e-300, 1.0 - 1e-16)
         g = (np.log(tc / (1.0 - tc)) - self.mu) / self.sigma
-        out = np.clip((ndtr(g) - za) / (zb - za), 0.0, 1.0)
+        out = np.clip((ndtr(s * g) - za) / (zb - za), 0.0, 1.0)
         out = np.where(tt <= lo, 0.0, np.where(tt >= hi, 1.0, out))
         return _match_scalar(out, t)
 
@@ -231,7 +260,9 @@ def sample_t(measure: TimeMeasure, rng: np.random.Generator, size: int | None = 
     """Draw diffusion times from the measure.
 
     Logit-normal draws are sigmoid-of-normal; on a proper subinterval the
-    underlying normal is sampled by inverse transform of its truncation.
+    underlying normal is sampled by inverse transform of its truncation,
+    mirrored when the interval lies above the normal's mean (see
+    ``TimeMeasure._gauss_bounds``).
     """
     lo, hi = measure.interval
     if measure.kind == "uniform":
@@ -243,10 +274,10 @@ def sample_t(measure: TimeMeasure, rng: np.random.Generator, size: int | None = 
             g = measure.mu + measure.sigma * rng.standard_normal(size)
             out = expit(g)
         else:
-            ga, gb = measure._gauss_bounds()
+            s, ga, gb = measure._gauss_bounds()
             za, zb = ndtr(ga), ndtr(gb)
             u = rng.random(size)
-            g = measure.mu + measure.sigma * ndtri(za + u * (zb - za))
+            g = measure.mu + measure.sigma * s * ndtri(za + u * (zb - za))
             out = np.clip(expit(g), lo, hi)
     if size is None:
         return float(out)

@@ -207,12 +207,16 @@ class TestOptimalLossOverTheSpectrum:
                         formula(lam, m)
                 with pytest.raises(SingularEquilibrium, match="overflow"):
                     optimal_loss(m, Spectrum(lam))
+                # the uniform-time closed form rejects what the moment path rejects
+                with pytest.raises(SingularEquilibrium, match="overflow"):
+                    colored_optimal_k(Spectrum(lam))
             # below that every result is finite
             lam = [1e150, 0.0]
             assert np.all(np.isfinite(colored_mode_coefficients(lam, m)))
             assert np.all(np.isfinite(colored_mode_losses(lam, m)))
             assert 0.0 <= u_loss_optimal_k(lam, m) <= 1.0
             assert np.isfinite(optimal_loss(m, Spectrum(lam)).total)
+            assert 0.0 <= colored_optimal_k(Spectrum(lam)) <= 1.0
 
 
 class TestOptimalLossPoly:

@@ -783,6 +783,11 @@ class TestConfigValidation:
                 "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+200",
                 id="theory-logit-normal-overflow",
             ),
+            # the closed form D / (D + trace) is finite here, but the trainer's arithmetic is not
+            pytest.param(
+                "train", {"data": {"spectrum": [1e155, 0]}, "train": {"steps": 50, "batch": 16}},
+                "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+155", id="train-overflow",
+            ),
             pytest.param(
                 "train", {"data": {"spectrum": [1e200, 0]}, "time_sampler": {"kind": "logit_normal"}},
                 "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+200",
@@ -974,13 +979,16 @@ class TestImpossibleSizes:
         assert out.is_dir()
 
 
-# Runs every subcommand at a tiny size in one interpreter, then a
-# logit-normal theory run as the positive control.
+# Runs every subcommand at a tiny size in one interpreter, then theory,
+# sample and exact dynamics under truncated logit-normal time, which only
+# integrate against its density, and a logit-normal train run, which draws
+# from it, as the positive control.
 _IMPORT_GUARD = """
 import json, sys
 from kdiff_lab.cli import main
 
 small = {"data": {"D": 4, "d": 2}, "train": {"steps": 3, "batch": 8}}
+logit_normal = {"time_sampler": {"kind": "logit_normal"}, "interval": [0.05, 0.95]}
 runs = [
     ("theory", {"loss": "v", "theory": {"k_points": 5}}),
     ("dynamics", {"dynamics": {"steps": 3, "tol": 100.0}}),
@@ -989,7 +997,10 @@ runs = [
     ("train", {"train": {"steps": 3, "batch": 8, "loss_mode": "v_alg1", "k_bins": 4}}),
     ("sample", {"sample": {"n_samples": 4, "steps": 2}}),
     ("sample", {"sample": {"n_samples": 4, "steps": 2, "net": "train"}}),
-    ("theory", {"time_sampler": {"kind": "logit_normal"}, "theory": {"k_points": 3}}),
+    ("theory", {**logit_normal, "loss": "v", "theory": {"k_points": 3}}),
+    ("sample", {**logit_normal, "sample": {"n_samples": 4, "steps": 2}}),
+    ("dynamics", {**logit_normal, "dynamics": {"steps": 3, "tol": 100.0}}),
+    ("train", logit_normal),
 ]
 report = []
 for i, (command, extra) in enumerate(runs):

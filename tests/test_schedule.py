@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from kdiff_lab import (
     EPSILON_LOSS,
@@ -27,6 +29,8 @@ from kdiff_lab.analytic import gauss_legendre_nodes
 from helpers import ZeroNormalRNG
 
 TGRID = np.linspace(0.05, 0.95, 19)
+# [0.9, 1] lies 8.4 standard deviations above the mean: 1 - Phi(8.4), about 2e-17, rounds Phi to 1
+UPPER_TAIL = TimeMeasure("logit_normal", interval=(0.9, 1.0), mu=-2.0, sigma=0.5)
 
 
 class TestKappa:
@@ -169,6 +173,49 @@ class TestTimeMeasure:
         total = _quadrature(measure.density, measure.interval)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        mu=st.floats(-3.0, 3.0),
+        za=st.floats(-40.0, 40.0),
+        width=st.floats(1e-3, 40.0),
+        data=st.data(),
+        open_lo=st.booleans(),
+    )
+    def test_logit_normal_mass_over_any_interval(self, mu, za, width, data, open_lo):
+        # the interval [za, za + width] in standard deviations, so both tails are reached.  Its
+        # logits stay below 10, or the interval runs to 1, because the spacing of doubles near
+        # t = 1 would limit quad's own precision there; and it is at least 1e-3 wide in logits,
+        # because on narrower ones Phi(gb) - Phi(ga) cancels in the body of the measure
+        cap = min(3.0, (10.0 - mu) / za) if za > 0.0 else 3.0
+        assume(cap >= 0.2)
+        sigma = data.draw(st.floats(0.2, cap), label="sigma")
+        la, lb = mu + sigma * za, mu + sigma * (za + width)
+        assume(lb - la >= 1e-3)
+        lo = 0.0 if open_lo else float(special.expit(la))
+        hi = float(special.expit(lb)) if lb <= 10.0 else 1.0
+        ga, gb = ((math.log(t / (1.0 - t)) - mu) / sigma if 0.0 < t < 1.0 else math.copysign(math.inf, t - 0.5)
+                  for t in (lo, hi))
+        # scipy's Phi, in the orientation where its difference cancels least
+        small, large = min(special.ndtr([[ga, gb], [-gb, -ga]]), key=lambda z: z[0] / z[1] if z[1] > 0.0 else 1.0)
+        try:
+            m = TimeMeasure("logit_normal", interval=(lo, hi), mu=mu, sigma=sigma)
+        except ValueError as exc:
+            assert "below the smallest normal double" in str(exc)
+            assert large - small < 1.001 * np.finfo(np.float64).tiny
+            return
+        points = [t for t in (float(special.expit(mu)),) if lo < t < hi]
+        total = integrate.quad(m.density, lo, hi, points=points, epsabs=1e-11, epsrel=1e-11, limit=500)[0]
+        assert total == pytest.approx(1.0, abs=1e-9)
+        # where that difference keeps half its larger term; past 15 standard deviations Phi's
+        # condition number g^2 lets two libraries differ by more than 1e-14 in any case
+        if small <= 0.5 * large and max((abs(g) for g in (ga, gb) if math.isfinite(g)), default=0.0) <= 15.0:
+            assert m._mass() == pytest.approx(large - small, rel=1e-14, abs=0.0)
+
+    def test_interval_without_representable_mass_is_rejected(self):
+        # 200 standard deviations above the mean: Phi(-200) underflows to 0
+        with pytest.raises(ValueError, match=r"holds logit-normal mass 0\.000e\+00, below the smallest normal double"):
+            TimeMeasure("logit_normal", interval=(0.9, 1.0), mu=-2.0, sigma=0.0215)
+
     def test_logit_normal_density_vanishes_at_bounds(self):
         m = TimeMeasure("logit_normal", mu=0.0, sigma=1.0)
         assert m.density(0.0) == 0.0
@@ -223,14 +270,35 @@ class TestSampleT:
             TimeMeasure("logit_normal", mu=0.0, sigma=1.0),
             TimeMeasure("logit_normal", mu=-0.8, sigma=0.8),
             TimeMeasure("logit_normal", interval=(0.1, 0.8), mu=0.0, sigma=1.0),
+            UPPER_TAIL,
         ],
-        ids=["uniform", "ln01", "ln-pixel", "ln-truncated"],
+        ids=["uniform", "ln01", "ln-pixel", "ln-truncated", "ln-upper-tail"],
     )
     def test_sampler_matches_density(self, measure):
         rng = np.random.default_rng(1234)
         draws = sample_t(measure, rng, size=1_000_000)
         ks = stats.kstest(draws, measure.cdf).statistic
         assert ks < 0.002
+
+    def test_upper_tail_cdf_integrates_the_density(self):
+        m = UPPER_TAIL
+        for t in (0.9, 0.9005, 0.901, 0.903, 0.91, 0.95, 1.0):
+            assert m.cdf(t) == pytest.approx(integrate.quad(m.density, 0.9, t)[0], abs=1e-10)
+        draws = sample_t(m, np.random.default_rng(8), size=10_000)
+        assert draws.min() >= 0.9 and draws.max() < 0.95
+
+    def test_truncation_below_the_mean_keeps_the_plain_inverse_transform(self):
+        # ga <= 0: the draws are those of the unmirrored inverse transform, bit for bit
+        for m in (TimeMeasure("logit_normal", interval=(0.1, 0.8), mu=0.0, sigma=1.0),
+                  TimeMeasure("logit_normal", interval=(0.0, 0.3), mu=0.5, sigma=0.7),
+                  TimeMeasure("logit_normal", interval=(0.05, 1.0), mu=-0.4, sigma=0.9)):
+            lo, hi = m.interval
+            g = [(math.log(t / (1.0 - t)) - m.mu) / m.sigma if 0.0 < t < 1.0 else math.copysign(math.inf, t - 0.5)
+                 for t in (lo, hi)]
+            za, zb = special.ndtr(g)
+            u = np.random.default_rng(3).random(1000)
+            expected = np.clip(special.expit(m.mu + m.sigma * special.ndtri(za + u * (zb - za))), lo, hi)
+            np.testing.assert_array_equal(sample_t(m, np.random.default_rng(3), size=1000), expected)
 
     def test_truncated_draws_stay_inside(self):
         m = TimeMeasure("logit_normal", interval=(0.1, 0.8), mu=0.0, sigma=1.0)
