@@ -266,6 +266,8 @@ def load_config(path, seed: int | None = None) -> Config:
     measure = _built("interval/time_sampler", TimeMeasure, **time_sampler)
     data = _section(raw, "data")
     spectrum = _spectrum(raw, data)
+    # the trainer and the per-mode formulas square terms of order lam: reject before any work
+    analytic._check_mode_terms(spectrum.eigenvalues, 1.0)
     theory = _section(raw, "theory")
     dynamics = _section(raw, "dynamics")
     tol = dynamics.pop("tol")

@@ -23,7 +23,6 @@ number of samples times D.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -32,7 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import MomentSet, _positive_eigenspaces, colored_mode_coefficients, compute_moments
+from .analytic import MomentSet, Spectrum, _positive_eigenspaces, colored_mode_coefficients, compute_moments
+from .analytic import optimal_loss
 from .errors import DimError, Divergence
 from .geometry import GaussianSource, sample_data, sample_noise
 from .schedule import (
@@ -114,9 +114,11 @@ class FlowRecord:
 
 
 def decompose(weight: np.ndarray, source: GaussianSource) -> ModeDecomposition:
-    """Split a weight into components acting on the data's support and its null space."""
+    """Split a weight into components acting on the data's support and its null space:
+    (W V) V^T, with V the eigenvectors of positive eigenvalue, and the rest."""
     weight = _checked(weight, source)
-    par = weight @ source.projector()
+    vectors = source.eigenvectors[:, source.eigenvalues > 0.0]
+    par = (weight @ vectors) @ vectors.T
     return ModeDecomposition(par, weight - par)
 
 
@@ -129,46 +131,32 @@ def _checked(weight: np.ndarray, source: GaussianSource) -> np.ndarray:
     return weight
 
 
-def _eigenspaces(weight: np.ndarray, source: GaussianSource, moments: MomentSet):
-    """Per eigenspace of Sigma, each distinct positive eigenvalue's (smallest
-    first) and then the null space: its curvature lam * alpha_sq + sigma_sq,
-    the equilibrium weight's part c(lam) P and the offset W P - c(lam) P of
-    ``weight``'s part from it, with P the eigenspace's projector.
-
-    The projectors are built one at a time, so a caller that keeps none holds
-    O(D^2) memory whatever the spectrum.  The null space's parts are the
-    weight and W* less their parts on the support.
-    """
-    lam = source.eigenvalues
-    values, _ = _positive_eigenspaces(lam)
-    *coefficients, null = colored_mode_coefficients([*values, 0.0], moments)
-    support, weight_support = np.zeros_like(weight), np.zeros_like(weight)
-    for value, coefficient in zip(values, coefficients):
-        vectors = source.eigenvectors[:, lam == value]
-        proj = vectors @ vectors.T
-        part, star = weight @ proj, coefficient * proj
-        support += proj
-        weight_support += part
-        yield value * moments.alpha_sq + moments.sigma_sq, star, part - star
-    star = null * (np.eye(source.ambient_dim) - support)
-    yield moments.sigma_sq, star, weight - weight_support - star
+def _support(source: GaussianSource, moments: MomentSet):
+    """The D x r eigenvectors V of Sigma's positive eigenvalues, those eigenvalues, W* V
+    (column j is c(lam_j) times V's) and the null space's equilibrium coefficient c(0)."""
+    positive = source.eigenvalues > 0.0
+    vectors, lam = source.eigenvectors[:, positive], source.eigenvalues[positive]
+    coefficients = colored_mode_coefficients(np.append(lam, 0.0), moments)
+    return vectors, lam, vectors * coefficients[:-1], float(coefficients[-1])
 
 
-def _shifted(
-    weight: np.ndarray, source: GaussianSource, moments: MomentSet, decays, step: int
-) -> ModeDecomposition:
-    """W* plus each eigenspace's offset of ``weight`` times its decay**step,
-    split into the support's part and the null space's (the last decay's)."""
-    parallel, part = np.zeros_like(weight), None
-    for (_, star, offset), decay in zip(_eigenspaces(weight, source, moments), decays):
-        if part is not None:
-            parallel += part
-        part = star + decay**step * offset
-    return ModeDecomposition(parallel, part)
+def _null_offset(weight: np.ndarray, wv: np.ndarray, vectors: np.ndarray, coefficient: float) -> np.ndarray:
+    """(W - c I)(I - V V^T), from W and W V, as the one D x D array it returns."""
+    offset = (wv - coefficient * vectors) @ vectors.T
+    np.subtract(weight, offset, out=offset)
+    offset[np.diag_indices_from(offset)] -= coefficient
+    return offset
 
 
-def _equilibrium_modes(source: GaussianSource, moments: MomentSet) -> ModeDecomposition:
-    return _shifted(np.zeros((source.ambient_dim,) * 2), source, moments, itertools.repeat(0.0), 1)
+def _shifted(weight0: np.ndarray, support, decays: np.ndarray, null_decay: float, step: int) -> ModeDecomposition:
+    """W* plus each eigenspace's offset of ``weight0`` times its decay**step, split into the
+    support's part and the null space's; ``decays`` holds one per column of V."""
+    vectors, _, star, null = support
+    wv = weight0 @ vectors
+    parallel = (star + decays**step * (wv - star)) @ vectors.T
+    # on the null space the weight is W0 b + c(0) (1 - b) I, restricted to it
+    b = null_decay**step
+    return ModeDecomposition(parallel, _null_offset(b * weight0, b * wv, vectors, (b - 1.0) * null))
 
 
 def equilibrium_weight(source: GaussianSource, moments: MomentSet) -> np.ndarray:
@@ -178,24 +166,31 @@ def equilibrium_weight(source: GaussianSource, moments: MomentSet) -> np.ndarray
     their eigenspace, plus c(0) times the projector onto the null space, with
     c from ``colored_mode_coefficients``.
     """
-    return _equilibrium_modes(source, moments).total
+    lam = source.eigenvalues
+    values, _ = _positive_eigenspaces(lam)
+    *coefficients, null = colored_mode_coefficients([*values, 0.0], moments)
+    weight, support = np.zeros((source.ambient_dim,) * 2), np.zeros((source.ambient_dim,) * 2)
+    for value, coefficient in zip(values, coefficients):
+        vectors = source.eigenvectors[:, lam == value]
+        proj = vectors @ vectors.T
+        weight += coefficient * proj
+        support += proj
+    return weight + null * (np.eye(source.ambient_dim) - support)
 
 
 def exact_gradient(weight: np.ndarray, source: GaussianSource, moments: MomentSet) -> np.ndarray:
     """Expected descent direction at the given weight.
 
     A gradient-flow step is ``weight + step_size * exact_gradient(...)``;
-    the returned matrix vanishes exactly at the equilibrium weight.
+    the returned matrix vanishes exactly at the equilibrium weight.  Sigma
+    enters through its D x r factor F, as (W F) F^T and F F^T in one product.
     """
     weight = _checked(weight, source)
-    sigma = source.factor @ source.factor.T
-    eye = np.eye(source.ambient_dim)
-    return -(
-        moments.alpha_sq * weight @ sigma
-        + moments.sigma_sq * weight
-        - moments.phi_alpha * sigma
-        - moments.psi_sigma * eye
-    )
+    factor = source.factor
+    gradient = (moments.phi_alpha * factor - moments.alpha_sq * (weight @ factor)) @ factor.T
+    gradient -= moments.sigma_sq * weight
+    gradient[np.diag_indices_from(gradient)] += moments.psi_sigma
+    return gradient
 
 
 def stochastic_gradient(
@@ -232,13 +227,14 @@ def _time_coefficients(process, target, loss, t, clamp_floor=None):
 
 
 def quadratic_loss(weight: np.ndarray, source: GaussianSource, moments: MomentSet) -> float:
-    """Exact training loss of an arbitrary weight (quadratic in the weight)."""
+    """Exact training loss of an arbitrary weight (quadratic in the weight), read through
+    W F with Sigma = F F^T, |W|^2 and tr W: O(D^2 r) work and no D x D array."""
     weight = np.asarray(weight, dtype=np.float64)
-    ws = weight @ (source.factor @ source.factor.T)
+    wf = weight @ source.factor
     return 0.5 * (
-        moments.alpha_sq * float(np.sum(ws * weight))
-        + moments.sigma_sq * float(np.sum(weight * weight))
-        - 2.0 * (moments.phi_alpha * float(np.trace(ws)) + moments.psi_sigma * float(np.trace(weight)))
+        moments.alpha_sq * float(np.vdot(wf, wf))
+        + moments.sigma_sq * float(np.vdot(weight, weight))
+        - 2.0 * (moments.phi_alpha * float(np.vdot(source.factor, wf)) + moments.psi_sigma * float(np.trace(weight)))
         + moments.phi_sq * float(np.sum(source.eigenvalues))
         + moments.psi_sq * source.ambient_dim
     )
@@ -271,22 +267,22 @@ def run_gradient_flow(
 
     In exact mode the Euler recursion is solved in closed form, one
     eigenspace of Sigma at a time.  The offset from the equilibrium weight W*
-    on the eigenspace of a distinct positive eigenvalue lam shrinks by
-    a_lam = 1 - step*(lam*alpha_sq + sigma_sq) per step, and on the null space
-    by b = 1 - step*sigma_sq, so at step i the weight is
-    W* + sum_lam a_lam**i * (W0 - W*) P_lam + b**i * (W0 - W*) (I - Pi), where
-    P_lam projects onto lam's eigenspace and Pi onto the support.  Each
-    eigenspace's distance is |a_lam|**i times its initial one; ``dist_par``
-    combines the support's (on manifold data, the one unit eigenspace) and
-    ``dist_perp`` is the null space's.  The loss is
-    L* + sum_lam (lam*alpha_sq + sigma_sq) * dist_lam**2 / 2 + sigma_sq * dist_perp**2 / 2.
-    The eigenspaces are visited once, and every recorded row costs O(1) per
-    eigenspace and keeps no D x D matrix of its own: a row rebuilds its weight
-    from W0 when read.  The perpendicular trajectory depends only on
-    sigma_sq, psi_sigma and W0, so it is bit-identical across runs that
-    differ only in the data coefficient.
+    on the eigenspace of a distinct eigenvalue lam (0 for the null space)
+    shrinks by a_lam = 1 - step*(lam*alpha_sq + sigma_sq) per step, so each
+    eigenspace's distance is |a_lam|**i times its initial one: the norm of
+    (W0 - c(lam) I) V_lam on its D x m eigenvector block, and of one D x D
+    residual (W0 - c(0) I)(I - V V^T) for the null space, V holding the
+    support's eigenvectors.  ``dist_par`` combines the support's (on manifold
+    data, the one unit eigenspace) and ``dist_perp`` is the null space's.
+    The loss is L* + sum_lam (lam*alpha_sq + sigma_sq) * dist_lam**2 / 2, with
+    L* from ``optimal_loss``.  No D x D projector or covariance is formed, and
+    every recorded row costs O(1) per eigenspace and keeps no D x D matrix of
+    its own: a row rebuilds its weight from W0 when read.  The perpendicular
+    trajectory depends only on sigma_sq, psi_sigma and W0, so it is
+    bit-identical across runs that differ only in the data coefficient.
 
-    Stochastic mode takes one Euler step per fresh batch of samples.  Only
+    Stochastic mode takes one Euler step per fresh batch of samples; a row
+    measures |W V - W* V| and |(W - c(0) I)(I - V V^T)|.  Only
     the last row keeps its weight: reading an earlier one replays the run from
     W0 and a copy of ``rng`` taken before the first draw, once for all rows
     read in step order, and from step 0 again for a row before the last read.
@@ -318,7 +314,7 @@ def run_gradient_flow(
     if config.mode == "exact":
         return _closed_form_flow(weight, source, moments, config)
 
-    equilibrium = _equilibrium_modes(source, moments)
+    vectors, _, star, null = _support(source, moments)
     steps = partial(_stochastic_steps, source, config, process, target, loss, measure)
     replay = _replay(steps, weight, copy.deepcopy(rng))
     keep = _log_steps(config.steps)
@@ -328,11 +324,13 @@ def run_gradient_flow(
         for i, weight, modes in steps(weight, rng):
             if i not in keep:
                 continue
+            total = modes.total
+            wv = total @ vectors
             rec = FlowRecord(
                 step=i,
-                loss=quadratic_loss(modes.total, source, moments),
-                dist_par=float(np.linalg.norm(modes.parallel - equilibrium.parallel)),
-                dist_perp=float(np.linalg.norm(modes.perpendicular - equilibrium.perpendicular)),
+                loss=quadratic_loss(total, source, moments),
+                dist_par=float(np.linalg.norm(wv - star)),
+                dist_perp=float(np.linalg.norm(_null_offset(total, wv, vectors, null))),
                 _modes=partial(decompose, weight, source) if i == config.steps else partial(replay, i),
             )
             if not all(map(math.isfinite, (rec.loss, rec.dist_par, rec.dist_perp))):
@@ -375,11 +373,14 @@ def _replay(steps, weight0: np.ndarray, rng: np.random.Generator) -> Callable[[i
 def _closed_form_flow(
     weight0: np.ndarray, source: GaussianSource, moments: MomentSet, config: FlowConfig
 ) -> list[FlowRecord]:
-    rates, norms, weight_star = [], [], 0.0
-    for rate, star, offset in _eigenspaces(weight0, source, moments):
-        rates.append(rate)
-        norms.append(float(np.linalg.norm(offset)))
-        weight_star = weight_star + star
+    support = vectors, lam, star, null = _support(source, moments)
+    values, _ = _positive_eigenspaces(lam)
+    wv = weight0 @ vectors
+    # column j is (W0 - c(lam_j) I) v_j, so an eigenspace's offset is its columns' norm
+    offset = wv - star
+    rates = [value * moments.alpha_sq + moments.sigma_sq for value in values] + [moments.sigma_sq]
+    norms = [float(np.linalg.norm(offset[:, lam == value])) for value in values]
+    norms.append(float(np.linalg.norm(_null_offset(weight0, wv, vectors, null))))
     # a mode that starts at its equilibrium stays there, whatever its factor
     decays = [1.0 - config.step_size * rate if norm > 0.0 else 0.0 for rate, norm in zip(rates, norms)]
     for index, decay in enumerate(decays):
@@ -389,19 +390,15 @@ def _closed_form_flow(
                 f"{name} mode grows by a factor {abs(decay):.6g} per step "
                 f"(step_size {config.step_size})"
             )
-    loss_star = quadratic_loss(weight_star, source, moments)
+    # Sigma's spectrum: its positive eigenvalues and a zero for each other dimension
+    loss_star = optimal_loss(moments, Spectrum(np.pad(lam, (0, len(weight0) - lam.size)))).total
+    column_decays = np.array(decays[:-1])[np.searchsorted(values, lam)]
     trajectory = []
     for i in sorted(_log_steps(config.steps)):
         dists = [abs(decay**i) * norm for decay, norm in zip(decays, norms)]
-        trajectory.append(
-            FlowRecord(
-                step=i,
-                loss=loss_star + 0.5 * sum(rate * dist**2 for rate, dist in zip(rates, dists)),
-                dist_par=math.hypot(*dists[:-1]),
-                dist_perp=dists[-1],
-                _modes=partial(_shifted, weight0, source, moments, decays, i),
-            )
-        )
+        loss = loss_star + 0.5 * sum(rate * dist**2 for rate, dist in zip(rates, dists))
+        modes = partial(_shifted, weight0, support, column_decays, decays[-1], i)
+        trajectory.append(FlowRecord(i, loss, math.hypot(*dists[:-1]), dists[-1], modes))
     return trajectory
 
 

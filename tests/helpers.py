@@ -137,17 +137,51 @@ def random_gradient_instance(rng: np.random.Generator, loss_mode: str):
     return net, kparam, x, config, seed, float(margin)
 
 
+def quadratic_loss_reference(weight, source, moments) -> float:
+    """``lindyn.quadratic_loss`` from the D x D covariance Sigma = F F^T."""
+    weight = np.asarray(weight, dtype=np.float64)
+    ws = weight @ (source.factor @ source.factor.T)
+    return 0.5 * (
+        moments.alpha_sq * float(np.sum(ws * weight))
+        + moments.sigma_sq * float(np.sum(weight * weight))
+        - 2.0 * (moments.phi_alpha * float(np.trace(ws)) + moments.psi_sigma * float(np.trace(weight)))
+        + moments.phi_sq * float(np.sum(source.eigenvalues))
+        + moments.psi_sq * source.ambient_dim
+    )
+
+
+def decompose_reference(weight, source):
+    """``lindyn.decompose`` from the D x D projector onto the support: (W P, W - W P)."""
+    from kdiff_lab import ModeDecomposition
+
+    weight = np.asarray(weight, dtype=np.float64)
+    par = weight @ source.projector()
+    return ModeDecomposition(par, weight - par)
+
+
+def exact_gradient_reference(weight, source, moments):
+    """``lindyn.exact_gradient`` from the D x D covariance and identity."""
+    weight = np.asarray(weight, dtype=np.float64)
+    sigma = source.factor @ source.factor.T
+    eye = np.eye(source.ambient_dim)
+    return -(
+        moments.alpha_sq * weight @ sigma
+        + moments.sigma_sq * weight
+        - moments.phi_alpha * sigma
+        - moments.psi_sigma * eye
+    )
+
+
 def euler_flow_reference(weight0, source, moments, step_size: float, steps: int):
     """Exact-mode gradient flow by the step-by-step explicit Euler recursion.
 
-    The whole weight follows w <- w + step_size * exact_gradient(w), and its
-    distances are measured from the equilibrium weight solved from the normal
-    equations W* (alpha_sq Sigma + sigma_sq I) = phi_alpha Sigma + psi_sigma I.
+    The whole weight follows w <- w + step_size * exact_gradient(w), with the
+    gradient and the loss from the D x D covariance, and its distances are
+    measured from the equilibrium weight solved from the normal equations
+    W* (alpha_sq Sigma + sigma_sq I) = phi_alpha Sigma + psi_sigma I.
     Returns one (loss, dist_par, dist_perp, weight_par, weight_perp) tuple per
     step, from 0 to ``steps``: the reference for the closed-form flow.
     """
-    from kdiff_lab import exact_gradient, quadratic_loss
-
     sigma = source.factor @ source.factor.T
     eye = np.eye(source.ambient_dim)
     # both sides are symmetric, so W* solves the transposed system as well
@@ -159,12 +193,12 @@ def euler_flow_reference(weight0, source, moments, step_size: float, steps: int)
     rows = []
     for i in range(steps + 1):
         if i:
-            weight = weight + step_size * exact_gradient(weight, source, moments)
+            weight = weight + step_size * exact_gradient_reference(weight, source, moments)
         w_par = weight @ proj
         offset = weight - w_star
         rows.append(
             (
-                quadratic_loss(weight, source, moments),
+                quadratic_loss_reference(weight, source, moments),
                 float(np.linalg.norm(offset @ proj)),
                 float(np.linalg.norm(offset - offset @ proj)),
                 w_par,

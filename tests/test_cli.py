@@ -793,6 +793,21 @@ class TestConfigValidation:
                 "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+200",
                 id="train-logit-normal-overflow",
             ),
+            # v_alg1 has no k* to compute, and a trained sample net none to check: the config is checked
+            pytest.param(
+                "train", {"data": {"spectrum": [1e155, 0]}, "train": {"steps": 50, "batch": 16, "loss_mode": "v_alg1"}},
+                "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+155", id="train-v_alg1-overflow",
+            ),
+            pytest.param(
+                "sample", {"data": {"spectrum": [1e155, 0]}, "train": {"steps": 20, "batch": 8},
+                           "sample": {"n_samples": 5, "steps": 3, "net": "train"}},
+                "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+155", id="sample-train-overflow",
+            ),
+            # before the stability warning, so the error is the only line
+            pytest.param(
+                "dynamics", {"data": {"spectrum": [1e155, 0]}},
+                "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+155", id="dynamics-overflow",
+            ),
         ],
     )
     def test_bad_input_fails_before_any_work(self, tmp_path, capsys, command, cfg, message):

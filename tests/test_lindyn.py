@@ -44,9 +44,12 @@ from kdiff_lab.errors import DimError
 from kdiff_lab.schedule import constant_fn
 
 from helpers import (
+    decompose_reference,
     euler_flow_reference,
+    exact_gradient_reference,
     monte_carlo_loss_reference,
     monte_carlo_observations_reference,
+    quadratic_loss_reference,
     stochastic_flow_reference,
 )
 
@@ -359,13 +362,17 @@ class TestGradientFlow:
         traj = run_gradient_flow(weight0, basis, config, target=0.6, rng=np.random.default_rng(51))
         weight0[:] = 7.0  # a row keeps its own copy of the initial weight
         moments = uniform_moments(0.6)
-        star = lindyn._equilibrium_modes(basis, moments)
+        star = decompose_reference(equilibrium_weight(basis, moments), basis)
         np.testing.assert_array_equal(traj[0].weight_par + traj[0].weight_perp, traj[0].weight)
         assert len(traj) == 41 and np.all(traj[0].weight < 1.0)
         for rec in traj:
             assert rec.loss == quadratic_loss(rec.weight, basis, moments)
-            assert rec.dist_par == float(np.linalg.norm(rec.weight_par - star.parallel))
-            assert rec.dist_perp == float(np.linalg.norm(rec.weight_perp - star.perpendicular))
+            # the rows measure W V - W* V and (W - c(0) I)(I - V V^T), with no projector
+            modes = decompose_reference(rec.weight, basis)
+            assert rec.dist_par == pytest.approx(np.linalg.norm(modes.parallel - star.parallel), rel=0.0, abs=1e-12)
+            assert rec.dist_perp == pytest.approx(
+                np.linalg.norm(modes.perpendicular - star.perpendicular), rel=0.0, abs=1e-12
+            )
 
     def test_stochastic_trajectory_keeps_one_weight_per_row(self):
         basis = random_orthonormal_basis(64, 4, np.random.default_rng(52))
@@ -455,6 +462,102 @@ class TestGradientFlow:
         traj = run_gradient_flow(np.zeros((4, 4)), basis, config, target=1.0)
         assert len(traj) < 1200
         assert traj[0].step == 0 and traj[-1].step == 5000
+
+
+def _spectral_source(dims, eigenvalues, rng):
+    """d orthonormal columns in R^D with the first d of the given eigenvalues, or unit ones."""
+    ambient, d = dims
+    source = random_orthonormal_basis(ambient, d, rng)
+    return source if eigenvalues is None else GaussianSource(source.eigenvectors, eigenvalues[:d])
+
+
+_DIMS = st.integers(1, 24).flatmap(lambda D: st.tuples(st.just(D), st.integers(1, D)))
+# None is manifold data; a list gives repeated and zero eigenvalues
+_EIGENVALUES = st.none() | st.lists(
+    st.sampled_from([0.0, 0.3, 1.0, 2.5]) | st.floats(0.0, 4.0), min_size=24, max_size=24
+)
+
+
+class TestEigenvectorBlocks:
+    """The flow reads Sigma through its eigenvector blocks and factor: no D x D
+    projector or covariance, the same numbers as the projector formulas."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(dims=_DIMS, eigenvalues=_EIGENVALUES, k=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_factor_forms_match_projector_formulas(self, dims, eigenvalues, k, seed):
+        rng = np.random.default_rng(seed)
+        source = _spectral_source(dims, eigenvalues, rng)
+        moments = uniform_moments(k)
+        weight = rng.standard_normal((dims[0],) * 2)
+        got, want = quadratic_loss(weight, source, moments), quadratic_loss_reference(weight, source, moments)
+        assert got == pytest.approx(want, rel=1e-12)
+        modes, reference = decompose(weight, source), decompose_reference(weight, source)
+        scale = np.max(np.abs(weight))
+        np.testing.assert_allclose(modes.parallel, reference.parallel, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(modes.perpendicular, reference.perpendicular, rtol=0.0, atol=1e-12 * scale)
+        want = exact_gradient_reference(weight, source, moments)
+        np.testing.assert_allclose(
+            exact_gradient(weight, source, moments), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want))
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=_DIMS,
+        eigenvalues=_EIGENVALUES,
+        phi=st.floats(-2.0, 2.0),
+        psi=st.floats(-2.0, 2.0),
+        step_fraction=st.floats(0.05, 0.95),
+        steps=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_rows_are_rotation_invariant(self, dims, eigenvalues, phi, psi, step_fraction, steps, seed):
+        target = TargetSpec(constant_fn(phi), constant_fn(psi), name="linear")
+        moments = compute_moments(FLOW_MATCHING, target, U_LOSS, UNIFORM_MEASURE)
+        rng = np.random.default_rng(seed)
+        source = _spectral_source(dims, eigenvalues, rng)
+        rotation, _ = np.linalg.qr(rng.standard_normal((dims[0],) * 2))
+        rotated = GaussianSource(rotation @ source.eigenvectors, source.eigenvalues)
+        weight0 = rng.standard_normal((dims[0],) * 2) / math.sqrt(dims[0])
+        config = FlowConfig(step_fraction * stability_bound(source, moments), steps)
+        traj = run_gradient_flow(weight0, source, config, target=target)
+        turned = run_gradient_flow(rotation @ weight0 @ rotation.T, rotated, config, target=target)
+        # a mode at its equilibrium has a distance of rounding noise in either frame
+        abs_tol = 1e-12 * (traj[0].loss + traj[0].dist_par + traj[0].dist_perp)
+        for got, want in zip(turned, traj):
+            for name in ("loss", "dist_par", "dist_perp"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=abs_tol), (name, got.step, a, b)
+
+    def test_exact_flow_peak_memory(self):
+        source = random_orthonormal_basis(256, 16, np.random.default_rng(63))
+        weight0 = np.zeros((256, 256))
+        tracemalloc.start()
+        try:
+            traj = run_gradient_flow(weight0, source, FlowConfig(step_size=0.5, steps=150), target=0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # per-eigenspace D x D projectors and offsets peaked at 5.0 MB; now the
+        # run's copy of W0 and the null space's offset, 0.5 MB each, peak at 1.13 MB
+        assert len(traj) == 151 and peak < 1.5 * 2**20, peak
+
+    def test_loss_and_decompose_make_no_square_temporary(self):
+        source = random_orthonormal_basis(256, 16, np.random.default_rng(64))
+        weight = np.random.default_rng(65).standard_normal((256, 256))
+        moments = uniform_moments(0.7)
+
+        def peak(call) -> float:
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1] / weight.nbytes
+            finally:
+                tracemalloc.stop()
+
+        # D x r products only besides the returned D x D arrays: 0.06 and 2.06 of
+        # a D x D array; W Sigma with Sigma = F F^T took 2.0 in quadratic_loss
+        assert peak(lambda: quadratic_loss(weight, source, moments)) < 0.25
+        assert peak(lambda: decompose(weight, source)) < 2.25
 
 
 class TestExactIsTheStochasticMean:

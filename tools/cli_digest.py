@@ -52,6 +52,7 @@ _MANIFOLD = {"D": 12, "d": 3, "seed": 7}
 _SQUARE = {"D": 5, "d": 5, "seed": 3}
 _SPECTRUM = {"spectrum": [3.0, 1.0, 1.0, 0.2, 0.0]}
 _ZERO_MODES = {"spectrum": [2.0, 1.0, 1.0, 0.5, 0.0, 0.0]}
+_INTERLEAVED = {"spectrum": [1.0, 0.0, 2.0, 1.0, 0.0]}
 _LOGIT_NORMAL = {"kind": "logit_normal", "mu": -0.4, "sigma": 0.9}
 # [0.9, 1] lies 8.4 standard deviations above this measure's mean: its mass, about 2e-17, is an upper tail
 _TAIL = {"time_sampler": {"kind": "logit_normal", "mu": -2.0, "sigma": 0.5}, "interval": [0.9, 1.0]}
@@ -103,9 +104,14 @@ def _sample_runs():
 RUNS = [
     *_theory_runs(), *_dynamics_runs(), *_train_runs(), *_sample_runs(),
     # eigenvalues out of order, one repeated and zeros between them: theory groups them by eigenspace
-    ("theory", {"data": {"spectrum": [1.0, 0.0, 2.0, 1.0, 0.0]}, "loss": "v", "time_sampler": _LOGIT_NORMAL}, 0),
+    ("theory", {"data": _INTERLEAVED, "loss": "v", "time_sampler": _LOGIT_NORMAL}, 0),
     ("theory", {"data": _MANIFOLD, **_TAIL, "theory": {"k_points": 21}}, 0),
     ("train", {"data": _MANIFOLD, **_TAIL, "train": {"steps": 60, "batch": 32}}, 0),
+    # and the flow, whose eigenvector blocks then have zero columns between them
+    ("dynamics", {"data": _INTERLEAVED, "target": {"kind": "k", "k": 0.6},
+                  "dynamics": {"mode": "exact", "steps": 200, "step_size": 0.5, "tol": 1e-6}}, 0),
+    ("dynamics", {"data": _INTERLEAVED, "target": {"kind": "k", "k": 0.6},
+                  "dynamics": {"mode": "stochastic", "steps": 40, "step_size": 0.3, "batch": 32, "tol": 10.0}}, 0),
 ]
 
 
