@@ -138,9 +138,8 @@ class Config:
 
     @property
     def closed_form(self) -> bool:
-        """Whether D / (D + trace) is the u-loss k*: flow matching, uniform t on [0, 1]."""
-        uniform = self.measure.kind == "uniform" and self.measure.interval == (0.0, 1.0)
-        return uniform and self.process is FLOW_MATCHING
+        """Whether D / (D + trace) is the u-loss k*: uniform t on [0, 1] (flow matching is the one process)."""
+        return self.measure.kind == "uniform" and self.measure.interval == (0.0, 1.0)
 
 
 def _typed(path: str, value, kind: type | dict, nullable: bool = False):
@@ -274,6 +273,10 @@ def load_config(path, seed: int | None = None) -> Config:
     train = _section(raw, "train")
     k_bins = train.pop("k_bins")
     train = _built("train", kdiff.TrainConfig, **train, seed=seed, measure=measure)
+    if train.loss_mode == "v_alg1":
+        # v_alg1 weights the u-residual by kappa = 1 / den, with den clamped at clamp_floor, so
+        # its gradient's terms reach (lam + 1) kappa^2, which Adam squares: moment 1 / clamp_floor^2
+        analytic._check_mode_terms(spectrum.eigenvalues, train.clamp_floor**-2)
     _built("train", kdiff.make_kparam, train, k_bins)  # checks k_init and k_bins
     flow = _built("dynamics", lindyn.FlowConfig, **dynamics)
     sample = _section(raw, "sample")

@@ -3,16 +3,16 @@
 The model predicts the target as ``u_hat = W z`` with a time-independent
 D x D weight, on data from a ``GaussianSource`` with second moment Sigma.
 Its training loss is a positive-semidefinite quadratic in W whose
-gradient-flow dynamics decouple over the eigenspaces of Sigma: one per
-distinct positive eigenvalue (data recovery) and the null space (noise
-elimination).  Manifold data has a single unit eigenspace, the manifold, so
-the two modes are the manifold-parallel and perpendicular parts of W.  The
-exact expected gradient is affine in W, so it can be assembled from
-precomputed moments with no per-step quadrature, and its explicit Euler
-recursion has a closed form: each eigenspace's offset from the equilibrium
-weight shrinks by a fixed factor per step.  Exact-mode flow therefore splits
-the initial weight once and evaluates every recorded step from scalar powers
-of the factors; stochastic mode steps through fresh sample batches.
+gradient-flow dynamics decouple over the eigenvectors of Sigma: each
+eigenvector v_j of positive eigenvalue (data recovery) and the null space
+(noise elimination).  Manifold data has d unit eigenvalues, so the two modes
+are the manifold-parallel and perpendicular parts of W.  The exact expected
+gradient is affine in W, and its explicit Euler recursion has a closed
+form: the offset of each column W v_j from the equilibrium, and of the null
+space's part, shrinks by a fixed factor per step.  Exact-mode flow
+therefore measures those offsets once and evaluates every recorded step
+from scalar powers of the factors; stochastic mode steps the weight itself
+through fresh sample batches.
 
 ``monte_carlo_loss`` estimates the same training loss by simulation and is
 the independent oracle for the closed-form equilibrium loss.  It draws and
@@ -51,14 +51,12 @@ from .schedule import (
 
 @dataclass(frozen=True)
 class ModeDecomposition:
-    """Weight split into its parts on the data's support (parallel) and null space (perpendicular)."""
+    """A weight (``total``) split into its parts on the data's support (parallel) and
+    null space (perpendicular)."""
 
     parallel: np.ndarray
     perpendicular: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.parallel + self.perpendicular
+    total: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -115,15 +113,17 @@ class FlowRecord:
 
 def decompose(weight: np.ndarray, source: GaussianSource) -> ModeDecomposition:
     """Split a weight into components acting on the data's support and its null space:
-    (W V) V^T, with V the eigenvectors of positive eigenvalue, and the rest."""
+    (W V) V^T, with V the eigenvectors of positive eigenvalue, and the rest.  The
+    three arrays, ``total`` a copy of the weight, share no memory with the argument."""
     weight = _checked(weight, source)
     vectors = source.eigenvectors[:, source.eigenvalues > 0.0]
     par = (weight @ vectors) @ vectors.T
-    return ModeDecomposition(par, weight - par)
+    return ModeDecomposition(par, weight - par, weight)
 
 
 def _checked(weight: np.ndarray, source: GaussianSource) -> np.ndarray:
-    weight = np.asarray(weight, dtype=np.float64)
+    """A float64 copy of a D x D weight."""
+    weight = np.array(weight, dtype=np.float64)
     if weight.shape != (source.ambient_dim, source.ambient_dim):
         raise DimError(
             f"weight shape {weight.shape} does not match ambient dimension {source.ambient_dim}"
@@ -149,14 +149,15 @@ def _null_offset(weight: np.ndarray, wv: np.ndarray, vectors: np.ndarray, coeffi
 
 
 def _shifted(weight0: np.ndarray, support, decays: np.ndarray, null_decay: float, step: int) -> ModeDecomposition:
-    """W* plus each eigenspace's offset of ``weight0`` times its decay**step, split into the
-    support's part and the null space's; ``decays`` holds one per column of V."""
+    """W* plus each column's and the null space's offset of ``weight0`` times its decay**step,
+    split into the support's part and the null space's; ``decays`` holds one per column of V."""
     vectors, _, star, null = support
     wv = weight0 @ vectors
     parallel = (star + decays**step * (wv - star)) @ vectors.T
     # on the null space the weight is W0 b + c(0) (1 - b) I, restricted to it
     b = null_decay**step
-    return ModeDecomposition(parallel, _null_offset(b * weight0, b * wv, vectors, (b - 1.0) * null))
+    perpendicular = _null_offset(b * weight0, b * wv, vectors, (b - 1.0) * null)
+    return ModeDecomposition(parallel, perpendicular, parallel + perpendicular)
 
 
 def equilibrium_weight(source: GaussianSource, moments: MomentSet) -> np.ndarray:
@@ -178,21 +179,6 @@ def equilibrium_weight(source: GaussianSource, moments: MomentSet) -> np.ndarray
     return weight + null * (np.eye(source.ambient_dim) - support)
 
 
-def exact_gradient(weight: np.ndarray, source: GaussianSource, moments: MomentSet) -> np.ndarray:
-    """Expected descent direction at the given weight.
-
-    A gradient-flow step is ``weight + step_size * exact_gradient(...)``;
-    the returned matrix vanishes exactly at the equilibrium weight.  Sigma
-    enters through its D x r factor F, as (W F) F^T and F F^T in one product.
-    """
-    weight = _checked(weight, source)
-    factor = source.factor
-    gradient = (moments.phi_alpha * factor - moments.alpha_sq * (weight @ factor)) @ factor.T
-    gradient -= moments.sigma_sq * weight
-    gradient[np.diag_indices_from(gradient)] += moments.psi_sigma
-    return gradient
-
-
 def stochastic_gradient(
     weight: np.ndarray,
     x: np.ndarray,
@@ -204,8 +190,9 @@ def stochastic_gradient(
 ) -> np.ndarray:
     """Batch estimate of the descent direction from samples (x, noise, t).
 
-    Unbiased for ``exact_gradient`` when t is drawn from the measure the
-    moments were computed with.
+    Unbiased for the expected descent direction, minus the gradient of
+    ``quadratic_loss``, when t is drawn from the measure the moments were
+    computed with.
     """
     if isinstance(target, (int, float)):
         target = k_target(float(target))
@@ -266,28 +253,31 @@ def run_gradient_flow(
     """Integrate the training dynamics with explicit Euler steps.
 
     In exact mode the Euler recursion is solved in closed form, one
-    eigenspace of Sigma at a time.  The offset from the equilibrium weight W*
-    on the eigenspace of a distinct eigenvalue lam (0 for the null space)
-    shrinks by a_lam = 1 - step*(lam*alpha_sq + sigma_sq) per step, so each
-    eigenspace's distance is |a_lam|**i times its initial one: the norm of
-    (W0 - c(lam) I) V_lam on its D x m eigenvector block, and of one D x D
-    residual (W0 - c(0) I)(I - V V^T) for the null space, V holding the
-    support's eigenvectors.  ``dist_par`` combines the support's (on manifold
-    data, the one unit eigenspace) and ``dist_perp`` is the null space's.
-    The loss is L* + sum_lam (lam*alpha_sq + sigma_sq) * dist_lam**2 / 2, with
-    L* from ``optimal_loss``.  No D x D projector or covariance is formed, and
-    every recorded row costs O(1) per eigenspace and keeps no D x D matrix of
-    its own: a row rebuilds its weight from W0 when read.  The perpendicular
-    trajectory depends only on sigma_sq, psi_sigma and W0, so it is
-    bit-identical across runs that differ only in the data coefficient.
+    eigenvector of Sigma at a time.  With V holding the eigenvectors of
+    positive eigenvalue, the offset (W - c(lam_j) I) v_j of column j from the
+    equilibrium weight W* shrinks by a_j = 1 - step*(lam_j*alpha_sq + sigma_sq)
+    per step, and the null space's offset (W - c(0) I)(I - V V^T), one D x D
+    residual, by 1 - step*sigma_sq.  So a row's distances are |a|**i times
+    the r + 1 initial norms, ``dist_par`` is the norm of the r column
+    distances (on manifold data, the one unit eigenspace's) and
+    ``dist_perp`` is the null space's.  The loss is
+    L* + sum (lam_j*alpha_sq + sigma_sq) * dist_j**2 / 2 over the columns and
+    the null space, with L* from ``optimal_loss``.  No D x D projector or
+    covariance is formed, every recorded row costs O(r), and no row keeps a
+    D x D matrix of its own: a row rebuilds its weight from W0 when read.
+    The perpendicular trajectory depends only on sigma_sq, psi_sigma and W0,
+    so it is bit-identical across runs that differ only in the data
+    coefficient.
 
-    Stochastic mode takes one Euler step per fresh batch of samples; a row
-    measures |W V - W* V| and |(W - c(0) I)(I - V V^T)|.  Only
-    the last row keeps its weight: reading an earlier one replays the run from
-    W0 and a copy of ``rng`` taken before the first draw, once for all rows
-    read in step order, and from step 0 again for a row before the last read.
-    In either mode a ``step_size`` at or above ``stability_bound`` warns
-    before any step, since the mean dynamics then diverge.
+    Stochastic mode steps the weight W itself, one Euler step per fresh
+    batch of samples; a row takes its loss from W and measures |W V - W* V|
+    and |(W - c(0) I)(I - V V^T)|.  Only the last row keeps its weight:
+    reading an earlier one replays the run from W0 and a copy of ``rng``
+    taken before the first draw, once for all rows read in step order, and
+    from step 0 again for a row before the last read.  A read then splits
+    the replayed W with ``decompose``, so its ``weight`` is the stepped W bit
+    for bit.  In either mode a ``step_size`` at or above ``stability_bound``
+    warns before any step, since the mean dynamics then diverge.
 
     Raises:
         Divergence: in exact mode, before any step, if a mode that starts
@@ -309,28 +299,27 @@ def run_gradient_flow(
     if config.mode == "stochastic" and rng is None:
         raise ValueError("stochastic mode needs an rng")
 
-    # a row keeps this array, so a caller's later edit must not reach it
-    weight = np.array(_checked(weight0, source))
+    # a row keeps this copy, so a caller's later edit must not reach it
+    weight = _checked(weight0, source)
     if config.mode == "exact":
         return _closed_form_flow(weight, source, moments, config)
 
     vectors, _, star, null = _support(source, moments)
     steps = partial(_stochastic_steps, source, config, process, target, loss, measure)
-    replay = _replay(steps, weight, copy.deepcopy(rng))
+    replay = _replay(steps, weight, copy.deepcopy(rng), source)
     keep = _log_steps(config.steps)
     trajectory = []
     # an overflow surfaces as the Divergence raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, weight, modes in steps(weight, rng):
+        for i, weight in steps(weight, rng):
             if i not in keep:
                 continue
-            total = modes.total
-            wv = total @ vectors
+            wv = weight @ vectors
             rec = FlowRecord(
                 step=i,
-                loss=quadratic_loss(total, source, moments),
+                loss=quadratic_loss(weight, source, moments),
                 dist_par=float(np.linalg.norm(wv - star)),
-                dist_perp=float(np.linalg.norm(_null_offset(total, wv, vectors, null))),
+                dist_perp=float(np.linalg.norm(_null_offset(weight, wv, vectors, null))),
                 _modes=partial(decompose, weight, source) if i == config.steps else partial(replay, i),
             )
             if not all(map(math.isfinite, (rec.loss, rec.dist_par, rec.dist_perp))):
@@ -340,32 +329,31 @@ def run_gradient_flow(
 
 
 def _stochastic_steps(source, config, process, target, loss, measure, weight, rng):
-    """Yield (step, weight, modes) from step 0; each step draws data, noise and t from ``rng``."""
-    modes = decompose(weight, source)
-    yield 0, weight, modes
+    """Yield (step, weight) from step 0; each step draws data, noise and t from ``rng``."""
+    yield 0, weight
     for i in range(1, config.steps + 1):
         x = sample_data(source, config.batch, rng)
         noise = sample_noise(source.ambient_dim, config.batch, rng)
         t = sample_t(measure, rng, size=config.batch)
-        total = modes.total
-        weight = total + config.step_size * stochastic_gradient(total, x, noise, t, process, target, loss)
-        modes = decompose(weight, source)
-        yield i, weight, modes
+        weight = weight + config.step_size * stochastic_gradient(weight, x, noise, t, process, target, loss)
+        yield i, weight
 
 
-def _replay(steps, weight0: np.ndarray, rng: np.random.Generator) -> Callable[[int], ModeDecomposition]:
+def _replay(
+    steps, weight0: np.ndarray, rng: np.random.Generator, source: GaussianSource
+) -> Callable[[int], ModeDecomposition]:
     """Read a stochastic run's modes at any step by stepping it again, bit for bit, from W0
     and ``rng``, a copy of the run's generator taken before its first draw.  One cursor
-    (step, modes, step generator) serves every read; reads hand out copies."""
+    (step, weight, step generator) serves every read; a read splits a copy of the weight."""
     cursor = (math.inf, None, None)
 
     def modes(step: int) -> ModeDecomposition:
         nonlocal cursor
-        at, found, run = cursor if cursor[0] <= step else (-1, None, steps(weight0, copy.deepcopy(rng)))
+        at, weight, run = cursor if cursor[0] <= step else (-1, None, steps(weight0, copy.deepcopy(rng)))
         while at < step:
-            at, _, found = next(run)
-        cursor = (at, found, run)
-        return ModeDecomposition(found.parallel.copy(), found.perpendicular.copy())
+            at, weight = next(run)
+        cursor = (at, weight, run)
+        return decompose(weight, source)
 
     return modes
 
@@ -374,31 +362,32 @@ def _closed_form_flow(
     weight0: np.ndarray, source: GaussianSource, moments: MomentSet, config: FlowConfig
 ) -> list[FlowRecord]:
     support = vectors, lam, star, null = _support(source, moments)
-    values, _ = _positive_eigenspaces(lam)
     wv = weight0 @ vectors
-    # column j is (W0 - c(lam_j) I) v_j, so an eigenspace's offset is its columns' norm
-    offset = wv - star
-    rates = [value * moments.alpha_sq + moments.sigma_sq for value in values] + [moments.sigma_sq]
-    norms = [float(np.linalg.norm(offset[:, lam == value])) for value in values]
-    norms.append(float(np.linalg.norm(_null_offset(weight0, wv, vectors, null))))
+    # one mode per column of V, whose offset (W0 - c(lam_j) I) v_j is column j of W0 V - W* V,
+    # then the null space
+    norms = np.append(np.linalg.norm(wv - star, axis=0), np.linalg.norm(_null_offset(weight0, wv, vectors, null)))
+    rates = np.append(lam * moments.alpha_sq + moments.sigma_sq, moments.sigma_sq)
     # a mode that starts at its equilibrium stays there, whatever its factor
-    decays = [1.0 - config.step_size * rate if norm > 0.0 else 0.0 for rate, norm in zip(rates, norms)]
-    for index, decay in enumerate(decays):
-        if abs(decay) > 1.0:
-            name = "perpendicular" if index == len(decays) - 1 else "parallel"
+    decays = np.where(norms > 0.0, 1.0 - config.step_size * rates, 0.0)
+    factors = decays.tolist()
+    for index, factor in enumerate(factors):
+        if abs(factor) > 1.0:
+            name = "perpendicular" if index == lam.size else "parallel"
             raise Divergence(
-                f"{name} mode grows by a factor {abs(decay):.6g} per step "
+                f"{name} mode grows by a factor {abs(factor):.6g} per step "
                 f"(step_size {config.step_size})"
             )
     # Sigma's spectrum: its positive eigenvalues and a zero for each other dimension
     loss_star = optimal_loss(moments, Spectrum(np.pad(lam, (0, len(weight0) - lam.size)))).total
-    column_decays = np.array(decays[:-1])[np.searchsorted(values, lam)]
     trajectory = []
     for i in sorted(_log_steps(config.steps)):
-        dists = [abs(decay**i) * norm for decay, norm in zip(decays, norms)]
-        loss = loss_star + 0.5 * sum(rate * dist**2 for rate, dist in zip(rates, dists))
-        modes = partial(_shifted, weight0, support, column_decays, decays[-1], i)
-        trajectory.append(FlowRecord(i, loss, math.hypot(*dists[:-1]), dists[-1], modes))
+        # Python's pow: numpy's array power takes SIMD kernels on some CPUs,
+        # so its last bits, and those of every row, would depend on the machine
+        dists = np.abs([factor**i for factor in factors]) * norms
+        loss = loss_star + 0.5 * float(np.sum(rates * dists**2))
+        modes = partial(_shifted, weight0, support, decays[:-1], decays[-1], i)
+        # hypot scales its arguments, so distances near underflow keep their precision
+        trajectory.append(FlowRecord(i, loss, math.hypot(*dists[:-1]), float(dists[-1]), modes))
     return trajectory
 
 

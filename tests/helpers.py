@@ -156,11 +156,13 @@ def decompose_reference(weight, source):
 
     weight = np.asarray(weight, dtype=np.float64)
     par = weight @ source.projector()
-    return ModeDecomposition(par, weight - par)
+    return ModeDecomposition(par, weight - par, weight)
 
 
 def exact_gradient_reference(weight, source, moments):
-    """``lindyn.exact_gradient`` from the D x D covariance and identity."""
+    """The expected descent direction at a weight, minus the gradient of ``quadratic_loss``:
+    -(alpha_sq W Sigma + sigma_sq W - phi_alpha Sigma - psi_sigma I), from the D x D
+    covariance and identity.  It vanishes at the equilibrium weight."""
     weight = np.asarray(weight, dtype=np.float64)
     sigma = source.factor @ source.factor.T
     eye = np.eye(source.ambient_dim)
@@ -383,18 +385,17 @@ def stochastic_flow_reference(weight0, source, config, target, rng):
     """Stochastic gradient flow under uniform time that keeps every step's weight.
 
     Each step draws data, noise and t from ``rng``, in that order, and steps
-    the sum of the weight's two modes.  Returns the ``ModeDecomposition`` of
-    every step from 0 to ``config.steps``: the reference that a stochastic
-    ``run_gradient_flow`` row must rebuild bit for bit.
+    the weight.  Returns the weight of every step from 0 to ``config.steps``:
+    the reference that a stochastic ``run_gradient_flow`` row must rebuild
+    bit for bit.
     """
-    from kdiff_lab import UNIFORM_MEASURE, decompose, sample_data, sample_noise, sample_t, stochastic_gradient
+    from kdiff_lab import UNIFORM_MEASURE, sample_data, sample_noise, sample_t, stochastic_gradient
 
-    modes = [decompose(np.array(weight0, dtype=np.float64), source)]
+    weights = [np.array(weight0, dtype=np.float64)]
     for _ in range(config.steps):
         x = sample_data(source, config.batch, rng)
         noise = sample_noise(source.ambient_dim, config.batch, rng)
         t = sample_t(UNIFORM_MEASURE, rng, size=config.batch)
-        total = modes[-1].total
-        weight = total + config.step_size * stochastic_gradient(total, x, noise, t, target=target)
-        modes.append(decompose(weight, source))
-    return modes
+        weight = weights[-1]
+        weights.append(weight + config.step_size * stochastic_gradient(weight, x, noise, t, target=target))
+    return weights

@@ -798,6 +798,18 @@ class TestConfigValidation:
                 "train", {"data": {"spectrum": [1e155, 0]}, "train": {"steps": 50, "batch": 16, "loss_mode": "v_alg1"}},
                 "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+155", id="train-v_alg1-overflow",
             ),
+            # v_alg1's gradient carries kappa^2 <= 1 / clamp_floor^2 = 400: Adam overflowed here with exit 0
+            pytest.param(
+                "train", {"data": {"spectrum": [1.3e154, 0]}, "train": {"steps": 50, "batch": 16, "loss_mode": "v_alg1"}},
+                "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.300e+154, largest moment 4.000e+02",
+                id="train-v_alg1-clamp-overflow",
+            ),
+            pytest.param(
+                "sample", {"data": {"spectrum": [1.3e154, 0]}, "train": {"steps": 20, "batch": 8, "loss_mode": "v_alg1"},
+                           "sample": {"n_samples": 5, "steps": 3, "net": "train"}},
+                "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.300e+154, largest moment 4.000e+02",
+                id="sample-train-v_alg1-clamp-overflow",
+            ),
             pytest.param(
                 "sample", {"data": {"spectrum": [1e155, 0]}, "train": {"steps": 20, "batch": 8},
                            "sample": {"n_samples": 5, "steps": 3, "net": "train"}},
@@ -835,6 +847,12 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err == f"error: ConfigError: {message}\n", err
         assert not out.exists()
+
+    def test_v_alg1_trains_below_its_overflow_bound_without_a_warning(self, tmp_path, capsys):
+        cfg = {"data": {"spectrum": [1e150, 0]}, "train": {"steps": 50, "batch": 16, "loss_mode": "v_alg1"}}
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_named_target_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"target": "v", "dynamics": {"steps": 5, "tol": 10.0}})

@@ -25,7 +25,6 @@ from kdiff_lab import (
     compute_moments,
     decompose,
     equilibrium_weight,
-    exact_gradient,
     k_target,
     kappa,
     monte_carlo_loss,
@@ -90,14 +89,16 @@ class TestDecompose:
 
 
 class TestExactGradient:
+    """The D x D expected-gradient formula that the flow tests take as their reference."""
+
     def test_zero_weight_x_target(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(5))
-        grad = exact_gradient(np.zeros((6, 6)), basis, uniform_moments(1.0))
+        grad = exact_gradient_reference(np.zeros((6, 6)), basis, uniform_moments(1.0))
         np.testing.assert_allclose(grad, 0.5 * basis.projector(), atol=1e-12)
 
     def test_zero_weight_epsilon_target(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(6))
-        grad = exact_gradient(np.zeros((6, 6)), basis, uniform_moments(0.0))
+        grad = exact_gradient_reference(np.zeros((6, 6)), basis, uniform_moments(0.0))
         np.testing.assert_allclose(grad, -0.5 * np.eye(6), atol=1e-12)
 
     def test_vanishes_at_equilibrium(self):
@@ -115,7 +116,7 @@ class TestExactGradient:
             moments = compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, measure, quad_nodes=96)
             basis = random_orthonormal_basis(ambient, d, rng)
             w_star = equilibrium_weight(basis, moments)
-            grad = exact_gradient(w_star, basis, moments)
+            grad = exact_gradient_reference(w_star, basis, moments)
             assert np.max(np.abs(grad)) < 1e-10
 
 
@@ -125,7 +126,7 @@ class TestStochasticGradient:
         rng = np.random.default_rng(9)
         weight = rng.standard_normal((4, 4)) * 0.3
         moments = uniform_moments(0.7)
-        exact = exact_gradient(weight, basis, moments)
+        exact = exact_gradient_reference(weight, basis, moments)
         chunks = []
         for _ in range(100):
             x = basis.eigenvectors @ rng.standard_normal((2, 10_000))
@@ -374,7 +375,7 @@ class TestGradientFlow:
                 np.linalg.norm(modes.perpendicular - star.perpendicular), rel=0.0, abs=1e-12
             )
 
-    def test_stochastic_trajectory_keeps_one_weight_per_row(self):
+    def test_stochastic_trajectory_keeps_only_the_last_rows_weight(self):
         basis = random_orthonormal_basis(64, 4, np.random.default_rng(52))
         config = FlowConfig(step_size=0.5, steps=300, mode="stochastic", batch=256)
         tracemalloc.start()
@@ -398,10 +399,12 @@ class TestGradientFlow:
         reference = stochastic_flow_reference(weight0, basis, config, 0.7, np.random.default_rng(56))
         assert traj[-1].step == 1100 and len(traj) < 1101
         for rec in traj:
+            # a row's weight is the stepped W itself, and its modes are that W split
             want = reference[rec.step]
-            assert np.array_equal(rec.weight_par, want.parallel), rec.step
-            assert np.array_equal(rec.weight_perp, want.perpendicular), rec.step
-            assert np.array_equal(rec.weight, want.total), rec.step
+            assert np.array_equal(rec.weight, want), rec.step
+            modes = decompose(want, basis)
+            assert np.array_equal(rec.weight_par, modes.parallel), rec.step
+            assert np.array_equal(rec.weight_perp, modes.perpendicular), rec.step
 
     def test_stochastic_rows_read_in_any_order_give_the_same_arrays(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(57))
@@ -412,9 +415,34 @@ class TestGradientFlow:
         for rec, (par, perp), (par_back, perp_back) in zip(traj, forward, backward):
             assert np.array_equal(par, par_back) and np.array_equal(perp, perp_back), rec.step
         # a read hands out copies: editing one reaches neither the cursor nor a later read
+        weights = [rec.weight for rec in traj]
         traj[3].weight_par[:] = 7.0
         assert np.array_equal(traj[4].weight_par, forward[4][0])
         assert np.array_equal(traj[3].weight_par, forward[3][0])
+        # nor does an edit of a weight, which is the replayed (or kept, for the last row) W itself
+        for index in (3, -1):
+            traj[index].weight[:] = 7.0
+            assert np.array_equal(traj[index].weight, weights[index])
+        traj[4].weight[:] = 7.0
+        assert np.array_equal(traj[5].weight, weights[5]) and np.array_equal(traj[4].weight, weights[4])
+
+    def test_stochastic_run_steps_the_weight_and_splits_it_only_when_read(self, monkeypatch):
+        calls = Counter()
+        original = lindyn.decompose
+
+        def counted(*args, **kwargs):
+            calls["decompose"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lindyn, "decompose", counted)
+        basis = random_orthonormal_basis(6, 2, np.random.default_rng(66))
+        config = FlowConfig(step_size=0.3, steps=40, mode="stochastic", batch=16)
+        traj = run_gradient_flow(np.eye(6), basis, config, target=0.5, rng=np.random.default_rng(67))
+        assert calls["decompose"] == 0
+        traj[-1].weight
+        assert calls["decompose"] == 1
+        traj[0].weight_par
+        assert calls["decompose"] == 2
 
     def test_reading_stochastic_rows_in_step_order_replays_once(self, monkeypatch):
         calls = Counter()
@@ -495,10 +523,12 @@ class TestEigenvectorBlocks:
         scale = np.max(np.abs(weight))
         np.testing.assert_allclose(modes.parallel, reference.parallel, rtol=0.0, atol=1e-12 * scale)
         np.testing.assert_allclose(modes.perpendicular, reference.perpendicular, rtol=0.0, atol=1e-12 * scale)
-        want = exact_gradient_reference(weight, source, moments)
-        np.testing.assert_allclose(
-            exact_gradient(weight, source, moments), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want))
-        )
+        # the reference gradient is minus the gradient of the factor-form loss, which is
+        # quadratic, so a central difference of unit step is exact up to rounding
+        direction = rng.standard_normal(weight.shape)
+        plus, minus = (quadratic_loss(weight + sign * direction, source, moments) for sign in (1.0, -1.0))
+        slope = -float(np.sum(exact_gradient_reference(weight, source, moments) * direction))
+        assert math.isclose(0.5 * (plus - minus), slope, rel_tol=1e-9, abs_tol=1e-10 * (abs(plus) + abs(minus)))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -554,16 +584,17 @@ class TestEigenvectorBlocks:
             finally:
                 tracemalloc.stop()
 
-        # D x r products only besides the returned D x D arrays: 0.06 and 2.06 of
-        # a D x D array; W Sigma with Sigma = F F^T took 2.0 in quadratic_loss
+        # D x r products only besides the returned D x D arrays: 0.06 and 3.06 of
+        # a D x D array, decompose returning its two parts and a copy of the weight;
+        # W Sigma with Sigma = F F^T took 2.0 in quadratic_loss
         assert peak(lambda: quadratic_loss(weight, source, moments)) < 0.25
-        assert peak(lambda: decompose(weight, source)) < 2.25
+        assert peak(lambda: decompose(weight, source)) < 3.25
 
 
 class TestExactIsTheStochasticMean:
     """The batch gradient is affine in W, and its coefficients are drawn
     independently of W, so the mean of the stochastic weights follows the
-    exact recursion: E W_{i+1} = E W_i + step * exact_gradient(E W_i)."""
+    exact recursion: E W_{i+1} = E W_i + step * G(E W_i), G the expected gradient."""
 
     RUNS = 256
     FAMILY_ALPHA = 0.01  # chance that any one entry of any row leaves its band by chance
@@ -779,7 +810,7 @@ class TestSpectralSource:
             lam = np.concatenate([source.eigenvalues, np.zeros(ambient - source.eigenvalues.size)])
             expected = float(np.sum(colored_mode_losses(lam, moments)))
             assert quadratic_loss(w_star, source, moments) == pytest.approx(expected, rel=1e-12, abs=1e-14)
-            assert np.max(np.abs(exact_gradient(w_star, source, moments))) < 1e-12
+            assert np.max(np.abs(exact_gradient_reference(w_star, source, moments))) < 1e-12
             estimate, se = monte_carlo_loss(w_star, source, k, 1 << 18, np.random.default_rng(61 + case))
             assert abs(estimate - expected) < 3.0 * se, (case, estimate, expected, se)
 
