@@ -171,13 +171,6 @@ def compute_moments(
     return MomentSet(**values)
 
 
-def _positive_eigenspaces(eigenvalues: np.ndarray) -> tuple[list[float], list[int]]:
-    """The distinct positive eigenvalues, smallest first, and how often each occurs."""
-    counts = Counter(eigenvalues[eigenvalues > 0.0].tolist())  # np.unique would import numpy.ma
-    values = sorted(counts)
-    return values, [counts[value] for value in values]
-
-
 def optimal_loss(moments: MomentSet, spectrum: Spectrum) -> OptimalLoss:
     """Loss at the equilibrium weight, split into parallel and perpendicular parts.
 
@@ -188,10 +181,12 @@ def optimal_loss(moments: MomentSet, spectrum: Spectrum) -> OptimalLoss:
     the unit-mode loss plus D - d times the zero-mode loss.  Both parts are
     non-negative (Cauchy-Schwarz) up to roundoff.
     """
-    values, counts = _positive_eigenspaces(spectrum.eigenvalues)
+    lam = spectrum.eigenvalues
+    counts = Counter(lam[lam > 0.0].tolist())  # np.unique would import numpy.ma
+    values = sorted(counts)
     *losses, zero = colored_mode_losses([*values, 0.0], moments)
-    parallel = float(np.sum(np.multiply(counts, losses)))
-    perpendicular = (spectrum.dim - sum(counts)) * float(zero)
+    parallel = float(np.sum(np.multiply([counts[value] for value in values], losses)))
+    perpendicular = (spectrum.dim - sum(counts.values())) * float(zero)
     return OptimalLoss(parallel + perpendicular, parallel, perpendicular)
 
 

@@ -1,15 +1,15 @@
 """Synthetic Gaussian data: one source type for linear manifolds and general spectra.
 
 A ``GaussianSource`` is zero-mean Gaussian data with second moment
-Sigma = Q diag(lam) Q^T, given by r orthonormal eigenvectors and their
-eigenvalues; every other direction has eigenvalue 0.  Manifold data on a
-d-dimensional linear subspace of R^D is the case of d unit eigenvalues, so its
-covariance factor F = Q sqrt(lam) is the orthonormal basis itself and the
-intrinsic latents are whitened.  A spectrum given as eigenvalues lies along
-the standard basis.  One sampler serves every source, embedding r
-standard-normal latents by F.  Ambient noise is standard normal.  All samplers
-take an explicit generator handle, so independent handles may run in
-parallel; the sources themselves are immutable and shareable.
+Sigma = Q diag(lam) Q^T, held as its support: r orthonormal eigenvectors and
+their positive eigenvalues; every other direction has eigenvalue 0.  Manifold
+data on a d-dimensional linear subspace of R^D is the case of d unit
+eigenvalues, so its covariance factor F = Q sqrt(lam) is the orthonormal basis
+itself and the intrinsic latents are whitened.  A spectrum given as
+eigenvalues lies along the standard basis.  One sampler serves every source,
+embedding r standard-normal latents by F.  Ambient noise is standard normal.
+All samplers take an explicit generator handle, so independent handles may
+run in parallel; the sources themselves are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ class GaussianSource:
     """Zero-mean Gaussian data with second moment Sigma = Q diag(lam) Q^T.
 
     ``eigenvectors`` Q is D x r with orthonormal columns and ``eigenvalues``
-    lam holds r non-negative values; directions outside the span of Q have
-    eigenvalue 0.  Manifold data has d unit eigenvalues.
+    lam holds r positive values; directions outside the span of Q have
+    eigenvalue 0.  The columns given with a zero eigenvalue are dropped, so a
+    source holds only its support.  Manifold data has d unit eigenvalues.
     """
 
     eigenvectors: np.ndarray
@@ -41,6 +42,8 @@ class GaussianSource:
         q = np.asarray(self.eigenvectors, dtype=np.float64)
         if q.ndim != 2 or not lam.size == q.shape[1] <= q.shape[0]:
             raise DimError(f"need D x {lam.size} eigenvectors with D >= {lam.size}, got shape {q.shape}")
+        # a zero eigenvalue's column adds nothing to Sigma, so only the support is kept
+        q, lam = q[:, lam > 0.0], lam[lam > 0.0]
         # the copy makes this a general product: for q.T @ q numpy calls BLAS's
         # symmetric kernel, which raised the trainer's peak RSS by about 0.2 MB
         ortho_err = np.max(np.abs(q.T.copy() @ q - np.eye(lam.size)), initial=0.0)
@@ -56,15 +59,14 @@ class GaussianSource:
         return self.eigenvectors.shape[0]
 
     def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the support: the eigenvectors of positive eigenvalue."""
-        support = self.eigenvectors[:, self.eigenvalues > 0.0]
-        return support @ support.T
+        """Orthogonal projector onto the support, Q Q^T."""
+        return self.eigenvectors @ self.eigenvectors.T
 
     @classmethod
     def from_spectrum(cls, eigenvalues) -> "GaussianSource":
         """The source with the given eigenvalues along the standard basis, a column per positive one."""
         lam = Spectrum(eigenvalues).eigenvalues
-        return cls(np.eye(lam.size)[:, lam > 0.0], lam[lam > 0.0])
+        return cls(np.eye(lam.size), lam)
 
 
 def random_orthonormal_basis(ambient: int, intrinsic: int, rng: np.random.Generator) -> GaussianSource:

@@ -4,15 +4,15 @@ The model predicts the target as ``u_hat = W z`` with a time-independent
 D x D weight, on data from a ``GaussianSource`` with second moment Sigma.
 Its training loss is a positive-semidefinite quadratic in W whose
 gradient-flow dynamics decouple over the eigenvectors of Sigma: each
-eigenvector v_j of positive eigenvalue (data recovery) and the null space
-(noise elimination).  Manifold data has d unit eigenvalues, so the two modes
-are the manifold-parallel and perpendicular parts of W.  The exact expected
-gradient is affine in W, and its explicit Euler recursion has a closed
-form: the offset of each column W v_j from the equilibrium, and of the null
-space's part, shrinks by a fixed factor per step.  Exact-mode flow
-therefore measures those offsets once and evaluates every recorded step
-from scalar powers of the factors; stochastic mode steps the weight itself
-through fresh sample batches.
+eigenvector v_j the source holds, all of positive eigenvalue (data
+recovery), and the null space (noise elimination).  Manifold data has d unit
+eigenvalues, so the two modes are the manifold-parallel and perpendicular
+parts of W.  The exact expected gradient is affine in W, and its explicit
+Euler recursion has a closed form: the offset of each column W v_j from the
+equilibrium, and of the null space's part, shrinks by a fixed factor per
+step.  Exact-mode flow therefore measures those offsets once and evaluates
+every recorded step from scalar powers of the factors; stochastic mode steps
+the weight itself through fresh sample batches.
 
 ``monte_carlo_loss`` estimates the same training loss by simulation and is
 the independent oracle for the closed-form equilibrium loss.  It draws and
@@ -31,8 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import MomentSet, Spectrum, _positive_eigenspaces, colored_mode_coefficients, compute_moments
-from .analytic import optimal_loss
+from .analytic import MomentSet, Spectrum, colored_mode_coefficients, compute_moments, optimal_loss
 from .errors import DimError, Divergence
 from .geometry import GaussianSource, sample_data, sample_noise
 from .schedule import (
@@ -113,10 +112,10 @@ class FlowRecord:
 
 def decompose(weight: np.ndarray, source: GaussianSource) -> ModeDecomposition:
     """Split a weight into components acting on the data's support and its null space:
-    (W V) V^T, with V the eigenvectors of positive eigenvalue, and the rest.  The
-    three arrays, ``total`` a copy of the weight, share no memory with the argument."""
+    (W V) V^T, with V the source's eigenvectors, and the rest.  The three arrays,
+    ``total`` a copy of the weight, share no memory with the argument."""
     weight = _checked(weight, source)
-    vectors = source.eigenvectors[:, source.eigenvalues > 0.0]
+    vectors = source.eigenvectors
     par = (weight @ vectors) @ vectors.T
     return ModeDecomposition(par, weight - par, weight)
 
@@ -132,10 +131,9 @@ def _checked(weight: np.ndarray, source: GaussianSource) -> np.ndarray:
 
 
 def _support(source: GaussianSource, moments: MomentSet):
-    """The D x r eigenvectors V of Sigma's positive eigenvalues, those eigenvalues, W* V
-    (column j is c(lam_j) times V's) and the null space's equilibrium coefficient c(0)."""
-    positive = source.eigenvalues > 0.0
-    vectors, lam = source.eigenvectors[:, positive], source.eigenvalues[positive]
+    """The source's D x r eigenvectors V, their eigenvalues, W* V (column j is c(lam_j)
+    times V's) and the null space's equilibrium coefficient c(0)."""
+    vectors, lam = source.eigenvectors, source.eigenvalues
     coefficients = colored_mode_coefficients(np.append(lam, 0.0), moments)
     return vectors, lam, vectors * coefficients[:-1], float(coefficients[-1])
 
@@ -148,14 +146,16 @@ def _null_offset(weight: np.ndarray, wv: np.ndarray, vectors: np.ndarray, coeffi
     return offset
 
 
-def _shifted(weight0: np.ndarray, support, decays: np.ndarray, null_decay: float, step: int) -> ModeDecomposition:
-    """W* plus each column's and the null space's offset of ``weight0`` times its decay**step,
-    split into the support's part and the null space's; ``decays`` holds one per column of V."""
+def _shifted(weight0: np.ndarray, support, factors: list[float], step: int) -> ModeDecomposition:
+    """W* plus each column's and the null space's offset of ``weight0`` times its factor**step,
+    split into the support's part and the null space's; ``factors`` holds one per column of
+    V, then the null space's."""
     vectors, _, star, null = support
+    # Python's pow, as the rows' distances take it, so the weights' bits do not depend on the CPU
+    *powers, b = (factor**step for factor in factors)
     wv = weight0 @ vectors
-    parallel = (star + decays**step * (wv - star)) @ vectors.T
+    parallel = (star + np.multiply(powers, wv - star)) @ vectors.T
     # on the null space the weight is W0 b + c(0) (1 - b) I, restricted to it
-    b = null_decay**step
     perpendicular = _null_offset(b * weight0, b * wv, vectors, (b - 1.0) * null)
     return ModeDecomposition(parallel, perpendicular, parallel + perpendicular)
 
@@ -163,20 +163,14 @@ def _shifted(weight0: np.ndarray, support, decays: np.ndarray, null_decay: float
 def equilibrium_weight(source: GaussianSource, moments: MomentSet) -> np.ndarray:
     """Global minimiser of the quadratic training loss (the flow's fixed point).
 
-    Sum over the distinct eigenvalues lam of c(lam) times the projector onto
-    their eigenspace, plus c(0) times the projector onto the null space, with
-    c from ``colored_mode_coefficients``.
+    W* = (W* V - c(0) V) V^T + c(0) I: each eigenvector v_j of the source is
+    scaled by c(lam_j) and the null space by c(0), with c from
+    ``colored_mode_coefficients``.
     """
-    lam = source.eigenvalues
-    values, _ = _positive_eigenspaces(lam)
-    *coefficients, null = colored_mode_coefficients([*values, 0.0], moments)
-    weight, support = np.zeros((source.ambient_dim,) * 2), np.zeros((source.ambient_dim,) * 2)
-    for value, coefficient in zip(values, coefficients):
-        vectors = source.eigenvectors[:, lam == value]
-        proj = vectors @ vectors.T
-        weight += coefficient * proj
-        support += proj
-    return weight + null * (np.eye(source.ambient_dim) - support)
+    vectors, _, star, null = _support(source, moments)
+    weight = (star - null * vectors) @ vectors.T
+    weight[np.diag_indices_from(weight)] += null
+    return weight
 
 
 def stochastic_gradient(
@@ -253,8 +247,8 @@ def run_gradient_flow(
     """Integrate the training dynamics with explicit Euler steps.
 
     In exact mode the Euler recursion is solved in closed form, one
-    eigenvector of Sigma at a time.  With V holding the eigenvectors of
-    positive eigenvalue, the offset (W - c(lam_j) I) v_j of column j from the
+    eigenvector of Sigma at a time.  With V holding the source's
+    eigenvectors, the offset (W - c(lam_j) I) v_j of column j from the
     equilibrium weight W* shrinks by a_j = 1 - step*(lam_j*alpha_sq + sigma_sq)
     per step, and the null space's offset (W - c(0) I)(I - V V^T), one D x D
     residual, by 1 - step*sigma_sq.  So a row's distances are |a|**i times
@@ -385,7 +379,7 @@ def _closed_form_flow(
         # so its last bits, and those of every row, would depend on the machine
         dists = np.abs([factor**i for factor in factors]) * norms
         loss = loss_star + 0.5 * float(np.sum(rates * dists**2))
-        modes = partial(_shifted, weight0, support, decays[:-1], decays[-1], i)
+        modes = partial(_shifted, weight0, support, factors, i)
         # hypot scales its arguments, so distances near underflow keep their precision
         trajectory.append(FlowRecord(i, loss, math.hypot(*dists[:-1]), float(dists[-1]), modes))
     return trajectory

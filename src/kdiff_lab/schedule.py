@@ -212,9 +212,15 @@ class TimeMeasure:
         return s, s * ga, s * gb
 
     def _mass(self) -> float:
-        """Probability that the untruncated logit-normal time falls in the interval."""
+        """Probability that the untruncated logit-normal time falls in the interval.  Where it
+        is narrower than one standard deviation Phi(gb) - Phi(ga) would cancel, so there it is
+        16-node Gauss-Legendre quadrature of the normal density, within 1e-14 relative."""
         _, ga, gb = self._gauss_bounds()
-        return abs(_ndtr(gb) - _ndtr(ga))
+        if abs(gb - ga) >= 1.0:
+            return abs(_ndtr(gb) - _ndtr(ga))
+        x, w = np.polynomial.legendre.leggauss(16)
+        g = 0.5 * (ga + gb) + 0.5 * (gb - ga) * x
+        return abs(0.5 * (gb - ga) * float(np.dot(w, np.exp(-0.5 * g * g)))) / math.sqrt(2.0 * math.pi)
 
     def density(self, t):
         """Probability density at t; zero outside the interval."""

@@ -159,6 +159,23 @@ def decompose_reference(weight, source):
     return ModeDecomposition(par, weight - par, weight)
 
 
+def equilibrium_weight_reference(source, moments):
+    """``lindyn.equilibrium_weight`` as a sum of projectors: c(lam) times the projector onto
+    each distinct eigenvalue's eigenspace, plus c(0) times the projector onto the null space."""
+    from kdiff_lab import colored_mode_coefficients
+
+    lam = source.eigenvalues
+    values = np.unique(lam[lam > 0.0])
+    *coefficients, null = colored_mode_coefficients([*values, 0.0], moments)
+    weight, support = np.zeros((source.ambient_dim,) * 2), np.zeros((source.ambient_dim,) * 2)
+    for value, coefficient in zip(values, coefficients):
+        vectors = source.eigenvectors[:, lam == value]
+        proj = vectors @ vectors.T
+        weight += coefficient * proj
+        support += proj
+    return weight + null * (np.eye(source.ambient_dim) - support)
+
+
 def exact_gradient_reference(weight, source, moments):
     """The expected descent direction at a weight, minus the gradient of ``quadratic_loss``:
     -(alpha_sq W Sigma + sigma_sq W - phi_alpha Sigma - psi_sigma I), from the D x D

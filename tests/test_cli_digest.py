@@ -26,12 +26,13 @@ def test_every_run_prints_its_expected_exit_code(tmp_path):
     tool = _tool()
     runs, oracle = tool.RUNS, tool.ORACLE
     lines = [line.split() for line in proc.stdout.splitlines()]
-    cli_lines, oracle_lines = lines[: len(runs)], lines[len(runs) :]
+    cli_lines, case_lines = lines[: len(runs)], lines[len(runs) :]
     assert [(int(i), command) for i, command, _, _ in cli_lines] == [(i, command) for i, (command, _, _) in enumerate(runs)]
     assert [int(code) for _, _, code, _ in cli_lines] == [expected for _, _, expected in runs]
-    # then one line per oracle case, numbered on from the runs
-    assert [(int(i), command, name) for i, command, name, _ in oracle_lines] == [
-        (i, "oracle", name) for i, (name, _) in enumerate(oracle, start=len(runs))
+    # then one oracle line per case and one weight line per case, numbered on from the runs
+    cases = [(kind, name) for kind in ("oracle", "weight") for name, _ in oracle]
+    assert [(int(i), kind, name) for i, kind, name, _ in case_lines] == [
+        (i, kind, name) for i, (kind, name) in enumerate(cases, start=len(runs))
     ]
     assert all(len(sha) == 64 for *_, sha in lines)
     assert not any(tmp_path.iterdir())  # every run's directory is removed

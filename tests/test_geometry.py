@@ -137,6 +137,19 @@ class TestColoredCovariance:
         cov_b = b.T @ b / len(b)
         assert np.max(np.abs(cov_a - cov_b)) < 6.0 / np.sqrt(len(a))
 
+    def test_zero_eigenvalue_columns_are_dropped(self):
+        q, _ = np.linalg.qr(np.random.default_rng(21).standard_normal((7, 5)))
+        lam = np.array([0.0, 2.0, 0.0, 0.5, 2.0])
+        full, support = GaussianSource(q, lam), GaussianSource(q[:, lam > 0.0], lam[lam > 0.0])
+        for name in ("eigenvectors", "eigenvalues", "factor"):
+            np.testing.assert_array_equal(getattr(full, name), getattr(support, name))
+        np.testing.assert_array_equal(
+            sample_data(full, 50, np.random.default_rng(22)), sample_data(support, 50, np.random.default_rng(22))
+        )
+        # a dropped column is not checked for orthonormality
+        loose = GaussianSource(np.hstack([q[:, :2], np.ones((7, 1))]), [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(loose.eigenvectors, q[:, :2])
+
     def test_spectrum_lies_along_the_standard_basis(self):
         # a zero eigenvalue keeps no column, so a row draws one latent per positive one
         cov = GaussianSource.from_spectrum([4.0, 0.0, 0.25])

@@ -44,6 +44,7 @@ from kdiff_lab.schedule import constant_fn
 
 from helpers import (
     decompose_reference,
+    equilibrium_weight_reference,
     euler_flow_reference,
     exact_gradient_reference,
     monte_carlo_loss_reference,
@@ -557,6 +558,36 @@ class TestEigenvectorBlocks:
             for name in ("loss", "dist_par", "dist_perp"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert math.isclose(a, b, rel_tol=1e-12, abs_tol=abs_tol), (name, got.step, a, b)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(dims=_DIMS, eigenvalues=_EIGENVALUES, k=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_equilibrium_weight_matches_projector_sum(self, dims, eigenvalues, k, seed):
+        source = _spectral_source(dims, eigenvalues, np.random.default_rng(seed))
+        moments = uniform_moments(k)
+        got, want = equilibrium_weight(source, moments), equilibrium_weight_reference(source, moments)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+    def test_exact_row_weights_take_the_c_librarys_pow(self):
+        # 40 distinct factors: numpy's array power takes SIMD kernels on some CPUs, whose
+        # last bits differ from the C library's pow, and so would the rows' weights
+        rng = np.random.default_rng(66)
+        lam = np.linspace(0.05, 2.0, 40)
+        source = GaussianSource(random_orthonormal_basis(64, 40, rng).eigenvectors, lam)
+        moments = uniform_moments(0.7)
+        weight0 = rng.standard_normal((64, 64)) / 8.0
+        step_size = 0.5 * stability_bound(source, moments)
+        traj = run_gradient_flow(weight0, source, FlowConfig(step_size, 199), target=0.7)
+        vectors, _, star, null = lindyn._support(source, moments)
+        wv = weight0 @ vectors
+        rates = np.append(lam * moments.alpha_sq + moments.sigma_sq, moments.sigma_sq)
+        factors = (1.0 - step_size * rates).tolist()
+        assert len(traj) == 200
+        for rec in traj:
+            *powers, b = (math.pow(factor, rec.step) for factor in factors)
+            parallel = (star + np.array(powers) * (wv - star)) @ vectors.T
+            perpendicular = lindyn._null_offset(b * weight0, b * wv, vectors, (b - 1.0) * null)
+            np.testing.assert_array_equal(rec.weight_par, parallel, err_msg=f"step {rec.step}")
+            np.testing.assert_array_equal(rec.weight_perp, perpendicular, err_msg=f"step {rec.step}")
 
     def test_exact_flow_peak_memory(self):
         source = random_orthonormal_basis(256, 16, np.random.default_rng(63))

@@ -177,20 +177,20 @@ class TestTimeMeasure:
     @given(
         mu=st.floats(-3.0, 3.0),
         za=st.floats(-40.0, 40.0),
-        width=st.floats(1e-3, 40.0),
+        width=st.floats(1e-5, 40.0),
         data=st.data(),
         open_lo=st.booleans(),
     )
     def test_logit_normal_mass_over_any_interval(self, mu, za, width, data, open_lo):
         # the interval [za, za + width] in standard deviations, so both tails are reached.  Its
         # logits stay below 10, or the interval runs to 1, because the spacing of doubles near
-        # t = 1 would limit quad's own precision there; and it is at least 1e-3 wide in logits,
-        # because on narrower ones Phi(gb) - Phi(ga) cancels in the body of the measure
+        # t = 1 would limit quad's own precision there; and it is at least 1e-5 standard
+        # deviations wide, because the logits of lo and hi are rounded to about 1e-16, which on
+        # a narrower interval moves its mass by more than the 1e-9 asked of quad's total
         cap = min(3.0, (10.0 - mu) / za) if za > 0.0 else 3.0
         assume(cap >= 0.2)
         sigma = data.draw(st.floats(0.2, cap), label="sigma")
         la, lb = mu + sigma * za, mu + sigma * (za + width)
-        assume(lb - la >= 1e-3)
         lo = 0.0 if open_lo else float(special.expit(la))
         hi = float(special.expit(lb)) if lb <= 10.0 else 1.0
         ga, gb = ((math.log(t / (1.0 - t)) - mu) / sigma if 0.0 < t < 1.0 else math.copysign(math.inf, t - 0.5)
@@ -206,10 +206,25 @@ class TestTimeMeasure:
         points = [t for t in (float(special.expit(mu)),) if lo < t < hi]
         total = integrate.quad(m.density, lo, hi, points=points, epsabs=1e-11, epsrel=1e-11, limit=500)[0]
         assert total == pytest.approx(1.0, abs=1e-9)
-        # where that difference keeps half its larger term; past 15 standard deviations Phi's
-        # condition number g^2 lets two libraries differ by more than 1e-14 in any case
-        if small <= 0.5 * large and max((abs(g) for g in (ga, gb) if math.isfinite(g)), default=0.0) <= 15.0:
+        # past 15 standard deviations the condition number g^2 of Phi and of the density lets two
+        # libraries differ by more than 1e-14 in any case
+        if max((abs(g) for g in (ga, gb) if math.isfinite(g)), default=0.0) > 15.0:
+            return
+        if abs(gb - ga) < 1.0:
+            # where that difference may cancel the mass is a quadrature, so against adaptive
+            # quadrature of the normal density, whose condition number g^2 / 2 lets the two
+            # differ by a few 1e-14 at 15 standard deviations
+            exact = integrate.quad(stats.norm.pdf, ga, gb, epsabs=0.0, epsrel=1e-13)[0]
+            assert m._mass() == pytest.approx(exact, rel=1e-13, abs=0.0)
+        elif small <= 0.5 * large:
+            # where that difference keeps half its larger term
             assert m._mass() == pytest.approx(large - small, rel=1e-14, abs=0.0)
+
+    def test_narrow_interval_mass_does_not_cancel(self):
+        # Phi(gb) - Phi(ga) near 0.5 kept 7.6e-6 relative error here.  The value is the mass over
+        # the interval's rounded logits [0, 4.400035891184741e-12] at 50 digits (mpmath)
+        m = TimeMeasure("logit_normal", interval=(0.5, float(special.expit(4.4e-12))))
+        assert m._mass() == pytest.approx(1.7553603522773905e-12, rel=1e-14, abs=0.0)
 
     def test_interval_without_representable_mass_is_rejected(self):
         # 200 standard deviations above the mean: Phi(-200) underflows to 0

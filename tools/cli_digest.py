@@ -14,6 +14,11 @@ observations, which a mean and standard error can hide:
 
     <index> oracle <case> <sha256 of lindyn._loss_observations>
 
+and then one line per case with the digest of the equilibrium weight of the
+case's source and moments, so that a change to W* shows on its own:
+
+    <index> weight <case> <sha256 of lindyn.equilibrium_weight>
+
 Run the script once per checkout, with the same BLAS thread count (for
 example ``OPENBLAS_NUM_THREADS=1``), and diff the two outputs: a line that
 differs names the run whose bytes changed.  ``RUNS`` pairs each config with
@@ -152,6 +157,14 @@ def oracle_digest(arguments) -> str:
     return hashlib.sha256(lindyn._loss_observations(*arguments()).tobytes()).hexdigest()
 
 
+def weight_digest(arguments) -> str:
+    """Digest of the equilibrium weight for one oracle case's source, target, process, loss,
+    measure and clamp floor."""
+    _, source, target, _, _, process, loss, measure, clamp_floor = arguments()
+    moments = compute_moments(process, target, loss, measure, clamp_floor=clamp_floor)
+    return hashlib.sha256(equilibrium_weight(source, moments).tobytes()).hexdigest()
+
+
 def digest(command: str, cfg: dict, seed: int = 11) -> tuple[int, str]:
     """Run one command on a config in a fresh directory: its exit code and output digest."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -175,3 +188,5 @@ if __name__ == "__main__":
         print(f"{index} {command} {code} {sha}")
     for index, (name, arguments) in enumerate(ORACLE, start=len(RUNS)):
         print(f"{index} oracle {name} {oracle_digest(arguments)}")
+    for index, (name, arguments) in enumerate(ORACLE, start=len(RUNS) + len(ORACLE)):
+        print(f"{index} weight {name} {weight_digest(arguments)}")
