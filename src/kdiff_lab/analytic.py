@@ -17,7 +17,6 @@ loss plus D - d times the zero-mode loss.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimError, QuadratureDivergence, SingularEquilibrium
-from .schedule import LossTargetSpec, ProcessSpec, TargetSpec, TimeMeasure, kappa
+from .schedule import LossTargetSpec, ProcessSpec, TargetSpec, TimeMeasure, gauss_legendre_nodes, kappa
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -105,24 +104,6 @@ class OptimalLoss:
     total: float
     parallel: float
     perpendicular: float
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def gauss_legendre_nodes(interval: tuple[float, float], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights rescaled to the interval."""
-    if n < 2:
-        raise ValueError(f"need at least 2 quadrature nodes, got {n}")
-    x, w = _legendre(n)
-    lo, hi = interval
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
 
 
 def compute_moments(

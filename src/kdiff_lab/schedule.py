@@ -17,6 +17,7 @@ only integrates against a time measure never loads it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -40,6 +41,24 @@ def _ndtr(x: float) -> float:
     deviations; dividing by the rounded sqrt 2 does so only to about 6.
     """
     return 0.5 * math.erfc(-x * _SQRT1_2)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre_nodes(interval: tuple[float, float], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights rescaled to the interval."""
+    if n < 2:
+        raise ValueError(f"need at least 2 quadrature nodes, got {n}")
+    x, w = _legendre(n)
+    lo, hi = interval
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
 
 
 def _farray(t) -> np.ndarray:
@@ -212,15 +231,16 @@ class TimeMeasure:
         return s, s * ga, s * gb
 
     def _mass(self) -> float:
-        """Probability that the untruncated logit-normal time falls in the interval.  Where it
-        is narrower than one standard deviation Phi(gb) - Phi(ga) would cancel, so there it is
-        16-node Gauss-Legendre quadrature of the normal density, within 1e-14 relative."""
+        """Probability that the untruncated logit-normal time falls in the interval.  Where Phi(gb) -
+        Phi(ga) cancels in both orientations the normal density changes by at most about 2x across
+        the interval, and 16-node Gauss-Legendre quadrature of it is within 6e-15 relative of the
+        exact mass out to 15 standard deviations and 6e-14 out to 38 (mpmath)."""
         _, ga, gb = self._gauss_bounds()
-        if abs(gb - ga) >= 1.0:
-            return abs(_ndtr(gb) - _ndtr(ga))
-        x, w = np.polynomial.legendre.leggauss(16)
-        g = 0.5 * (ga + gb) + 0.5 * (gb - ga) * x
-        return abs(0.5 * (gb - ga) * float(np.dot(w, np.exp(-0.5 * g * g)))) / math.sqrt(2.0 * math.pi)
+        pa, pb, qa, qb = (_ndtr(g) for g in (ga, gb, -ga, -gb))
+        if max(pa, pb) >= 2.0 * min(pa, pb) or max(qa, qb) >= 2.0 * min(qa, qb):
+            return abs(pb - pa)
+        g, w = gauss_legendre_nodes((ga, gb), 16)
+        return abs(float(np.dot(w, np.exp(-0.5 * g * g)))) / math.sqrt(2.0 * math.pi)
 
     def density(self, t):
         """Probability density at t; zero outside the interval."""

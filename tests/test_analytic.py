@@ -31,7 +31,7 @@ from kdiff_lab import (
     optimal_loss_poly,
     u_loss_optimal_k,
 )
-from kdiff_lab import analytic
+from kdiff_lab import analytic, schedule
 from kdiff_lab.schedule import constant_fn
 
 
@@ -108,11 +108,11 @@ class TestComputeMoments:
             compute_moments(blowup, k_target(1.0), U_LOSS, UNIFORM_MEASURE)
 
     def test_cached_legendre_nodes_are_read_only(self):
-        x, w = analytic._legendre(64)
+        x, w = schedule._legendre(64)
         for arr in (x, w):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
-        assert analytic._legendre(64)[0] is x
+        assert schedule._legendre(64)[0] is x
 
     @pytest.mark.parametrize("nodes", [2, 64, 200])
     @pytest.mark.parametrize(
@@ -125,7 +125,7 @@ class TestComputeMoments:
     )
     def test_cached_nodes_give_the_moments_of_fresh_ones(self, monkeypatch, nodes, loss, measure):
         cached = [moments_for_k(0.7, loss, measure, nodes) for _ in range(2)]
-        monkeypatch.setattr(analytic, "_legendre", np.polynomial.legendre.leggauss)
+        monkeypatch.setattr(schedule, "_legendre", np.polynomial.legendre.leggauss)
         assert cached[0] == cached[1] == moments_for_k(0.7, loss, measure, nodes)
 
     def test_min_nodes(self):

@@ -24,7 +24,7 @@ from kdiff_lab import (
     kappa,
     sample_t,
 )
-from kdiff_lab.analytic import gauss_legendre_nodes
+from kdiff_lab.schedule import gauss_legendre_nodes
 
 from helpers import ZeroNormalRNG
 
@@ -206,19 +206,19 @@ class TestTimeMeasure:
         points = [t for t in (float(special.expit(mu)),) if lo < t < hi]
         total = integrate.quad(m.density, lo, hi, points=points, epsabs=1e-11, epsrel=1e-11, limit=500)[0]
         assert total == pytest.approx(1.0, abs=1e-9)
-        # past 15 standard deviations the condition number g^2 of Phi and of the density lets two
-        # libraries differ by more than 1e-14 in any case
+        # past 15 standard deviations Phi's condition number g^2 lets two libraries differ by
+        # more than 1e-14 in any case
         if max((abs(g) for g in (ga, gb) if math.isfinite(g)), default=0.0) > 15.0:
             return
-        if abs(gb - ga) < 1.0:
-            # where that difference may cancel the mass is a quadrature, so against adaptive
-            # quadrature of the normal density, whose condition number g^2 / 2 lets the two
-            # differ by a few 1e-14 at 15 standard deviations
-            exact = integrate.quad(stats.norm.pdf, ga, gb, epsabs=0.0, epsrel=1e-13)[0]
-            assert m._mass() == pytest.approx(exact, rel=1e-13, abs=0.0)
-        elif small <= 0.5 * large:
+        if small <= 0.5 * large:
             # where that difference keeps half its larger term
             assert m._mass() == pytest.approx(large - small, rel=1e-14, abs=0.0)
+        else:
+            # where it cancels in both orientations, against adaptive quadrature of the normal
+            # density, whose condition number g^2 / 2 lets the two differ by a few 1e-14 at 15
+            # standard deviations
+            exact = integrate.quad(stats.norm.pdf, ga, gb, epsabs=0.0, epsrel=1e-13)[0]
+            assert m._mass() == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_narrow_interval_mass_does_not_cancel(self):
         # Phi(gb) - Phi(ga) near 0.5 kept 7.6e-6 relative error here.  The value is the mass over
