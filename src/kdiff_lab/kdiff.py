@@ -3,10 +3,13 @@
 The network regresses ``u = k x - (1 - k) e`` from ``z = t x + (1 - t) e``
 under flow matching, where ``k = sigmoid(w_k)`` is either a trainable scalar
 or a piecewise-linear function of t over N bins.  The loss is either the
-plain target MSE or the velocity MSE obtained by converting both the target
-and the prediction to velocities with a clamped denominator.  Gradients are
-hand-derived and flow through every appearance of k (target, numerator, and
-denominator), with the clamp contributing zero subgradient where active.
+plain target MSE ("u") or the velocity MSE ("v_alg1").  Converting target and
+prediction to velocities with ``u_to_v`` adds the same (1 - 2k) z to both and
+divides both by den = max(k (1 - t) + (1 - k) t, clamp_floor), so the
+velocity residual is the target residual divided by den: "v_alg1" is the
+target MSE weighted by kappa^2 = 1 / den^2.  Gradients are hand-derived, and
+k's gradient flows through the target and the denominator, with the clamp
+contributing zero subgradient where active.
 
 A training run is single-threaded and deterministic given its seed; seed
 sweeps can run as independent processes.  ``train`` allocates the step's
@@ -175,81 +178,14 @@ class PureLinear:
         return {"weight": grad_out.T @ cache}
 
 
-def _silu(x):
-    from scipy.special import expit
-
-    s = expit(x)
-    return x * s, s
-
-
-class TwoLayer:
-    """Affine -> SiLU -> affine, with the time appended to the input.
-
-    SiLU (x * sigmoid(x)) is smooth everywhere, so finite-difference
-    gradient checks are clean.
-    """
-
-    def __init__(self, w1, b1, w2, b2):
-        self.w1 = np.array(w1, dtype=np.float64)
-        self.b1 = np.array(b1, dtype=np.float64)
-        self.w2 = np.array(w2, dtype=np.float64)
-        self.b2 = np.array(b2, dtype=np.float64)
-
-    @classmethod
-    def init(cls, dim: int, hidden: int, rng: np.random.Generator) -> "TwoLayer":
-        w1 = rng.standard_normal((hidden, dim + 1)) / math.sqrt(dim + 1)
-        w2 = rng.standard_normal((dim, hidden)) / math.sqrt(hidden)
-        return cls(w1, np.zeros(hidden), w2, np.zeros(dim))
-
-    @property
-    def dim(self) -> int:
-        return self.w2.shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def _stack_input(self, z, t):
-        z = np.asarray(z, dtype=np.float64)
-        t = np.broadcast_to(np.asarray(t, dtype=np.float64), (z.shape[0],))
-        return np.concatenate([z, t[:, None]], axis=1)
-
-    def forward(self, z, t):
-        inp = self._stack_input(z, t)
-        pre = inp @ self.w1.T + self.b1
-        act, _ = _silu(pre)
-        return act @ self.w2.T + self.b2
-
-    def forward_cache(self, z, t):
-        inp = self._stack_input(z, t)
-        pre = inp @ self.w1.T + self.b1
-        act, sig = _silu(pre)
-        out = act @ self.w2.T + self.b2
-        return out, (inp, pre, act, sig)
-
-    def backward(self, cache, grad_out) -> dict[str, np.ndarray]:
-        inp, pre, act, sig = cache
-        g_act = grad_out @ self.w2
-        g_pre = g_act * sig * (1.0 + pre * (1.0 - sig))
-        return {
-            "w1": g_pre.T @ inp,
-            "b1": g_pre.sum(axis=0),
-            "w2": grad_out.T @ act,
-            "b2": grad_out.sum(axis=0),
-        }
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Settings for a training run.
 
     loss_mode "u" is the plain target MSE (the mode whose trainable-k fixed
-    point is compared against the closed-form optimum); "v_alg1" converts
-    target and prediction to velocities first, which weights the target MSE
-    by the squared conversion factor.
+    point is compared against the closed-form optimum); "v_alg1" is the
+    velocity MSE, the target MSE weighted by 1 / max(k (1 - t) + (1 - k) t,
+    clamp_floor)^2.
     """
 
     loss_mode: str = "u"
@@ -264,7 +200,6 @@ class TrainConfig:
     clamp_floor: float = 0.05
     k_trainable: bool = True
     k_init: float = 0.5
-    stop_grad_target: bool = False
     measure: TimeMeasure = UNIFORM_MEASURE
 
     def __post_init__(self):
@@ -295,9 +230,9 @@ class _StepBuffers:
     """Scratch (batch, D) arrays for the elementwise temporaries of ``training_step``.
 
     ``train`` allocates one set per run, so a step writes into memory that is
-    already mapped instead of asking for about a dozen fresh arrays.  ``z``
-    holds the network input (a net may cache it until its backward pass),
-    ``r`` the target and then the residual, ``work`` the remaining per-mode
+    already mapped instead of asking for fresh arrays.  ``z`` holds the
+    network input (a net may cache it until its backward pass), ``r`` the
+    target and then the residual, ``work`` the remaining per-mode
     temporaries, and ``grad`` the squared residual and then the output
     gradient.
     """
@@ -319,7 +254,9 @@ def training_step(
 
     Gradient keys are "net.<param>" plus "k" when the target parameter is
     trainable.  The returned loss is the batch mean of per-sample halved
-    squared errors.
+    squared errors of the residual r = u_hat - u, which "v_alg1" divides by
+    den = max(k (1 - t) + (1 - k) t, clamp_floor) (the velocity residual
+    v_pred - v up to rounding).
 
     The (batch, D) temporaries go into ``buffers`` (fresh ones when omitted),
     each computed by the same IEEE operations in the same order as the plain
@@ -327,7 +264,7 @@ def training_step(
     reused.  The step never writes into ``x``, the noise draw, an array the
     net returned, or a gradient it returns.  The buffers are overwritten by
     the next step, so a net must not return a view of its ``grad_out`` or of
-    its input as a gradient; ``PureLinear`` and ``TwoLayer`` return new arrays.
+    its input as a gradient; ``PureLinear`` returns new arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     batch, dim = x.shape
@@ -347,50 +284,31 @@ def training_step(
     r -= work
     u_hat, cache = net.forward_cache(z, t)
 
-    dldk = None
-    if config.loss_mode == "u":
-        np.subtract(u_hat, r, out=r)
-        loss = 0.5 * float(np.sum(np.multiply(r, r, out=grad))) / batch
-        np.divide(r, batch, out=grad)
-        if kparam.trainable and not config.stop_grad_target:
-            dldk = -np.einsum("ij,ij->i", r, np.add(x, e, out=work)) / batch
-    else:
+    np.subtract(u_hat, r, out=r)
+    velocity = config.loss_mode == "v_alg1"
+    if velocity:
         raw_den = k * (1.0 - t) + (1.0 - k) * t
         den = np.maximum(raw_den, config.clamp_floor)
-        denc = den[:, None]
-        gain = 1.0 - 2.0 * kc
-        # v = (gain z + u) / den in r, v_pred = (gain z + u_hat) / den in work
-        np.multiply(gain, z, out=work)
-        r += work
-        r /= denc
-        work += u_hat
-        work /= denc
-        v_pred = work
-        np.subtract(v_pred, r, out=r)
-        loss = 0.5 * float(np.sum(np.multiply(r, r, out=grad))) / batch
-        np.divide(r, denc, out=grad)
+        r /= den[:, None]
+    loss = 0.5 * float(np.sum(np.multiply(r, r, out=grad))) / batch
+    if velocity:
+        np.divide(r, den[:, None], out=grad)
         grad /= batch
-        if kparam.trainable:
+    else:
+        np.divide(r, batch, out=grad)
+    if kparam.trainable:
+        # du/dk = x + e; under v_alg1, d(den)/dk = 1 - 2t where the clamp is not active
+        dldk = -np.einsum("ij,ij->i", r, np.add(x, e, out=work))
+        if velocity:
             dden = np.where(raw_den > config.clamp_floor, 1.0 - 2.0 * t, 0.0)
-            if config.stop_grad_target:
-                dldk = (
-                    -2.0 * np.einsum("ij,ij->i", r, z) / den
-                    - np.einsum("ij,ij->i", r, v_pred) * dden / den
-                ) / batch
-            else:
-                dldk = (
-                    -np.einsum("ij,ij->i", r, np.add(x, e, out=work)) / den
-                    - np.einsum("ij,ij->i", r, r) * dden / den
-                ) / batch
+            dldk = dldk / den - np.einsum("ij,ij->i", r, r) * dden / den
+        dldk = dldk / batch
 
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"training loss is {loss!r}")
     grads = {f"net.{name}": g for name, g in net.backward(cache, grad).items()}
     if kparam.trainable:
-        if dldk is None:
-            grads["k"] = np.zeros_like(kparam.raw)
-        else:
-            grads["k"] = kparam.grad_raw(t, dldk)
+        grads["k"] = kparam.grad_raw(t, dldk)
     return loss, grads
 
 

@@ -239,8 +239,13 @@ class TimeMeasure:
         pa, pb, qa, qb = (_ndtr(g) for g in (ga, gb, -ga, -gb))
         if max(pa, pb) >= 2.0 * min(pa, pb) or max(qa, qb) >= 2.0 * min(qa, qb):
             return abs(pb - pa)
-        g, w = gauss_legendre_nodes((ga, gb), 16)
-        return abs(float(np.dot(w, np.exp(-0.5 * g * g)))) / math.sqrt(2.0 * math.pi)
+        # the width from lo and hi themselves: the difference of the rounded logits would lose
+        # the relative precision of a narrow interval
+        lo, hi = self.interval
+        half = 0.5 * math.log1p((hi - lo) / (lo * (1.0 - hi))) / self.sigma
+        x, w = _legendre(16)
+        g = 0.5 * (ga + gb) + half * x
+        return half * float(np.dot(w, np.exp(-0.5 * g * g))) / math.sqrt(2.0 * math.pi)
 
     def density(self, t):
         """Probability density at t; zero outside the interval."""
@@ -256,9 +261,9 @@ class TimeMeasure:
             out = np.zeros(tt.shape)
             ti = tt[interior]
             g = (np.log(ti / (1.0 - ti)) - self.mu) / self.sigma
-            out[interior] = np.exp(-0.5 * g * g) / (
-                self.sigma * math.sqrt(2.0 * math.pi) * ti * (1.0 - ti) * norm
-            )
+            # the normaliser first: with t (1 - t) in it, it can underflow deep in a tail
+            scale = self.sigma * math.sqrt(2.0 * math.pi) * norm
+            out[interior] = np.exp(-0.5 * g * g) / scale / (ti * (1.0 - ti))
         return _match_scalar(out.reshape(np.shape(t)), t)
 
     def cdf(self, t):

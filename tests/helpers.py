@@ -112,15 +112,11 @@ def random_gradient_instance(rng: np.random.Generator, loss_mode: str):
     subgradient convention makes finite differences meaningless) and away
     from sigmoid saturation.
     """
-    from kdiff_lab import KParam, PureLinear, TrainConfig, TwoLayer, sample_t
+    from kdiff_lab import KParam, PureLinear, TrainConfig, sample_t
 
     dim = int(rng.integers(2, 9))
     batch = int(rng.integers(1, 5))
-    if rng.random() < 0.5:
-        net = PureLinear(0.5 * rng.standard_normal((dim, dim)))
-    else:
-        hidden = int(rng.integers(4, 13))
-        net = TwoLayer.init(dim, hidden, rng)
+    net = PureLinear(0.5 * rng.standard_normal((dim, dim)))
     if rng.random() < 0.5:
         kparam = KParam(np.asarray(rng.uniform(-2.0, 2.0)))
     else:
@@ -245,44 +241,26 @@ def training_step_reference(net, kparam, x, config, rng):
     u = kc * x - (1.0 - kc) * e
     u_hat, cache = net.forward_cache(z, t)
 
-    dldk = None
-    if config.loss_mode == "u":
-        r = u_hat - u
-        loss = 0.5 * float(np.sum(r * r)) / batch
-        g_uhat = r / batch
-        if kparam.trainable and not config.stop_grad_target:
-            dldk = -np.einsum("ij,ij->i", r, x + e) / batch
-    else:
+    r = u_hat - u
+    velocity = config.loss_mode == "v_alg1"
+    if velocity:
         raw_den = k * (1.0 - t) + (1.0 - k) * t
         den = np.maximum(raw_den, config.clamp_floor)
-        denc = den[:, None]
-        gain = 1.0 - 2.0 * kc
-        v = (gain * z + u) / denc
-        v_pred = (gain * z + u_hat) / denc
-        r = v_pred - v
-        loss = 0.5 * float(np.sum(r * r)) / batch
-        g_uhat = r / denc / batch
-        if kparam.trainable:
+        r = r / den[:, None]
+    loss = 0.5 * float(np.sum(r * r)) / batch
+    g_uhat = r / den[:, None] / batch if velocity else r / batch
+    if kparam.trainable:
+        dldk = -np.einsum("ij,ij->i", r, x + e)
+        if velocity:
             dden = np.where(raw_den > config.clamp_floor, 1.0 - 2.0 * t, 0.0)
-            if config.stop_grad_target:
-                dldk = (
-                    -2.0 * np.einsum("ij,ij->i", r, z) / den
-                    - np.einsum("ij,ij->i", r, v_pred) * dden / den
-                ) / batch
-            else:
-                dldk = (
-                    -np.einsum("ij,ij->i", r, x + e) / den
-                    - np.einsum("ij,ij->i", r, r) * dden / den
-                ) / batch
+            dldk = dldk / den - np.einsum("ij,ij->i", r, r) * dden / den
+        dldk = dldk / batch
 
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"training loss is {loss!r}")
     grads = {f"net.{name}": g for name, g in net.backward(cache, g_uhat).items()}
     if kparam.trainable:
-        if dldk is None:
-            grads["k"] = np.zeros_like(kparam.raw)
-        else:
-            grads["k"] = kparam.grad_raw(t, dldk)
+        grads["k"] = kparam.grad_raw(t, dldk)
     return loss, grads
 
 

@@ -20,6 +20,12 @@ def test_matrix_covers_every_command_on_both_data_kinds():
     assert covered == {(c, s) for c in ("theory", "dynamics", "train", "sample") for s in (False, True)}
 
 
+def test_matrix_covers_both_train_loss_modes():
+    runs = [cfg for command, cfg, _ in _tool().RUNS if command in ("train", "sample")]
+    modes = {cfg.get("train", {}).get("loss_mode", "u") for cfg in runs}
+    assert modes == {"u", "v_alg1"}
+
+
 def test_every_run_prints_its_expected_exit_code(tmp_path):
     proc = run_python([str(_TOOL)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Tests for process/target/loss specs, the kappa scale factor, and time measures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ from helpers import ZeroNormalRNG
 TGRID = np.linspace(0.05, 0.95, 19)
 # [0.9, 1] lies 8.4 standard deviations above the mean: 1 - Phi(8.4), about 2e-17, rounds Phi to 1
 UPPER_TAIL = TimeMeasure("logit_normal", interval=(0.9, 1.0), mu=-2.0, sigma=0.5)
+
+
+def _mp_logit(mpmath, t: float):
+    """log(t / (1 - t)) of a double, at mpmath's working precision."""
+    t = mpmath.mpf(t)
+    return mpmath.log(t / (1 - t))
 
 
 class TestKappa:
@@ -216,15 +223,46 @@ class TestTimeMeasure:
         else:
             # where it cancels in both orientations, against adaptive quadrature of the normal
             # density, whose condition number g^2 / 2 lets the two differ by a few 1e-14 at 15
-            # standard deviations
-            exact = integrate.quad(stats.norm.pdf, ga, gb, epsabs=0.0, epsrel=1e-13)[0]
+            # standard deviations.  It runs over the offset from ga to the exact difference of
+            # the logits, log1p((hi - lo) / (lo (1 - hi))) / sigma: gb - ga is off by about 1e-16
+            width_exact = math.log1p((hi - lo) / (lo * (1.0 - hi))) / sigma
+            exact = integrate.quad(lambda s: stats.norm.pdf(ga + s), 0.0, width_exact, epsabs=0.0, epsrel=1e-13)[0]
             assert m._mass() == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_narrow_interval_mass_does_not_cancel(self):
-        # Phi(gb) - Phi(ga) near 0.5 kept 7.6e-6 relative error here.  The value is the mass over
-        # the interval's rounded logits [0, 4.400035891184741e-12] at 50 digits (mpmath)
+        # Phi(gb) - Phi(ga) near 0.5 kept 7.6e-6 relative error here, and the difference of the
+        # rounded logits 2.2e-12.  The value is the interval's mass at 50 digits (mpmath)
         m = TimeMeasure("logit_normal", interval=(0.5, float(special.expit(4.4e-12))))
-        assert m._mass() == pytest.approx(1.7553603522773905e-12, rel=1e-14, abs=0.0)
+        assert m._mass() == pytest.approx(1.7553603522812522e-12, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 5, 50, 199])
+    def test_narrow_interval_mass_away_from_the_center(self, k):
+        # the logits of 0.7 and 0.7 + k 1e-14 are rounded to about 1e-16, which is up to 1e-3 of
+        # their difference: the width comes from lo and hi themselves
+        mpmath = pytest.importorskip("mpmath")
+        lo, hi = 0.7, 0.7 + k * 1e-14
+        with mpmath.workdps(40):
+            exact = float(mpmath.ncdf(_mp_logit(mpmath, hi)) - mpmath.ncdf(_mp_logit(mpmath, lo)))
+        assert TimeMeasure("logit_normal", interval=(lo, hi))._mass() == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_density_deep_in_the_lower_tail(self):
+        # 38 to 37 standard deviations below the mean the mass is 5.7e-300, and sigma sqrt(2 pi)
+        # t (1 - t) times it would underflow to 0
+        mpmath = pytest.importorskip("mpmath")
+        lo, hi = float(special.expit(-76.0)), float(special.expit(-74.0))
+        m = TimeMeasure("logit_normal", interval=(lo, hi), mu=0.0, sigma=2.0)
+        t = special.expit(np.array([-75.5, -75.0, -74.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = m.density(t)
+        assert np.all(np.isfinite(got))
+        with mpmath.workdps(40):
+            mass = mpmath.ncdf(_mp_logit(mpmath, hi) / 2) - mpmath.ncdf(_mp_logit(mpmath, lo) / 2)
+            exact = [
+                float(mpmath.npdf(_mp_logit(mpmath, v) / 2) / (2 * mpmath.mpf(v) * (1 - mpmath.mpf(v)) * mass))
+                for v in t
+            ]
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
 
     def test_interval_without_representable_mass_is_rejected(self):
         # 200 standard deviations above the mean: Phi(-200) underflows to 0

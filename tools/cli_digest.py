@@ -117,6 +117,14 @@ RUNS = [
                   "dynamics": {"mode": "exact", "steps": 200, "step_size": 0.5, "tol": 1e-6}}, 0),
     ("dynamics", {"data": _INTERLEAVED, "target": {"kind": "k", "k": 0.6},
                   "dynamics": {"mode": "stochastic", "steps": 40, "step_size": 0.3, "batch": 32, "tol": 10.0}}, 0),
+    # the velocity loss: constant k under logit-normal time, binned k from k_init 0.9 with the
+    # floor 0.2 active past t = 0.875, and a sampler whose net it trained
+    ("train", {"data": _MANIFOLD, "time_sampler": _LOGIT_NORMAL,
+               "train": {"steps": 60, "batch": 32, "loss_mode": "v_alg1"}}, 0),
+    ("train", {"data": _MANIFOLD, "train": {"steps": 60, "batch": 32, "loss_mode": "v_alg1", "k_bins": 4,
+                                            "k_init": 0.9, "clamp_floor": 0.2}}, 0),
+    ("sample", {"data": _MANIFOLD, "train": {"steps": 40, "batch": 16, "loss_mode": "v_alg1"},
+                "sample": {"n_samples": 40, "steps": 20, "net": "train"}}, 0),
 ]
 
 
