@@ -61,6 +61,8 @@ _INTERLEAVED = {"spectrum": [1.0, 0.0, 2.0, 1.0, 0.0]}
 _LOGIT_NORMAL = {"kind": "logit_normal", "mu": -0.4, "sigma": 0.9}
 # [0.9, 1] lies 8.4 standard deviations above this measure's mean: its mass, about 2e-17, is an upper tail
 _TAIL = {"time_sampler": {"kind": "logit_normal", "mu": -2.0, "sigma": 0.5}, "interval": [0.9, 1.0]}
+_EXACT = {"mode": "exact", "steps": 200, "step_size": 0.5, "tol": 1e-6}
+_STOCHASTIC = {"mode": "stochastic", "steps": 40, "step_size": 0.3, "batch": 32, "tol": 10.0}
 
 
 def _theory_runs():
@@ -75,9 +77,7 @@ def _theory_runs():
 
 
 def _dynamics_runs():
-    exact = {"mode": "exact", "steps": 200, "step_size": 0.5, "tol": 1e-6}
-    stochastic = {"mode": "stochastic", "steps": 40, "step_size": 0.3, "batch": 32, "tol": 10.0}
-    for data, k, flow in itertools.product((_MANIFOLD, _SQUARE, _ZERO_MODES), (1.0, 0.5, 0.2), (exact, stochastic)):
+    for data, k, flow in itertools.product((_MANIFOLD, _SQUARE, _ZERO_MODES), (1.0, 0.5, 0.2), (_EXACT, _STOCHASTIC)):
         yield "dynamics", {"data": data, "target": {"kind": "k", "k": k}, "dynamics": flow}, 0
     yield "dynamics", {"data": _MANIFOLD, "loss": "v", "time_sampler": _LOGIT_NORMAL,
                        "interval": [0.05, 0.95], "target": "x", "dynamics": {"steps": 3000, "tol": 1e-6}}, 0
@@ -106,6 +106,17 @@ def _sample_runs():
                      "sample": {"n_samples": 40, "steps": 20, "net": "train", "clamp_floor": 0.2}}, 0
 
 
+def _target_runs():
+    # a linear target, its coefficients given by the config, under the x loss and logit-normal time
+    linear = {"kind": "linear", "phi": 0.7, "psi": -0.4}
+    for flow in (_EXACT, _STOCHASTIC):
+        yield "dynamics", {"data": _MANIFOLD, "loss": "x", "time_sampler": _LOGIT_NORMAL, "target": linear,
+                           "dynamics": flow}, 0
+    # and the named targets the k grid does not reach
+    for target in ("epsilon", "v"):
+        yield "dynamics", {"data": _MANIFOLD, "target": target, "dynamics": _EXACT}, 0
+
+
 RUNS = [
     *_theory_runs(), *_dynamics_runs(), *_train_runs(), *_sample_runs(),
     # eigenvalues out of order, one repeated and zeros between them: theory groups them by eigenspace
@@ -125,6 +136,7 @@ RUNS = [
                                             "k_init": 0.9, "clamp_floor": 0.2}}, 0),
     ("sample", {"data": _MANIFOLD, "train": {"steps": 40, "batch": 16, "loss_mode": "v_alg1"},
                 "sample": {"n_samples": 40, "steps": 20, "net": "train"}}, 0),
+    *_target_runs(),
 ]
 
 
