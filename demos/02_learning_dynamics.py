@@ -26,7 +26,6 @@ from kdiff_lab import (
     random_orthonormal_basis,
     run_gradient_flow,
 )
-from kdiff_lab.schedule import constant_fn
 
 
 def main():
@@ -48,7 +47,7 @@ def main():
     print("=== The perpendicular mode ignores the data coefficient ===")
     runs = {}
     for phi in (0.2, 0.8):
-        target = TargetSpec(constant_fn(phi), constant_fn(-0.5), name=f"phi={phi}")
+        target = TargetSpec(phi, -0.5, name=f"phi={phi}")
         runs[phi] = run_gradient_flow(np.zeros((16, 16)), basis, config, target=target)
     same = all(
         np.array_equal(a.weight_perp, b.weight_perp) for a, b in zip(runs[0.2], runs[0.8])

@@ -130,18 +130,16 @@ def compute_moments(
     weight = wq * measure.density(t) * kap * kap
     a = np.asarray(process.alpha(t), dtype=np.float64)
     s = np.asarray(process.sigma(t), dtype=np.float64)
-    p = np.asarray(target.phi(t), dtype=np.float64)
-    q = np.asarray(target.psi(t), dtype=np.float64)
     integrands = {
         "one": np.ones_like(t),
         "alpha": a,
         "sigma": s,
         "alpha_sq": a * a,
         "sigma_sq": s * s,
-        "phi_alpha": p * a,
-        "psi_sigma": q * s,
-        "phi_sq": p * p,
-        "psi_sq": q * q,
+        "phi_alpha": target.phi * a,
+        "psi_sigma": target.psi * s,
+        "phi_sq": target.phi * target.phi,
+        "psi_sq": target.psi * target.psi,
     }
     values = {}
     for name, f in integrands.items():

@@ -40,10 +40,8 @@ from .schedule import (
     X_LOSS,
     X_TARGET,
     LossTargetSpec,
-    ProcessSpec,
     TargetSpec,
     TimeMeasure,
-    constant_fn,
     k_target,
 )
 from .seeding import derive_rng
@@ -52,7 +50,6 @@ _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_CHECK_FAILED = 2
 
-_PROCESSES = {"flow_matching": FLOW_MATCHING}
 _LOSSES = {"u": U_LOSS, "x": X_LOSS, "epsilon": EPSILON_LOSS, "v": V_LOSS}
 _TARGETS = {"epsilon": EPSILON_TARGET, "x": X_TARGET, "v": V_TARGET}
 _NETS = {"optimal_linear": "optimal_linear", "train": "train"}
@@ -76,7 +73,6 @@ _SCHEMA = {
     "": {
         "seed": (int, 0),
         "output_dir": (str, "."),
-        "process": (_PROCESSES, "flow_matching"),
         "loss": (_LOSSES, "u"),
         "interval": (list, _LIBRARY),
     },
@@ -119,7 +115,6 @@ class Config:
 
     seed: int
     output_dir: str
-    process: ProcessSpec
     loss: LossTargetSpec
     measure: TimeMeasure
     target: TargetSpec
@@ -134,11 +129,11 @@ class Config:
     sample: sampler.SampleRun
     n_samples: int
     net: str
-    sample_target: TargetSpec
+    sample_k: float
 
     @property
     def closed_form(self) -> bool:
-        """Whether D / (D + trace) is the u-loss k*: uniform t on [0, 1] (flow matching is the one process)."""
+        """Whether D / (D + trace) is the flow-matching u-loss k*: uniform t on [0, 1]."""
         return self.measure.kind == "uniform" and self.measure.interval == (0.0, 1.0)
 
 
@@ -213,7 +208,7 @@ def _target(raw: dict) -> TargetSpec:
         phi, psi = spec["phi"], spec["psi"]
         if phi is None or psi is None:
             raise ConfigError("linear target needs constant 'phi' and 'psi'")
-        return TargetSpec(constant_fn(phi), constant_fn(psi), name=f"linear({phi:g},{psi:g})")
+        return TargetSpec(phi, psi, name=f"linear({phi:g},{psi:g})")
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
@@ -290,10 +285,11 @@ def load_config(path, seed: int | None = None) -> Config:
     for keys, count in sizes.items():
         if 8 * count > _INT_MAX:
             raise ConfigError(f"{keys} = {count} floats take more than {_INT_MAX} bytes")
+    sample = _built("sample", sampler.SampleRun, **sample)
+    _built("sample", k_target, sample_k)  # checks sample.k
     return Config(
         seed=seed,
         output_dir=top["output_dir"],
-        process=top["process"],
         loss=top["loss"],
         measure=measure,
         target=target,
@@ -305,10 +301,10 @@ def load_config(path, seed: int | None = None) -> Config:
         tol=tol,
         train=train,
         k_bins=k_bins,
-        sample=_built("sample", sampler.SampleRun, **sample),
+        sample=sample,
         n_samples=n_samples,
         net=net,
-        sample_target=_built("sample", k_target, sample_k),
+        sample_k=sample_k,
     )
 
 
@@ -356,7 +352,7 @@ def _u_loss_k_star(cfg: Config) -> float:
     """The exact u-loss k*: D / (D + trace) where that closed form holds, else from one moment set."""
     if cfg.closed_form:
         return analytic.colored_optimal_k(cfg.spectrum)
-    moments = analytic.compute_moments(cfg.process, k_target(1.0), U_LOSS, cfg.measure)
+    moments = analytic.compute_moments(FLOW_MATCHING, k_target(1.0), U_LOSS, cfg.measure)
     return analytic.u_loss_optimal_k(cfg.spectrum.eigenvalues, moments)
 
 
@@ -383,7 +379,7 @@ def cmd_theory(cfg: Config, out: Path) -> int:
     """
 
     def row(k: float) -> tuple:
-        moments = analytic.compute_moments(cfg.process, k_target(k), cfg.loss, cfg.measure)
+        moments = analytic.compute_moments(FLOW_MATCHING, k_target(k), cfg.loss, cfg.measure)
         loss = analytic.optimal_loss(moments, cfg.spectrum)
         return (k, loss.total, loss.parallel, loss.perpendicular)
 
@@ -413,7 +409,7 @@ def cmd_dynamics(cfg: Config, out: Path) -> int:
     weight0 = np.zeros((source.ambient_dim, source.ambient_dim))
     rng = derive_rng(cfg.seed, "lindyn", "stochastic") if cfg.flow.mode == "stochastic" else None
     trajectory = lindyn.run_gradient_flow(
-        weight0, source, cfg.flow, cfg.process, cfg.target, cfg.loss, cfg.measure, rng=rng
+        weight0, source, cfg.flow, cfg.target, cfg.loss, cfg.measure, rng=rng
     )
 
     rows = [(rec.step, rec.loss, rec.dist_par, rec.dist_perp) for rec in trajectory]
@@ -484,9 +480,9 @@ def cmd_sample(cfg: Config, out: Path) -> int:
     source = _data_source(cfg)
     dim = source.ambient_dim
     if cfg.net == "optimal_linear":
-        moments = analytic.compute_moments(cfg.process, cfg.sample_target, cfg.loss, cfg.measure)
+        moments = analytic.compute_moments(FLOW_MATCHING, k_target(cfg.sample_k), cfg.loss, cfg.measure)
         net = kdiff.PureLinear(lindyn.equilibrium_weight(source, moments))
-        kparam = cfg.sample_target.k
+        kparam = cfg.sample_k
     else:
         kparam = kdiff.make_kparam(cfg.train, cfg.k_bins)
         net = kdiff.PureLinear.zeros(dim)

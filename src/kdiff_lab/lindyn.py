@@ -39,7 +39,6 @@ from .schedule import (
     U_LOSS,
     UNIFORM_MEASURE,
     LossTargetSpec,
-    ProcessSpec,
     TargetSpec,
     TimeMeasure,
     k_target,
@@ -178,7 +177,6 @@ def stochastic_gradient(
     x: np.ndarray,
     noise: np.ndarray,
     t: np.ndarray,
-    process: ProcessSpec = FLOW_MATCHING,
     target: TargetSpec | float = 1.0,
     loss: LossTargetSpec = U_LOSS,
 ) -> np.ndarray:
@@ -192,19 +190,12 @@ def stochastic_gradient(
         target = k_target(float(target))
     weight = np.asarray(weight, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    a, s, p, q, kap2 = _time_coefficients(process, target, loss, t)
-    z = a * x + s * noise
-    u = p * x + q * noise
-    resid = kap2 * (z @ weight.T - u)
+    kap = kappa(FLOW_MATCHING, target, loss, t)[:, None]
+    # flow matching: alpha = t and sigma = 1 - t
+    z = t[:, None] * x + (1.0 - t)[:, None] * noise
+    u = target.phi * x + target.psi * noise
+    resid = (kap * kap) * (z @ weight.T - u)
     return -(resid.T @ z) / len(t)
-
-
-def _time_coefficients(process, target, loss, t, clamp_floor=None):
-    """alpha, sigma, phi, psi and kappa^2 at each t, as columns."""
-    functions = (process.alpha, process.sigma, target.phi, target.psi)
-    columns = [np.asarray(f(t), dtype=np.float64)[:, None] for f in functions]
-    kap = np.asarray(kappa(process, target, loss, t, clamp_floor), dtype=np.float64)[:, None]
-    return (*columns, kap * kap)
 
 
 def quadratic_loss(weight: np.ndarray, source: GaussianSource, moments: MomentSet) -> float:
@@ -238,7 +229,6 @@ def run_gradient_flow(
     weight0: np.ndarray,
     source: GaussianSource,
     config: FlowConfig,
-    process: ProcessSpec = FLOW_MATCHING,
     target: TargetSpec | float = 1.0,
     loss: LossTargetSpec = U_LOSS,
     measure: TimeMeasure = UNIFORM_MEASURE,
@@ -282,7 +272,7 @@ def run_gradient_flow(
     """
     if isinstance(target, (int, float)):
         target = k_target(float(target))
-    moments = compute_moments(process, target, loss, measure)
+    moments = compute_moments(FLOW_MATCHING, target, loss, measure)
     bound = stability_bound(source, moments)
     if config.step_size >= bound:
         warnings.warn(
@@ -299,7 +289,7 @@ def run_gradient_flow(
         return _closed_form_flow(weight, source, moments, config)
 
     vectors, _, star, null = _support(source, moments)
-    steps = partial(_stochastic_steps, source, config, process, target, loss, measure)
+    steps = partial(_stochastic_steps, source, config, target, loss, measure)
     replay = _replay(steps, weight, copy.deepcopy(rng), source)
     keep = _log_steps(config.steps)
     trajectory = []
@@ -322,14 +312,14 @@ def run_gradient_flow(
     return trajectory
 
 
-def _stochastic_steps(source, config, process, target, loss, measure, weight, rng):
+def _stochastic_steps(source, config, target, loss, measure, weight, rng):
     """Yield (step, weight) from step 0; each step draws data, noise and t from ``rng``."""
     yield 0, weight
     for i in range(1, config.steps + 1):
         x = sample_data(source, config.batch, rng)
         noise = sample_noise(source.ambient_dim, config.batch, rng)
         t = sample_t(measure, rng, size=config.batch)
-        weight = weight + config.step_size * stochastic_gradient(weight, x, noise, t, process, target, loss)
+        weight = weight + config.step_size * stochastic_gradient(weight, x, noise, t, target, loss)
         yield i, weight
 
 
@@ -394,7 +384,6 @@ def monte_carlo_loss(
     target: TargetSpec | float,
     n_samples: int,
     rng: np.random.Generator,
-    process: ProcessSpec = FLOW_MATCHING,
     loss: LossTargetSpec = U_LOSS,
     measure: TimeMeasure = UNIFORM_MEASURE,
     clamp_floor: float | None = None,
@@ -426,8 +415,7 @@ def monte_carlo_loss(
             f"need at least 4 samples with antithetic pairs for a standard error, got {n_samples}"
         )
     values = _loss_observations(
-        np.asarray(weight, dtype=np.float64), source, target, n_pairs, rng,
-        process, loss, measure, clamp_floor,
+        np.asarray(weight, dtype=np.float64), source, target, n_pairs, rng, loss, measure, clamp_floor
     )
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / math.sqrt(n_pairs))
@@ -440,7 +428,6 @@ def _loss_observations(
     target: TargetSpec,
     n_pairs: int,
     rng: np.random.Generator,
-    process: ProcessSpec,
     loss: LossTargetSpec,
     measure: TimeMeasure,
     clamp_floor: float | None,
@@ -452,14 +439,15 @@ def _loss_observations(
         t = sample_t(measure, rng, size=m)
         x = sample_data(source, m, rng)
         noise = sample_noise(source.ambient_dim, m, rng)
-        a, s, p, q, kap2 = _time_coefficients(process, target, loss, t, clamp_floor)
-        # in place: a fresh array per operation made the oracle about 5% slower
+        kap = kappa(FLOW_MATCHING, target, loss, t, clamp_floor)
+        # in place: a fresh array per operation made the oracle about 5% slower.  Under flow
+        # matching alpha = t and sigma = 1 - t
         data_part = x @ weight.T
-        data_part *= a
-        data_part -= p * x
+        data_part *= t[:, None]
+        data_part -= target.phi * x
         noise_part = noise @ weight.T
-        noise_part *= s
-        noise_part -= q * noise
+        noise_part *= (1.0 - t)[:, None]
+        noise_part -= target.psi * noise
         sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum("ij,ij->i", noise_part, noise_part)
-        values[lo : lo + m] = 0.5 * kap2[:, 0] * sq_norm
+        values[lo : lo + m] = 0.5 * (kap * kap) * sq_norm
     return values

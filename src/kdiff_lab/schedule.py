@@ -1,9 +1,10 @@
 """Diffusion process schedules, prediction targets, loss weightings, and time samplers.
 
 A forward process mixes data and noise as ``z = alpha(t) x + sigma(t) n``; the
-network regresses a target ``u = phi(t) x + psi(t) n``.  Training may minimise
-the MSE of a different linear combination ``w = xi(t) x + eta(t) n``, which is
-equivalent to weighting the target MSE by ``kappa(t)^2`` with
+lab's one process is flow matching, alpha = t and sigma = 1 - t.  The network
+regresses a target ``u = phi x + psi n`` with constant phi and psi.  Training
+may minimise the MSE of a different constant combination ``w = xi x + eta n``,
+which is equivalent to weighting the target MSE by ``kappa(t)^2`` with
 
     kappa = (xi sigma - eta alpha) / (phi sigma - psi alpha)
 
@@ -25,8 +26,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DegenerateTarget
-
-ScheduleFn = Callable[[np.ndarray], np.ndarray]
 
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -51,6 +50,14 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _narrow_mass(center, half):
+    """Standard normal mass over [center - half, center + half], for one interval or an array of
+    them, by 16-node Gauss-Legendre quadrature of the density (see ``TimeMeasure._mass``)."""
+    x, w = _legendre(16)
+    g = np.expand_dims(center, -1) + np.multiply.outer(half, x)
+    return half * np.dot(np.exp(-0.5 * g * g), w) / math.sqrt(2.0 * math.pi)
+
+
 def gauss_legendre_nodes(interval: tuple[float, float], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights rescaled to the interval."""
     if n < 2:
@@ -72,22 +79,12 @@ def _match_scalar(out: np.ndarray, t_in) -> Union[float, np.ndarray]:
     return out
 
 
-def constant_fn(value: float) -> ScheduleFn:
-    """Schedule function that is constant in t."""
-    v = float(value)
-
-    def fn(t):
-        return np.full(np.shape(t), v)
-
-    return fn
-
-
 @dataclass(frozen=True)
 class ProcessSpec:
     """Forward-process coefficients: noisy input is ``alpha(t) x + sigma(t) n``."""
 
-    alpha: ScheduleFn
-    sigma: ScheduleFn
+    alpha: Callable[[np.ndarray], np.ndarray]
+    sigma: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
 
 
@@ -100,17 +97,16 @@ FLOW_MATCHING = ProcessSpec(
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Prediction-target coefficients: the regressed quantity is ``phi(t) x + psi(t) n``."""
+    """Prediction-target coefficients: the regressed quantity is ``phi x + psi n``."""
 
-    phi: ScheduleFn
-    psi: ScheduleFn
+    phi: float
+    psi: float
     name: str = "custom"
-    k: float | None = None
 
 
-EPSILON_TARGET = TargetSpec(constant_fn(0.0), constant_fn(1.0), name="epsilon")
-X_TARGET = TargetSpec(constant_fn(1.0), constant_fn(0.0), name="x")
-V_TARGET = TargetSpec(constant_fn(1.0), constant_fn(-1.0), name="v")
+EPSILON_TARGET = TargetSpec(0.0, 1.0, name="epsilon")
+X_TARGET = TargetSpec(1.0, 0.0, name="x")
+V_TARGET = TargetSpec(1.0, -1.0, name="v")
 
 
 def k_target(k: float) -> TargetSpec:
@@ -123,27 +119,28 @@ def k_target(k: float) -> TargetSpec:
     k = float(k)
     if not 0.0 <= k <= 1.0:
         raise ValueError(f"k must lie in [0, 1], got {k}")
-    return TargetSpec(constant_fn(k), constant_fn(-(1.0 - k)), name=f"k({k:g})", k=k)
+    return TargetSpec(k, -(1.0 - k), name=f"k({k:g})")
 
 
 @dataclass(frozen=True)
 class LossTargetSpec:
-    """Training-variable coefficients ``w = xi(t) x + eta(t) n``.
+    """Training-variable coefficients ``w = xi x + eta n``; None for both is the plain
+    target loss (w == u)."""
 
-    ``follows_target`` marks the plain target loss (w == u), whose scale
-    factor is identically 1 for every process/target pair.
-    """
-
-    xi: ScheduleFn | None
-    eta: ScheduleFn | None
+    xi: float | None
+    eta: float | None
     name: str = "custom"
-    follows_target: bool = False
+
+    @property
+    def follows_target(self) -> bool:
+        """Whether this is the plain target loss, whose scale factor is 1 for every target."""
+        return self.xi is None
 
 
-U_LOSS = LossTargetSpec(None, None, name="u", follows_target=True)
-X_LOSS = LossTargetSpec(constant_fn(1.0), constant_fn(0.0), name="x")
-EPSILON_LOSS = LossTargetSpec(constant_fn(0.0), constant_fn(1.0), name="epsilon")
-V_LOSS = LossTargetSpec(constant_fn(1.0), constant_fn(-1.0), name="v")
+U_LOSS = LossTargetSpec(None, None, name="u")
+X_LOSS = LossTargetSpec(1.0, 0.0, name="x")
+EPSILON_LOSS = LossTargetSpec(0.0, 1.0, name="epsilon")
+V_LOSS = LossTargetSpec(1.0, -1.0, name="v")
 
 
 def kappa(
@@ -165,8 +162,8 @@ def kappa(
         return _match_scalar(np.ones(tt.shape), t)
     a = _farray(process.alpha(tt))
     s = _farray(process.sigma(tt))
-    num = _farray(loss.xi(tt)) * s - _farray(loss.eta(tt)) * a
-    den = _farray(target.phi(tt)) * s - _farray(target.psi(tt)) * a
+    num = loss.xi * s - loss.eta * a
+    den = target.phi * s - target.psi * a
     if clamp_floor is None:
         if np.any(np.abs(den) < _EPS):
             raise DegenerateTarget(
@@ -243,9 +240,7 @@ class TimeMeasure:
         # the relative precision of a narrow interval
         lo, hi = self.interval
         half = 0.5 * math.log1p((hi - lo) / (lo * (1.0 - hi))) / self.sigma
-        x, w = _legendre(16)
-        g = 0.5 * (ga + gb) + half * x
-        return half * float(np.dot(w, np.exp(-0.5 * g * g))) / math.sqrt(2.0 * math.pi)
+        return float(_narrow_mass(0.5 * (ga + gb), half))
 
     def density(self, t):
         """Probability density at t; zero outside the interval."""
@@ -276,11 +271,17 @@ class TimeMeasure:
         from scipy.special import ndtr
 
         s, ga, gb = self._gauss_bounds()
-        za, zb = ndtr(ga), ndtr(gb)
-        tc = np.clip(tt, 1e-300, 1.0 - 1e-16)
-        g = (np.log(tc / (1.0 - tc)) - self.mu) / self.sigma
-        out = np.clip((ndtr(s * g) - za) / (zb - za), 0.0, 1.0)
-        out = np.where(tt <= lo, 0.0, np.where(tt >= hi, 1.0, out))
+        pa, pb, qa, qb = ndtr([ga, gb, -ga, -gb])
+        tc = np.clip(tt, max(lo, 1e-300), min(hi, 1.0 - 1e-16))
+        g = s * (np.log(tc / (1.0 - tc)) - self.mu) / self.sigma
+        if max(pa, pb) >= 2.0 * min(pa, pb) or max(qa, qb) >= 2.0 * min(qa, qb):
+            out = (ndtr(g) - pa) / (pb - pa)
+        else:
+            # where ``_mass`` integrates the interval's mass, so is every [lo, t] narrow: integrate
+            # it too, over the width from lo and t themselves
+            half = 0.5 * np.log1p((tc - lo) / (lo * (1.0 - tc))) / self.sigma
+            out = _narrow_mass(0.5 * (ga + g), half) / self._mass()
+        out = np.where(tt <= lo, 0.0, np.where(tt >= hi, 1.0, np.clip(out, 0.0, 1.0)))
         return _match_scalar(out, t)
 
 

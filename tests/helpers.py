@@ -330,16 +330,14 @@ def run_python(args, cwd, preexec_fn=None) -> subprocess.CompletedProcess:
     )
 
 
-def monte_carlo_observations_reference(
-    weight, basis, target, n_pairs, rng, process, loss, measure, clamp_floor
-):
+def monte_carlo_observations_reference(weight, basis, target, n_pairs, rng, loss, measure, clamp_floor):
     """``lindyn._loss_observations`` as a plain loop over 1024-pair blocks.
 
     Each block draws its t, data and noise, in that order, and forms its two
-    residual parts from whole expressions: the reference that the oracle must
-    match bit for bit.
+    residual parts from whole expressions under flow matching, alpha = t and
+    sigma = 1 - t: the reference that the oracle must match bit for bit.
     """
-    from kdiff_lab import kappa, sample_data, sample_noise, sample_t
+    from kdiff_lab import FLOW_MATCHING, kappa, sample_data, sample_noise, sample_t
 
     values = []
     for start in range(0, n_pairs, 1024):
@@ -347,13 +345,10 @@ def monte_carlo_observations_reference(
         t = sample_t(measure, rng, size=m)
         x = sample_data(basis, m, rng)
         noise = sample_noise(basis.ambient_dim, m, rng)
-        a = np.asarray(process.alpha(t), dtype=np.float64)[:, None]
-        s = np.asarray(process.sigma(t), dtype=np.float64)[:, None]
-        p = np.asarray(target.phi(t), dtype=np.float64)[:, None]
-        q = np.asarray(target.psi(t), dtype=np.float64)[:, None]
-        kap2 = np.asarray(kappa(process, target, loss, t, clamp_floor), dtype=np.float64) ** 2
-        data_part = (x @ weight.T) * a - p * x
-        noise_part = (noise @ weight.T) * s - q * noise
+        a, s = t[:, None], (1.0 - t)[:, None]
+        kap2 = np.asarray(kappa(FLOW_MATCHING, target, loss, t, clamp_floor), dtype=np.float64) ** 2
+        data_part = (x @ weight.T) * a - target.phi * x
+        noise_part = (noise @ weight.T) * s - target.psi * noise
         sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(
             "ij,ij->i", noise_part, noise_part
         )
@@ -362,16 +357,14 @@ def monte_carlo_observations_reference(
 
 
 def monte_carlo_loss_reference(
-    weight, basis, target, n_samples, rng, process=kdiff_lab.FLOW_MATCHING, loss=kdiff_lab.U_LOSS,
-    measure=kdiff_lab.UNIFORM_MEASURE, clamp_floor=None,
+    weight, basis, target, n_samples, rng, loss=kdiff_lab.U_LOSS, measure=kdiff_lab.UNIFORM_MEASURE, clamp_floor=None
 ):
     """``lindyn.monte_carlo_loss`` reduced from the reference observations."""
     if isinstance(target, (int, float)):
         target = kdiff_lab.k_target(float(target))
     n_pairs = n_samples // 2
     values = monte_carlo_observations_reference(
-        np.asarray(weight, dtype=np.float64), basis, target, n_pairs, rng,
-        process, loss, measure, clamp_floor,
+        np.asarray(weight, dtype=np.float64), basis, target, n_pairs, rng, loss, measure, clamp_floor
     )
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_pairs))
 

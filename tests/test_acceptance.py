@@ -43,8 +43,6 @@ from kdiff_lab import (
     train,
     u_to_v,
 )
-from kdiff_lab.schedule import constant_fn
-
 from helpers import gradient_check, random_gradient_instance
 
 
@@ -133,7 +131,7 @@ def test_criterion_4_perpendicular_mode_decoupling():
     config = FlowConfig(step_size=0.5, steps=200, mode="exact")
     trajectories = []
     for phi in (0.2, 0.8):
-        target = TargetSpec(constant_fn(phi), constant_fn(-0.5), name=f"phi={phi}")
+        target = TargetSpec(phi, -0.5, name=f"phi={phi}")
         trajectories.append(
             run_gradient_flow(np.zeros((16, 16)), basis, config, target=target)
         )

@@ -32,7 +32,6 @@ from kdiff_lab import (
     u_loss_optimal_k,
 )
 from kdiff_lab import analytic, schedule
-from kdiff_lab.schedule import constant_fn
 
 
 def moments_for_k(k, loss=U_LOSS, measure=UNIFORM_MEASURE, nodes=64):
@@ -146,7 +145,7 @@ class TestOptimalWeightCoeffs:
     def test_singular_denominator_raises(self):
         # a noiseless process has sigma_sq = 0
         noiseless = ProcessSpec(
-            alpha=lambda t: np.asarray(t, dtype=float), sigma=constant_fn(0.0), name="noiseless"
+            alpha=lambda t: np.asarray(t, dtype=float), sigma=lambda t: np.zeros(np.shape(t)), name="noiseless"
         )
         m = compute_moments(noiseless, k_target(1.0), U_LOSS, UNIFORM_MEASURE)
         with pytest.raises(SingularEquilibrium):

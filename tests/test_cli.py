@@ -19,7 +19,6 @@ from kdiff_lab import (
     ConfigError,
     DimError,
     Spectrum,
-    TargetSpec,
     analytic,
     cli,
     k_target,
@@ -566,9 +565,13 @@ class TestConfigValidation:
         assert main(["theory", "--config", str(path)]) == 1
         assert "valid JSON" in capsys.readouterr().err
 
-    def test_unsupported_process(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {"process": "ddpm"})
-        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    def test_unsupported_process(self, tmp_path, capsys):
+        # flow matching is the one process, so the config has no key to name it
+        for process in ("ddpm", "flow_matching"):
+            cfg = write_config(tmp_path, f"{process}.json", {"process": process})
+            assert main(["theory", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == "error: ConfigError: unknown config keys: ['process']\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, cfg, message",
@@ -820,6 +823,14 @@ class TestConfigValidation:
                 "dynamics", {"data": {"spectrum": [1e155, 0]}},
                 "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+155", id="dynamics-overflow",
             ),
+            # phi^2 overflows in the moments; with coefficients held as arrays it also warned of the overflow
+            *(
+                pytest.param(
+                    "dynamics", {"target": {"kind": "linear", "phi": 1e200, "psi": 0}, "dynamics": {"mode": mode}},
+                    "QuadratureDivergence: non-finite integrand for moment 'phi_sq'", id=f"linear-overflow-{mode}",
+                )
+                for mode in ("exact", "stochastic")
+            ),
         ],
     )
     def test_bad_input_fails_before_any_work(self, tmp_path, capsys, command, cfg, message):
@@ -955,8 +966,6 @@ class TestConfigSchema:
             a, b = getattr(got, field.name), getattr(default, field.name)
             if isinstance(a, Spectrum):
                 assert np.array_equal(a.eigenvalues, b.eigenvalues), field.name
-            elif isinstance(a, TargetSpec):
-                assert (a.name, a.k) == (b.name, b.k), field.name
             else:
                 assert a == b, field.name
 

@@ -40,7 +40,6 @@ from kdiff_lab import (
 )
 from kdiff_lab import lindyn
 from kdiff_lab.errors import DimError
-from kdiff_lab.schedule import constant_fn
 
 from helpers import (
     decompose_reference,
@@ -238,7 +237,7 @@ class TestGradientFlow:
         config = FlowConfig(step_size=0.4, steps=50, mode="exact")
         runs = []
         for phi in (0.2, 0.8):
-            target = TargetSpec(constant_fn(phi), constant_fn(-0.5), name=f"phi{phi}")
+            target = TargetSpec(phi, -0.5, name=f"phi{phi}")
             runs.append(run_gradient_flow(np.zeros((8, 8)), basis, config, target=target))
         for rec_a, rec_b in zip(*runs):
             np.testing.assert_array_equal(rec_a.weight_perp, rec_b.weight_perp)
@@ -275,7 +274,7 @@ class TestGradientFlow:
         # phi = -psi puts the parallel equilibrium at exactly 0, so a zero
         # start leaves that mode there for good, whatever its factor
         basis = random_orthonormal_basis(5, 2, np.random.default_rng(44))
-        target = TargetSpec(constant_fn(0.5), constant_fn(-0.5), name="balanced")
+        target = TargetSpec(0.5, -0.5, name="balanced")
         config = FlowConfig(step_size=4.0, steps=2000)  # factors -5/3 and -1/3
         with pytest.warns(UserWarning, match="stability"):
             traj = run_gradient_flow(np.zeros((5, 5)), basis, config, target=target)
@@ -318,7 +317,7 @@ class TestGradientFlow:
         self, dims, eigenvalues, phi, psi, step_fraction, steps, scale, seed
     ):
         ambient, d = dims
-        target = TargetSpec(constant_fn(phi), constant_fn(psi), name="linear")
+        target = TargetSpec(phi, psi, name="linear")
         moments = compute_moments(FLOW_MATCHING, target, U_LOSS, UNIFORM_MEASURE)
         rng = np.random.default_rng(seed)
         source = random_orthonormal_basis(ambient, d, rng)
@@ -542,7 +541,7 @@ class TestEigenvectorBlocks:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_exact_rows_are_rotation_invariant(self, dims, eigenvalues, phi, psi, step_fraction, steps, seed):
-        target = TargetSpec(constant_fn(phi), constant_fn(psi), name="linear")
+        target = TargetSpec(phi, psi, name="linear")
         moments = compute_moments(FLOW_MATCHING, target, U_LOSS, UNIFORM_MEASURE)
         rng = np.random.default_rng(seed)
         source = _spectral_source(dims, eigenvalues, rng)
@@ -731,7 +730,7 @@ class TestMonteCarloLoss:
             x = sample_data(basis, m, draws)
             noise = sample_noise(7, m, draws)
             a, s = FLOW_MATCHING.alpha(t)[:, None], FLOW_MATCHING.sigma(t)[:, None]
-            p, q = target.phi(t)[:, None], target.psi(t)[:, None]
+            p, q = target.phi, target.psi
             halves = [
                 0.5 * kappa(FLOW_MATCHING, target, loss, t, clamp) ** 2 * np.sum(r * r, axis=1)
                 for r in (
@@ -783,7 +782,7 @@ class TestMonteCarloBlocks:
         basis = random_orthonormal_basis(D, d, rng)
         weight = rng.standard_normal((D, D))
         target = k_target(float(rng.uniform()))
-        options = dict(process=FLOW_MATCHING, loss=U_LOSS, measure=UNIFORM_MEASURE, clamp_floor=None)
+        options = dict(loss=U_LOSS, measure=UNIFORM_MEASURE, clamp_floor=None)
         if v_loss:
             measure = TimeMeasure("logit_normal", mu=-0.4, sigma=0.9)
             options.update(loss=V_LOSS, measure=measure, clamp_floor=0.05)

@@ -20,6 +20,8 @@ from kdiff_lab import (
     X_LOSS,
     X_TARGET,
     DegenerateTarget,
+    LossTargetSpec,
+    TargetSpec,
     TimeMeasure,
     k_target,
     kappa,
@@ -109,7 +111,7 @@ class TestRoundTrip:
             t = rng.uniform(0.1, 0.9)
             x, n, u_hat = rng.standard_normal((3, 6))
             a, s = t, 1.0 - t
-            phi, psi = float(target.phi(t)), float(target.psi(t))
+            phi, psi = target.phi, target.psi
             z = a * x + s * n
             u = phi * x + psi * n
             den = phi * s - psi * a
@@ -118,7 +120,7 @@ class TestRoundTrip:
             if loss.follows_target:
                 xi, eta = phi, psi
             else:
-                xi, eta = float(loss.xi(t)), float(loss.eta(t))
+                xi, eta = loss.xi, loss.eta
             w = xi * x + eta * n
             w_hat = xi * x_hat + eta * n_hat
             kap = kappa(FLOW_MATCHING, target, loss, t)
@@ -136,13 +138,23 @@ class TestKTarget:
 
     def test_endpoints_recover_classic_targets(self):
         # k=0 -> -epsilon, k=0.5 -> v/2, k=1 -> x (constant scalings)
-        t = TGRID
-        np.testing.assert_array_equal(k_target(0.0).phi(t), -1.0 * np.asarray(EPSILON_TARGET.phi(t)))
-        np.testing.assert_array_equal(k_target(0.0).psi(t), -1.0 * np.asarray(EPSILON_TARGET.psi(t)))
-        np.testing.assert_array_equal(k_target(0.5).phi(t), 0.5 * np.asarray(V_TARGET.phi(t)))
-        np.testing.assert_array_equal(k_target(0.5).psi(t), 0.5 * np.asarray(V_TARGET.psi(t)))
-        np.testing.assert_array_equal(k_target(1.0).phi(t), np.asarray(X_TARGET.phi(t)))
-        np.testing.assert_array_equal(k_target(1.0).psi(t), np.asarray(X_TARGET.psi(t)))
+        assert k_target(0.0).phi == -1.0 * EPSILON_TARGET.phi
+        assert k_target(0.0).psi == -1.0 * EPSILON_TARGET.psi
+        assert k_target(0.5).phi == 0.5 * V_TARGET.phi
+        assert k_target(0.5).psi == 0.5 * V_TARGET.psi
+        assert k_target(1.0).phi == X_TARGET.phi
+        assert k_target(1.0).psi == X_TARGET.psi
+
+    def test_coefficients_are_numbers(self):
+        # a target and a loss are their constant coefficients, compared as values
+        assert k_target(0.25) == TargetSpec(0.25, -0.75, name="k(0.25)")
+        assert (X_LOSS.xi, X_LOSS.eta, V_LOSS.eta) == (1.0, 0.0, -1.0)
+        assert U_LOSS.follows_target and not any(loss.follows_target for loss in (X_LOSS, EPSILON_LOSS, V_LOSS))
+        # follows_target is read from the coefficients, so it cannot disagree with them
+        with pytest.raises(TypeError):
+            LossTargetSpec(1.0, 0.0, follows_target=True)
+        with pytest.raises(AttributeError):
+            X_LOSS.follows_target = True
 
     def test_flow_matching_sums_to_one(self):
         t = np.linspace(0, 1, 101)
@@ -339,6 +351,45 @@ class TestSampleT:
             assert m.cdf(t) == pytest.approx(integrate.quad(m.density, 0.9, t)[0], abs=1e-10)
         draws = sample_t(m, np.random.default_rng(8), size=10_000)
         assert draws.min() >= 0.9 and draws.max() < 0.95
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.5, float(special.expit(4.4e-12))), (0.7, 0.7 + 1e-14), (0.7, 0.7 + 199e-14)],
+        ids=["center", "away-1", "away-199"],
+    )
+    def test_narrow_interval_cdf_does_not_cancel(self, lo, hi):
+        # Phi(gb) - Phi(ga) cancels here: at the center interval's midpoint the plain ratio of Phi
+        # differences read 0.49996837644677755.  The values are the ratio of masses at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        m = TimeMeasure("logit_normal", interval=(lo, hi))
+        t = lo + (hi - lo) * np.array([0.1, 0.25, 0.5, 0.75, 0.9])
+        with mpmath.workdps(50):
+            base = mpmath.ncdf(_mp_logit(mpmath, lo))
+            mass = mpmath.ncdf(_mp_logit(mpmath, hi)) - base
+            exact = [float((mpmath.ncdf(_mp_logit(mpmath, v)) - base) / mass) for v in t]
+        np.testing.assert_allclose(m.cdf(t), exact, rtol=1e-13, atol=0.0)
+        assert m.cdf(float(t[2])) == pytest.approx(exact[2], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            TimeMeasure("logit_normal", interval=(0.1, 0.8), mu=0.0, sigma=1.0),
+            TimeMeasure("logit_normal", interval=(0.0, 0.3), mu=0.5, sigma=0.7),
+            TimeMeasure("logit_normal", interval=(0.05, 1.0), mu=-0.4, sigma=0.9),
+            TimeMeasure("logit_normal", mu=-0.8, sigma=0.8),
+            UPPER_TAIL,
+        ],
+        ids=["below-mean", "open-lo", "open-hi", "whole", "upper-tail"],
+    )
+    def test_wide_interval_cdf_is_the_ratio_of_phi_differences(self, measure):
+        # where Phi(gb) - Phi(ga) does not cancel, scipy's plain ratio of Phi differences is the CDF
+        lo, hi = measure.interval
+        t = np.linspace(lo, hi, 203)[1:-1]
+        v = np.concatenate(([lo], t, [hi]))
+        with np.errstate(divide="ignore"):  # the logit of 0 or 1 is infinite
+            logits = (np.log(v / (1.0 - v)) - measure.mu) / measure.sigma
+        s = -1.0 if logits[0] > 0.0 else 1.0  # the orientation in which Phi is not 1 at both bounds
+        za, zt, zb = special.ndtr(s * logits[0]), special.ndtr(s * logits[1:-1]), special.ndtr(s * logits[-1])
+        np.testing.assert_allclose(measure.cdf(t), (zt - za) / (zb - za), rtol=1e-14, atol=0.0)
 
     def test_truncation_below_the_mean_keeps_the_plain_inverse_transform(self):
         # ga <= 0: the draws are those of the unmirrored inverse transform, bit for bit

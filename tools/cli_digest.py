@@ -145,14 +145,14 @@ def _bench_oracle(index: int, D: int, d: int, k: float) -> tuple:
     rng = np.random.default_rng(3000 + index)
     source = random_orthonormal_basis(D, d, rng)
     weight = equilibrium_weight(source, compute_moments(FLOW_MATCHING, k_target(k), U_LOSS, UNIFORM_MEASURE))
-    return weight, source, k_target(k), 1 << 17, rng, FLOW_MATCHING, U_LOSS, UNIFORM_MEASURE, None
+    return weight, source, k_target(k), 1 << 17, rng, U_LOSS, UNIFORM_MEASURE, None
 
 
 def _spectrum_oracle() -> tuple:
     rng = np.random.default_rng(3100)
     source = GaussianSource(random_orthonormal_basis(9, 5, rng).eigenvectors, [3.0, 1.0, 1.0, 0.2, 0.0])
     weight = 0.3 * rng.standard_normal((9, 9))
-    return weight, source, k_target(0.6), 3000, rng, FLOW_MATCHING, U_LOSS, UNIFORM_MEASURE, None
+    return weight, source, k_target(0.6), 3000, rng, U_LOSS, UNIFORM_MEASURE, None
 
 
 def _v_loss_oracle() -> tuple:
@@ -160,7 +160,7 @@ def _v_loss_oracle() -> tuple:
     source = random_orthonormal_basis(12, 3, rng)
     weight = 0.3 * rng.standard_normal((12, 12))
     measure = TimeMeasure("logit_normal", mu=-0.4, sigma=0.9)
-    return weight, source, k_target(0.3), 2500, rng, FLOW_MATCHING, V_LOSS, measure, 0.05
+    return weight, source, k_target(0.3), 2500, rng, V_LOSS, measure, 0.05
 
 
 # name and arguments of lindyn._loss_observations, built when digested
@@ -178,10 +178,10 @@ def oracle_digest(arguments) -> str:
 
 
 def weight_digest(arguments) -> str:
-    """Digest of the equilibrium weight for one oracle case's source, target, process, loss,
-    measure and clamp floor."""
-    _, source, target, _, _, process, loss, measure, clamp_floor = arguments()
-    moments = compute_moments(process, target, loss, measure, clamp_floor=clamp_floor)
+    """Digest of the equilibrium weight for one oracle case's source, target, loss, measure and
+    clamp floor, under flow matching."""
+    _, source, target, _, _, loss, measure, clamp_floor = arguments()
+    moments = compute_moments(FLOW_MATCHING, target, loss, measure, clamp_floor=clamp_floor)
     return hashlib.sha256(equilibrium_weight(source, moments).tobytes()).hexdigest()
 
 
