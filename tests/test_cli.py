@@ -823,7 +823,7 @@ class TestConfigValidation:
                 "dynamics", {"data": {"spectrum": [1e155, 0]}},
                 "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+155", id="dynamics-overflow",
             ),
-            # phi^2 overflows in the moments; with coefficients held as arrays it also warned of the overflow
+            # phi^2 overflows in the moments, with no warning line before the error
             *(
                 pytest.param(
                     "dynamics", {"target": {"kind": "linear", "phi": 1e200, "psi": 0}, "dynamics": {"mode": mode}},
