@@ -12,7 +12,9 @@ Euler recursion has a closed form: the offset of each column W v_j from the
 equilibrium, and of the null space's part, shrinks by a fixed factor per
 step.  Exact-mode flow therefore measures those offsets once and evaluates
 every recorded step from scalar powers of the factors; stochastic mode steps
-the weight itself through fresh sample batches.
+the weight itself through fresh sample batches.  A trajectory row holds only
+numbers, its step, loss and two distances; ``flow_weight`` builds the weight
+of an exact-mode row from W0.
 
 ``monte_carlo_loss`` estimates the same training loss by simulation and is
 the independent oracle for the closed-form equilibrium loss.  It draws and
@@ -22,12 +24,9 @@ number of samples times D.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,29 +83,14 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowRecord:
-    """Trajectory snapshot: loss and distances to equilibrium, weights on demand.
-
-    The weight components are built when read, so a trajectory holds no D x D
-    matrix per row (``run_gradient_flow`` says what a read costs).
-    """
+    """Trajectory row: the step, the loss and the distances to equilibrium of the weight's
+    parts on the data's support and null space.  A row holds these numbers only;
+    ``flow_weight`` gives an exact-mode row's weight."""
 
     step: int
     loss: float
     dist_par: float
     dist_perp: float
-    _modes: Callable[[], ModeDecomposition] = field(repr=False, compare=False)
-
-    @property
-    def weight_par(self) -> np.ndarray:
-        return self._modes().parallel
-
-    @property
-    def weight_perp(self) -> np.ndarray:
-        return self._modes().perpendicular
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self._modes().total
 
 
 def decompose(weight: np.ndarray, source: GaussianSource) -> ModeDecomposition:
@@ -145,14 +129,52 @@ def _null_offset(weight: np.ndarray, wv: np.ndarray, vectors: np.ndarray, coeffi
     return offset
 
 
-def _shifted(weight0: np.ndarray, support, factors: list[float], step: int) -> ModeDecomposition:
-    """W* plus each column's and the null space's offset of ``weight0`` times its factor**step,
-    split into the support's part and the null space's; ``factors`` holds one per column of
-    V, then the null space's."""
-    vectors, _, star, null = support
-    # Python's pow, as the rows' distances take it, so the weights' bits do not depend on the CPU
-    *powers, b = (factor**step for factor in factors)
+def _flow_modes(weight0: np.ndarray, source: GaussianSource, moments: MomentSet, step_size: float):
+    """What the exact flow from ``weight0`` needs: the support (``_support``), W0 V, and per
+    mode, one per column of V and then the null space, the initial distance from equilibrium,
+    the rate lam_j alpha_sq + sigma_sq (sigma_sq on the null space) and the per-step factor
+    1 - step_size * rate, which is 0 for a mode that starts at its equilibrium, since it stays
+    there whatever its factor.
+
+    Raises:
+        Divergence: if a factor has magnitude above 1.
+    """
+    support = vectors, lam, star, null = _support(source, moments)
     wv = weight0 @ vectors
+    # column j of W0 V - W* V is the offset (W0 - c(lam_j) I) v_j, then the null space's
+    norms = np.append(np.linalg.norm(wv - star, axis=0), np.linalg.norm(_null_offset(weight0, wv, vectors, null)))
+    rates = np.append(lam * moments.alpha_sq + moments.sigma_sq, moments.sigma_sq)
+    factors = np.where(norms > 0.0, 1.0 - step_size * rates, 0.0).tolist()
+    for index, factor in enumerate(factors):
+        if abs(factor) > 1.0:
+            name = "perpendicular" if index == lam.size else "parallel"
+            raise Divergence(f"{name} mode grows by a factor {abs(factor):.6g} per step (step_size {step_size})")
+    return support, wv, norms, rates, factors
+
+
+def _powers(factors: list[float], step: int) -> list[float]:
+    """Each factor**step by Python's pow, the C library's: numpy's array power takes SIMD
+    kernels on some CPUs, so its last bits, and those of every row and weight, would depend
+    on the machine."""
+    return [factor**step for factor in factors]
+
+
+def flow_weight(
+    weight0: np.ndarray, source: GaussianSource, moments: MomentSet, step_size: float, step: int
+) -> ModeDecomposition:
+    """The weight of the exact-mode flow from ``weight0`` after ``step`` Euler steps of
+    ``step_size`` under ``moments``, split into its support's and null space's parts.
+
+    W* plus each column's and the null space's offset of W0 times its factor**step, with the
+    factors and their check those of ``run_gradient_flow``'s rows.
+
+    Raises:
+        Divergence: if a mode that starts off its equilibrium has a factor of magnitude above 1.
+        DimError: if ``weight0`` is not D x D.
+    """
+    weight0 = _checked(weight0, source)
+    (vectors, _, star, null), wv, _, _, factors = _flow_modes(weight0, source, moments, step_size)
+    *powers, b = _powers(factors, step)
     parallel = (star + np.multiply(powers, wv - star)) @ vectors.T
     # on the null space the weight is W0 b + c(0) (1 - b) I, restricted to it
     perpendicular = _null_offset(b * weight0, b * wv, vectors, (b - 1.0) * null)
@@ -247,21 +269,20 @@ def run_gradient_flow(
     ``dist_perp`` is the null space's.  The loss is
     L* + sum (lam_j*alpha_sq + sigma_sq) * dist_j**2 / 2 over the columns and
     the null space, with L* from ``optimal_loss``.  No D x D projector or
-    covariance is formed, every recorded row costs O(r), and no row keeps a
-    D x D matrix of its own: a row rebuilds its weight from W0 when read.
-    The perpendicular trajectory depends only on sigma_sq, psi_sigma and W0,
-    so it is bit-identical across runs that differ only in the data
+    covariance is formed and every recorded row costs O(r).  The
+    perpendicular trajectory depends only on sigma_sq, psi_sigma and W0, so
+    it is bit-identical across runs that differ only in the data
     coefficient.
 
     Stochastic mode steps the weight W itself, one Euler step per fresh
     batch of samples; a row takes its loss from W and measures |W V - W* V|
-    and |(W - c(0) I)(I - V V^T)|.  Only the last row keeps its weight:
-    reading an earlier one replays the run from W0 and a copy of ``rng``
-    taken before the first draw, once for all rows read in step order, and
-    from step 0 again for a row before the last read.  A read then splits
-    the replayed W with ``decompose``, so its ``weight`` is the stepped W bit
-    for bit.  In either mode a ``step_size`` at or above ``stability_bound``
-    warns before any step, since the mean dynamics then diverge.
+    and |(W - c(0) I)(I - V V^T)|.  In either mode a ``step_size`` at or
+    above ``stability_bound`` warns before any step, since the mean dynamics
+    then diverge.
+
+    A row holds its step, loss and distances, and no weight.  ``flow_weight``
+    gives an exact-mode row's weight; a stochastic run's weights are the
+    ones ``_stochastic_steps`` yields for a generator in the same state.
 
     Raises:
         Divergence: in exact mode, before any step, if a mode that starts
@@ -283,19 +304,16 @@ def run_gradient_flow(
     if config.mode == "stochastic" and rng is None:
         raise ValueError("stochastic mode needs an rng")
 
-    # a row keeps this copy, so a caller's later edit must not reach it
     weight = _checked(weight0, source)
     if config.mode == "exact":
         return _closed_form_flow(weight, source, moments, config)
 
     vectors, _, star, null = _support(source, moments)
-    steps = partial(_stochastic_steps, source, config, target, loss, measure)
-    replay = _replay(steps, weight, copy.deepcopy(rng), source)
     keep = _log_steps(config.steps)
     trajectory = []
     # an overflow surfaces as the Divergence raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, weight in steps(weight, rng):
+        for i, weight in _stochastic_steps(weight, source, config, target, loss, measure, rng):
             if i not in keep:
                 continue
             wv = weight @ vectors
@@ -304,7 +322,6 @@ def run_gradient_flow(
                 loss=quadratic_loss(weight, source, moments),
                 dist_par=float(np.linalg.norm(wv - star)),
                 dist_perp=float(np.linalg.norm(_null_offset(weight, wv, vectors, null))),
-                _modes=partial(decompose, weight, source) if i == config.steps else partial(replay, i),
             )
             if not all(map(math.isfinite, (rec.loss, rec.dist_par, rec.dist_perp))):
                 raise Divergence(f"stochastic flow is not finite at step {i} (loss {rec.loss:.6g})")
@@ -312,7 +329,7 @@ def run_gradient_flow(
     return trajectory
 
 
-def _stochastic_steps(source, config, target, loss, measure, weight, rng):
+def _stochastic_steps(weight, source, config, target, loss, measure, rng):
     """Yield (step, weight) from step 0; each step draws data, noise and t from ``rng``."""
     yield 0, weight
     for i in range(1, config.steps + 1):
@@ -323,55 +340,18 @@ def _stochastic_steps(source, config, target, loss, measure, weight, rng):
         yield i, weight
 
 
-def _replay(
-    steps, weight0: np.ndarray, rng: np.random.Generator, source: GaussianSource
-) -> Callable[[int], ModeDecomposition]:
-    """Read a stochastic run's modes at any step by stepping it again, bit for bit, from W0
-    and ``rng``, a copy of the run's generator taken before its first draw.  One cursor
-    (step, weight, step generator) serves every read; a read splits a copy of the weight."""
-    cursor = (math.inf, None, None)
-
-    def modes(step: int) -> ModeDecomposition:
-        nonlocal cursor
-        at, weight, run = cursor if cursor[0] <= step else (-1, None, steps(weight0, copy.deepcopy(rng)))
-        while at < step:
-            at, weight = next(run)
-        cursor = (at, weight, run)
-        return decompose(weight, source)
-
-    return modes
-
-
 def _closed_form_flow(
     weight0: np.ndarray, source: GaussianSource, moments: MomentSet, config: FlowConfig
 ) -> list[FlowRecord]:
-    support = vectors, lam, star, null = _support(source, moments)
-    wv = weight0 @ vectors
-    # one mode per column of V, whose offset (W0 - c(lam_j) I) v_j is column j of W0 V - W* V,
-    # then the null space
-    norms = np.append(np.linalg.norm(wv - star, axis=0), np.linalg.norm(_null_offset(weight0, wv, vectors, null)))
-    rates = np.append(lam * moments.alpha_sq + moments.sigma_sq, moments.sigma_sq)
-    # a mode that starts at its equilibrium stays there, whatever its factor
-    decays = np.where(norms > 0.0, 1.0 - config.step_size * rates, 0.0)
-    factors = decays.tolist()
-    for index, factor in enumerate(factors):
-        if abs(factor) > 1.0:
-            name = "perpendicular" if index == lam.size else "parallel"
-            raise Divergence(
-                f"{name} mode grows by a factor {abs(factor):.6g} per step "
-                f"(step_size {config.step_size})"
-            )
+    (_, lam, _, _), _, norms, rates, factors = _flow_modes(weight0, source, moments, config.step_size)
     # Sigma's spectrum: its positive eigenvalues and a zero for each other dimension
     loss_star = optimal_loss(moments, Spectrum(np.pad(lam, (0, len(weight0) - lam.size)))).total
     trajectory = []
     for i in sorted(_log_steps(config.steps)):
-        # Python's pow: numpy's array power takes SIMD kernels on some CPUs,
-        # so its last bits, and those of every row, would depend on the machine
-        dists = np.abs([factor**i for factor in factors]) * norms
+        dists = np.abs(_powers(factors, i)) * norms
         loss = loss_star + 0.5 * float(np.sum(rates * dists**2))
-        modes = partial(_shifted, weight0, support, factors, i)
         # hypot scales its arguments, so distances near underflow keep their precision
-        trajectory.append(FlowRecord(i, loss, math.hypot(*dists[:-1]), float(dists[-1]), modes))
+        trajectory.append(FlowRecord(i, loss, math.hypot(*dists[:-1]), float(dists[-1])))
     return trajectory
 
 

@@ -32,6 +32,7 @@ from kdiff_lab import (
     colored_optimal_k,
     compute_moments,
     equilibrium_weight,
+    flow_weight,
     integrate,
     k_target,
     kappa,
@@ -106,7 +107,7 @@ def test_criterion_3_exact_dynamics_contraction():
 
     config = FlowConfig(step_size=step, steps=200, mode="exact")
     trajectory = run_gradient_flow(np.zeros((16, 16)), basis, config, target=1.0)
-    final = trajectory[-1].weight
+    final = flow_weight(np.zeros((16, 16)), basis, moments, step, trajectory[-1].step).total
     assert np.linalg.norm(final - 0.75 * basis.projector()) < 1e-6
 
     dist_par = np.array([rec.dist_par for rec in trajectory])
@@ -129,19 +130,23 @@ def test_criterion_4_perpendicular_mode_decoupling():
     start = time.perf_counter()
     basis = random_orthonormal_basis(16, 4, np.random.default_rng(43))
     config = FlowConfig(step_size=0.5, steps=200, mode="exact")
-    trajectories = []
+    trajectories, weights = [], []
     for phi in (0.2, 0.8):
         target = TargetSpec(phi, -0.5, name=f"phi={phi}")
         trajectories.append(
             run_gradient_flow(np.zeros((16, 16)), basis, config, target=target)
         )
+        moments = compute_moments(FLOW_MATCHING, target, U_LOSS, UNIFORM_MEASURE)
+        weights.append(
+            [flow_weight(np.zeros((16, 16)), basis, moments, config.step_size, rec.step) for rec in trajectories[-1]]
+        )
     assert len(trajectories[0]) == len(trajectories[1])
     parallel_differs = False
-    for rec_a, rec_b in zip(*trajectories):
-        assert np.array_equal(rec_a.weight_perp, rec_b.weight_perp)
+    for rec_a, rec_b, w_a, w_b in zip(*trajectories, *weights):
+        assert np.array_equal(w_a.perpendicular, w_b.perpendicular)
         assert rec_a.dist_perp == rec_b.dist_perp
         parallel_differs = parallel_differs or not np.array_equal(
-            rec_a.weight_par, rec_b.weight_par
+            w_a.parallel, w_b.parallel
         )
     assert parallel_differs, "data coefficient must affect the parallel mode"
     _report(4, "perpendicular-mode decoupling", time.perf_counter() - start, 1.0)

@@ -25,6 +25,7 @@ from kdiff_lab import (
     compute_moments,
     decompose,
     equilibrium_weight,
+    flow_weight,
     k_target,
     kappa,
     monte_carlo_loss,
@@ -200,7 +201,8 @@ class TestGradientFlow:
         config = FlowConfig(step_size=0.5, steps=200, mode="exact")
         traj = run_gradient_flow(np.zeros((6, 6)), basis, config, target=1.0)
         final = traj[-1]
-        np.testing.assert_allclose(final.weight, 0.75 * basis.projector(), atol=1e-6)
+        weight = flow_weight(np.zeros((6, 6)), basis, uniform_moments(1.0), 0.5, final.step)
+        np.testing.assert_allclose(weight.total, 0.75 * basis.projector(), atol=1e-6)
         assert final.dist_par < 1e-6 and final.dist_perp < 1e-6
 
     def test_parallel_contraction_factor(self):
@@ -235,12 +237,14 @@ class TestGradientFlow:
         # two targets sharing psi but with different phi
         basis = random_orthonormal_basis(8, 3, np.random.default_rng(18))
         config = FlowConfig(step_size=0.4, steps=50, mode="exact")
-        runs = []
+        runs, weights = [], []
         for phi in (0.2, 0.8):
             target = TargetSpec(phi, -0.5, name=f"phi{phi}")
             runs.append(run_gradient_flow(np.zeros((8, 8)), basis, config, target=target))
-        for rec_a, rec_b in zip(*runs):
-            np.testing.assert_array_equal(rec_a.weight_perp, rec_b.weight_perp)
+            moments = compute_moments(FLOW_MATCHING, target, U_LOSS, UNIFORM_MEASURE)
+            weights.append([flow_weight(np.zeros((8, 8)), basis, moments, 0.4, rec.step) for rec in runs[-1]])
+        for rec_a, rec_b, w_a, w_b in zip(*runs, *weights):
+            np.testing.assert_array_equal(w_a.perpendicular, w_b.perpendicular)
             assert rec_a.dist_perp == rec_b.dist_perp
 
     def test_perpendicular_trajectory_ignores_parallel_state(self):
@@ -253,11 +257,10 @@ class TestGradientFlow:
         config = FlowConfig(step_size=0.4, steps=40, mode="exact")
         base = np.random.default_rng(41).standard_normal((8, 8))
         shifted = base + 100.0 * np.random.default_rng(42).standard_normal((8, 8)) @ proj
-        runs = [
-            run_gradient_flow(w0, basis, config, target=0.7) for w0 in (base, shifted)
-        ]
-        for rec_a, rec_b in zip(*runs):
-            np.testing.assert_allclose(rec_a.weight_perp, rec_b.weight_perp, atol=1e-12)
+        moments = uniform_moments(0.7)
+        for step in range(config.steps + 1):
+            weights = [flow_weight(w0, basis, moments, 0.4, step) for w0 in (base, shifted)]
+            np.testing.assert_allclose(weights[0].perpendicular, weights[1].perpendicular, atol=1e-12)
 
     def test_divergence_above_stability_bound(self):
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(19))
@@ -291,10 +294,12 @@ class TestGradientFlow:
 
             monkeypatch.setattr(lindyn, name, counted)
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(45))
+        moments = uniform_moments(0.7)
         for steps in (1, 40, 5000):
             calls.clear()
             traj = run_gradient_flow(np.eye(6), basis, FlowConfig(0.5, steps), target=0.7)
-            assert [rec.weight.shape for rec in traj[-2:]] == [(6, 6), (6, 6)]
+            weights = [flow_weight(np.eye(6), basis, moments, 0.5, rec.step) for rec in traj[-2:]]
+            assert [weight.total.shape for weight in weights] == [(6, 6), (6, 6)]
             assert calls["quadratic_loss"] <= 1 and calls["decompose"] <= 1, (steps, calls)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -335,8 +340,9 @@ class TestGradientFlow:
             assert math.isclose(rec.loss, loss, rel_tol=1e-12, abs_tol=abs_tol), (rec.step, rec.loss, loss)
             assert abs(rec.dist_par - dist_par) <= 1e-12
             assert abs(rec.dist_perp - dist_perp) <= 1e-12
-            np.testing.assert_allclose(rec.weight_par, w_par, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(rec.weight_perp, w_perp, rtol=0.0, atol=1e-12)
+            weight = flow_weight(weight0, source, moments, step, rec.step)
+            np.testing.assert_allclose(weight.parallel, w_par, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(weight.perpendicular, w_perp, rtol=0.0, atol=1e-12)
 
     def test_stochastic_divergence_raises(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(46))
@@ -361,21 +367,24 @@ class TestGradientFlow:
         config = FlowConfig(step_size=0.2, steps=40, mode="stochastic", batch=64)
         weight0 = 0.1 * np.eye(8)
         traj = run_gradient_flow(weight0, basis, config, target=0.6, rng=np.random.default_rng(51))
-        weight0[:] = 7.0  # a row keeps its own copy of the initial weight
         moments = uniform_moments(0.6)
         star = decompose_reference(equilibrium_weight(basis, moments), basis)
-        np.testing.assert_array_equal(traj[0].weight_par + traj[0].weight_perp, traj[0].weight)
-        assert len(traj) == 41 and np.all(traj[0].weight < 1.0)
-        for rec in traj:
-            assert rec.loss == quadratic_loss(rec.weight, basis, moments)
+        # the run's weights, stepped again from a generator in the same state
+        steps = lindyn._stochastic_steps(
+            weight0, basis, config, k_target(0.6), U_LOSS, UNIFORM_MEASURE, np.random.default_rng(51)
+        )
+        assert len(traj) == 41
+        for rec, (step, weight) in zip(traj, steps, strict=True):
+            assert rec.step == step
+            assert rec.loss == quadratic_loss(weight, basis, moments)
             # the rows measure W V - W* V and (W - c(0) I)(I - V V^T), with no projector
-            modes = decompose_reference(rec.weight, basis)
+            modes = decompose_reference(weight, basis)
             assert rec.dist_par == pytest.approx(np.linalg.norm(modes.parallel - star.parallel), rel=0.0, abs=1e-12)
             assert rec.dist_perp == pytest.approx(
                 np.linalg.norm(modes.perpendicular - star.perpendicular), rel=0.0, abs=1e-12
             )
 
-    def test_stochastic_trajectory_keeps_only_the_last_rows_weight(self):
+    def test_stochastic_trajectory_keeps_no_weight(self):
         basis = random_orthonormal_basis(64, 4, np.random.default_rng(52))
         config = FlowConfig(step_size=0.5, steps=300, mode="stochastic", batch=256)
         tracemalloc.start()
@@ -387,95 +396,29 @@ class TestGradientFlow:
         finally:
             tracemalloc.stop()
         # rows that kept one 64 x 64 weight each peaked at 10.6 MB, two each at 20.6 MB;
-        # only the last row keeps one now, and the others replay the run when read
+        # a row now holds four numbers
         assert len(traj) == 301 and peak < 3 * 2**20, peak
 
-    def test_stochastic_rows_replay_the_weights_of_a_loop_that_keeps_them(self):
+    def test_stochastic_rows_measure_the_weights_of_a_loop_that_keeps_them(self):
         basis = random_orthonormal_basis(5, 2, np.random.default_rng(54))
-        # past 1000 steps the rows are log-spaced, so the replay skips unrecorded steps
+        # past 1000 steps the rows are log-spaced, so the run skips unrecorded steps
         config = FlowConfig(step_size=0.3, steps=1100, mode="stochastic", batch=16)
         weight0 = 0.2 * np.random.default_rng(55).standard_normal((5, 5))
         traj = run_gradient_flow(weight0, basis, config, target=0.7, rng=np.random.default_rng(56))
         reference = stochastic_flow_reference(weight0, basis, config, 0.7, np.random.default_rng(56))
+        moments = uniform_moments(0.7)
         assert traj[-1].step == 1100 and len(traj) < 1101
         for rec in traj:
-            # a row's weight is the stepped W itself, and its modes are that W split
-            want = reference[rec.step]
-            assert np.array_equal(rec.weight, want), rec.step
-            modes = decompose(want, basis)
-            assert np.array_equal(rec.weight_par, modes.parallel), rec.step
-            assert np.array_equal(rec.weight_perp, modes.perpendicular), rec.step
-
-    def test_stochastic_rows_read_in_any_order_give_the_same_arrays(self):
-        basis = random_orthonormal_basis(6, 2, np.random.default_rng(57))
-        config = FlowConfig(step_size=0.3, steps=30, mode="stochastic", batch=16)
-        traj = run_gradient_flow(np.eye(6), basis, config, target=0.5, rng=np.random.default_rng(58))
-        forward = [(rec.weight_par, rec.weight_perp) for rec in traj]
-        backward = [(rec.weight_par, rec.weight_perp) for rec in reversed(traj)][::-1]
-        for rec, (par, perp), (par_back, perp_back) in zip(traj, forward, backward):
-            assert np.array_equal(par, par_back) and np.array_equal(perp, perp_back), rec.step
-        # a read hands out copies: editing one reaches neither the cursor nor a later read
-        weights = [rec.weight for rec in traj]
-        traj[3].weight_par[:] = 7.0
-        assert np.array_equal(traj[4].weight_par, forward[4][0])
-        assert np.array_equal(traj[3].weight_par, forward[3][0])
-        # nor does an edit of a weight, which is the replayed (or kept, for the last row) W itself
-        for index in (3, -1):
-            traj[index].weight[:] = 7.0
-            assert np.array_equal(traj[index].weight, weights[index])
-        traj[4].weight[:] = 7.0
-        assert np.array_equal(traj[5].weight, weights[5]) and np.array_equal(traj[4].weight, weights[4])
-
-    def test_stochastic_run_steps_the_weight_and_splits_it_only_when_read(self, monkeypatch):
-        calls = Counter()
-        original = lindyn.decompose
-
-        def counted(*args, **kwargs):
-            calls["decompose"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(lindyn, "decompose", counted)
-        basis = random_orthonormal_basis(6, 2, np.random.default_rng(66))
-        config = FlowConfig(step_size=0.3, steps=40, mode="stochastic", batch=16)
-        traj = run_gradient_flow(np.eye(6), basis, config, target=0.5, rng=np.random.default_rng(67))
-        assert calls["decompose"] == 0
-        traj[-1].weight
-        assert calls["decompose"] == 1
-        traj[0].weight_par
-        assert calls["decompose"] == 2
-
-    def test_reading_stochastic_rows_in_step_order_replays_once(self, monkeypatch):
-        calls = Counter()
-
-        def counted(*args, **kwargs):
-            calls["gradient"] += 1
-            return stochastic_gradient(*args, **kwargs)
-
-        monkeypatch.setattr(lindyn, "stochastic_gradient", counted)
-        basis = random_orthonormal_basis(6, 3, np.random.default_rng(59))
-        config = FlowConfig(step_size=0.3, steps=40, mode="stochastic", batch=16)
-        traj = run_gradient_flow(np.zeros((6, 6)), basis, config, target=0.8, rng=np.random.default_rng(60))
-        assert calls["gradient"] == config.steps
-        calls.clear()
-        for rec in traj:
-            rec.weight
-        # one replay up to the last row but one: the last row keeps its own weight
-        assert calls["gradient"] == config.steps - 1
-        calls.clear()
-        traj[-1].weight
-        traj[-2].weight
-        assert calls["gradient"] == 0
+            # a row's loss is that of the stepped W itself
+            assert rec.loss == quadratic_loss(reference[rec.step], basis, moments), rec.step
 
     def test_stochastic_rows_never_draw_from_the_callers_generator(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(61))
         config = FlowConfig(step_size=0.3, steps=25, mode="stochastic", batch=16)
         rng, reference_rng = np.random.default_rng(62), np.random.default_rng(62)
-        traj = run_gradient_flow(np.zeros((6, 6)), basis, config, target=0.6, rng=rng)
+        run_gradient_flow(np.zeros((6, 6)), basis, config, target=0.6, rng=rng)
         stochastic_flow_reference(np.zeros((6, 6)), basis, config, 0.6, reference_rng)
         # the run draws what the loop that keeps its weights draws, and no more
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
-        for rec in reversed(traj):
-            rec.weight
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_records_start_at_step_zero(self):
@@ -585,8 +528,9 @@ class TestEigenvectorBlocks:
             *powers, b = (math.pow(factor, rec.step) for factor in factors)
             parallel = (star + np.array(powers) * (wv - star)) @ vectors.T
             perpendicular = lindyn._null_offset(b * weight0, b * wv, vectors, (b - 1.0) * null)
-            np.testing.assert_array_equal(rec.weight_par, parallel, err_msg=f"step {rec.step}")
-            np.testing.assert_array_equal(rec.weight_perp, perpendicular, err_msg=f"step {rec.step}")
+            weight = flow_weight(weight0, source, moments, step_size, rec.step)
+            np.testing.assert_array_equal(weight.parallel, parallel, err_msg=f"step {rec.step}")
+            np.testing.assert_array_equal(weight.perpendicular, perpendicular, err_msg=f"step {rec.step}")
 
     def test_exact_flow_peak_memory(self):
         source = random_orthonormal_basis(256, 16, np.random.default_rng(63))
@@ -642,16 +586,15 @@ class TestExactIsTheStochasticMean:
     def test_mean_weight_follows_the_exact_trajectory(self, source, k, measure):
         dim = source.ambient_dim
         weight0 = 0.5 * np.random.default_rng(71).standard_normal((dim, dim))
-        exact_config = FlowConfig(step_size=0.3, steps=25)
         config = FlowConfig(step_size=0.3, steps=25, mode="stochastic", batch=8)
 
         def exact(target):
-            rows = run_gradient_flow(weight0, source, exact_config, target=target, measure=measure)
-            return np.array([rec.weight for rec in rows])
+            moments = compute_moments(FLOW_MATCHING, k_target(target), U_LOSS, measure)
+            return np.array([flow_weight(weight0, source, moments, 0.3, i).total for i in range(config.steps + 1)])
 
         weights = np.array([
-            [rec.weight for rec in run_gradient_flow(
-                weight0, source, config, target=k, measure=measure, rng=np.random.default_rng([72, run])
+            [weight for _, weight in lindyn._stochastic_steps(
+                weight0, source, config, k_target(k), U_LOSS, measure, np.random.default_rng([72, run])
             )]
             for run in range(self.RUNS)
         ])
@@ -859,8 +802,10 @@ class TestSpectralSource:
             assert got.step == want.step
             for name in ("loss", "dist_par", "dist_perp"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0.0, abs=1e-12)
-            np.testing.assert_allclose(got.weight_par, want.weight_par, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(got.weight_perp, want.weight_perp, rtol=0.0, atol=1e-12)
+        for step in range(config.steps + 1):
+            got, want = (flow_weight(weight0, s, moments, config.step_size, step) for s in (source, basis))
+            np.testing.assert_allclose(got.parallel, want.parallel, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got.perpendicular, want.perpendicular, rtol=0.0, atol=1e-12)
 
     def test_stability_bound_uses_the_largest_eigenvalue(self):
         source = GaussianSource.from_spectrum([3.0, 1.0, 0.0])
