@@ -189,8 +189,8 @@ def argmin_k(loss_fn, tol: float = 1e-8, bracket: tuple[float, float] = (0.0, 1.
     On exact ties both ends shrink, so a constant function converges to the
     bracket's midpoint.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     a, b = bracket
     if not a < b:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")

@@ -207,12 +207,12 @@ class TrainConfig:
             raise ValueError(f"unknown loss mode {self.loss_mode!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ValueError("adam_eps must be positive")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if not 0.0 < self.clamp_floor < 1.0:
             raise ValueError("clamp_floor must lie in (0, 1)")
         if self.batch < 1 or self.steps < 1:

@@ -71,8 +71,8 @@ class FlowConfig:
     batch: int = 256
 
     def __post_init__(self):
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.batch < 1:
@@ -130,19 +130,18 @@ def _null_offset(weight: np.ndarray, wv: np.ndarray, vectors: np.ndarray, coeffi
 
 
 def _flow_modes(weight0: np.ndarray, source: GaussianSource, moments: MomentSet, step_size: float):
-    """What the exact flow from ``weight0`` needs: the support (``_support``), W0 V, and per
-    mode, one per column of V and then the null space, the initial distance from equilibrium,
-    the rate lam_j alpha_sq + sigma_sq (sigma_sq on the null space) and the per-step factor
-    1 - step_size * rate, which is 0 for a mode that starts at its equilibrium, since it stays
-    there whatever its factor.
-
-    Raises:
-        Divergence: if a factor has magnitude above 1.
-    """
+    """The support (``_support``), W0 V and, per mode (each column of V, then the null space),
+    the initial distance from equilibrium, the rate lam_j alpha_sq + sigma_sq and the factor
+    1 - step_size * rate, 0 for a mode at its equilibrium, which stays there whatever its factor.
+    Raises ``Divergence`` if a factor has magnitude above 1."""
     support = vectors, lam, star, null = _support(source, moments)
     wv = weight0 @ vectors
-    # column j of W0 V - W* V is the offset (W0 - c(lam_j) I) v_j, then the null space's
-    norms = np.append(np.linalg.norm(wv - star, axis=0), np.linalg.norm(_null_offset(weight0, wv, vectors, null)))
+    # the null space's offset is squared and summed in place by numpy, not by BLAS's dot
+    # product, whose threads would tie the distance's last bits to the thread count
+    offset = _null_offset(weight0, wv, vectors, null)
+    null_norm = math.sqrt(float(np.sum(np.square(offset, out=offset))))
+    # column j of W0 V - W* V is the offset (W0 - c(lam_j) I) v_j
+    norms = np.append(np.linalg.norm(wv - star, axis=0), null_norm)
     rates = np.append(lam * moments.alpha_sq + moments.sigma_sq, moments.sigma_sq)
     factors = np.where(norms > 0.0, 1.0 - step_size * rates, 0.0).tolist()
     for index, factor in enumerate(factors):
@@ -153,25 +152,17 @@ def _flow_modes(weight0: np.ndarray, source: GaussianSource, moments: MomentSet,
 
 
 def _powers(factors: list[float], step: int) -> list[float]:
-    """Each factor**step by Python's pow, the C library's: numpy's array power takes SIMD
-    kernels on some CPUs, so its last bits, and those of every row and weight, would depend
-    on the machine."""
+    # the C library's pow: numpy's array power takes SIMD kernels on some CPUs, whose last bits differ
     return [factor**step for factor in factors]
 
 
 def flow_weight(
     weight0: np.ndarray, source: GaussianSource, moments: MomentSet, step_size: float, step: int
 ) -> ModeDecomposition:
-    """The weight of the exact-mode flow from ``weight0`` after ``step`` Euler steps of
-    ``step_size`` under ``moments``, split into its support's and null space's parts.
-
-    W* plus each column's and the null space's offset of W0 times its factor**step, with the
-    factors and their check those of ``run_gradient_flow``'s rows.
-
-    Raises:
-        Divergence: if a mode that starts off its equilibrium has a factor of magnitude above 1.
-        DimError: if ``weight0`` is not D x D.
-    """
+    """The exact-mode flow's weight after ``step`` Euler steps of ``step_size`` from ``weight0``,
+    split into its support's and null space's parts: W* plus each mode's offset of W0 times
+    its factor**step, with the factors, and the ``Divergence`` check, of ``run_gradient_flow``'s
+    rows.  Raises ``DimError`` if ``weight0`` is not D x D."""
     weight0 = _checked(weight0, source)
     (vectors, _, star, null), wv, _, _, factors = _flow_modes(weight0, source, moments, step_size)
     *powers, b = _powers(factors, step)
@@ -272,17 +263,14 @@ def run_gradient_flow(
     covariance is formed and every recorded row costs O(r).  The
     perpendicular trajectory depends only on sigma_sq, psi_sigma and W0, so
     it is bit-identical across runs that differ only in the data
-    coefficient.
+    coefficient.  ``flow_weight`` gives the weight at a row's step.
 
     Stochastic mode steps the weight W itself, one Euler step per fresh
     batch of samples; a row takes its loss from W and measures |W V - W* V|
-    and |(W - c(0) I)(I - V V^T)|.  In either mode a ``step_size`` at or
-    above ``stability_bound`` warns before any step, since the mean dynamics
-    then diverge.
-
-    A row holds its step, loss and distances, and no weight.  ``flow_weight``
-    gives an exact-mode row's weight; a stochastic run's weights are the
-    ones ``_stochastic_steps`` yields for a generator in the same state.
+    and |(W - c(0) I)(I - V V^T)|.  Its weights are what ``_stochastic_steps``
+    yields for a generator in the state ``rng`` started in.  In either mode a
+    ``step_size`` at or above ``stability_bound`` warns before any step,
+    since the mean dynamics then diverge.  A row holds numbers, no weight.
 
     Raises:
         Divergence: in exact mode, before any step, if a mode that starts

@@ -1,5 +1,7 @@
 """Tests for the moment integrals, equilibrium formulas, and colored-data results."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,8 +293,10 @@ class TestArgminK:
         assert abs(got - 0.5) < 1e-6
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            argmin_k(lambda k: k, tol=0.0)
+        # a NaN tol compares false with everything: it used to return 0.5 without searching
+        for tol in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                argmin_k(lambda k: k, tol=tol)
 
     def test_bracket_confines_the_search(self):
         # two minima, at 0.2 and 0.8: each bracket finds its own

@@ -196,6 +196,30 @@ class TestDynamics:
         assert warning.startswith("warning: step_size 4.0 at or above stability bound")
         assert error.startswith("error: Divergence: ")
 
+    def test_exact_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the oracle_flow benchmark's exact shape, where OpenBLAS splits a dot product of the
+        # D x D null-space offset over its threads: taking that distance by such a dot product
+        # wrote different files under 1 and 2 threads for 6 of these 10 data seeds
+        for seed in range(10):
+            write_config(tmp_path, f"c{seed}.json", {
+                "data": {"D": 256, "d": 16, "seed": seed}, "target": {"kind": "k", "k": 0.8},
+                "dynamics": {"mode": "exact", "step_size": 0.5, "steps": 150, "tol": 1e-6},
+            })
+        script = (
+            "import os, sys\n"
+            "os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[1]\n"
+            "from kdiff_lab.cli import main\n"
+            "for seed in range(10):\n"
+            "    assert main(['dynamics', '--config', f'c{seed}.json', '--out', f'{sys.argv[1]}/{seed}']) == 0\n"
+        )
+        for threads in ("1", "2"):
+            proc = run_python(["-c", script, threads], cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        for seed in range(10):
+            for name in ("dynamics.csv", "dynamics_summary.json"):
+                one, two = (tmp_path / threads / str(seed) / name for threads in ("1", "2"))
+                assert one.read_bytes() == two.read_bytes(), (seed, name)
+
     def test_library_warning_is_one_stderr_line(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"dynamics": {"step_size": 4.0}})
         out = tmp_path / "outb" / "run"

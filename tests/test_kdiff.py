@@ -346,6 +346,14 @@ class TestStepBuffers:
         np.testing.assert_array_equal(net.weight, ref_net.weight)
 
 
+@pytest.mark.parametrize("name", ["lr", "adam_eps"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_train_config_rejects_a_rate_that_is_not_positive_and_finite(name, value):
+    # a NaN rate used to pass and fail only at the first step, with NonFiniteLoss
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        TrainConfig(**{name: value})
+
+
 class TestLossEquivalence:
     def test_v_loss_is_kappa_squared_times_u_loss_per_sample(self):
         rng = np.random.default_rng(7)

@@ -421,6 +421,12 @@ class TestGradientFlow:
         # the run draws what the loop that keeps its weights draws, and no more
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
+    @pytest.mark.parametrize("step_size", [0.0, -0.5, math.nan, math.inf])
+    def test_config_rejects_a_step_that_is_not_positive_and_finite(self, step_size):
+        # a NaN step used to give exact rows of loss nan without a Divergence
+        with pytest.raises(ValueError, match="step_size must be positive and finite"):
+            FlowConfig(step_size=step_size, steps=10)
+
     def test_records_start_at_step_zero(self):
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(22))
         config = FlowConfig(step_size=0.5, steps=5, mode="exact")
@@ -590,7 +596,8 @@ class TestExactIsTheStochasticMean:
 
         def exact(target):
             moments = compute_moments(FLOW_MATCHING, k_target(target), U_LOSS, measure)
-            return np.array([flow_weight(weight0, source, moments, 0.3, i).total for i in range(config.steps + 1)])
+            steps = range(config.steps + 1)
+            return np.array([flow_weight(weight0, source, moments, config.step_size, i).total for i in steps])
 
         weights = np.array([
             [weight for _, weight in lindyn._stochastic_steps(

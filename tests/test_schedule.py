@@ -336,14 +336,20 @@ class TestSampleT:
             TimeMeasure("logit_normal", mu=-0.8, sigma=0.8),
             TimeMeasure("logit_normal", interval=(0.1, 0.8), mu=0.0, sigma=1.0),
             UPPER_TAIL,
+            # an interval of 9909 doubles, fewer than the draws: t itself is that coarse
+            TimeMeasure("logit_normal", interval=(0.5, float(special.expit(4.4e-12)))),
         ],
-        ids=["uniform", "ln01", "ln-pixel", "ln-truncated", "ln-upper-tail"],
+        ids=["uniform", "ln01", "ln-pixel", "ln-truncated", "ln-upper-tail", "ln-narrow"],
     )
     def test_sampler_matches_density(self, measure):
         rng = np.random.default_rng(1234)
         draws = sample_t(measure, rng, size=1_000_000)
         ks = stats.kstest(draws, measure.cdf).statistic
         assert ks < 0.002
+        # where the interval holds fewer doubles than there are draws, they reach nearly all of them
+        lo, hi = np.array(measure.interval).view(np.int64)
+        if hi - lo < draws.size:
+            assert np.unique(draws).size >= 0.9 * (hi - lo + 1)
 
     def test_upper_tail_cdf_integrates_the_density(self):
         m = UPPER_TAIL
