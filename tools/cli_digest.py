@@ -21,8 +21,10 @@ case's source and moments, so that a change to W* shows on its own:
 
 Run the script once per checkout, with the same BLAS thread count (for
 example ``OPENBLAS_NUM_THREADS=1``), and diff the two outputs: a line that
-differs names the run whose bytes changed.  ``RUNS`` pairs each config with
-the exit code it has at this commit.
+differs names the run whose bytes changed.  Exact ``dynamics`` lines do not
+depend on the thread count; stochastic ``dynamics`` lines, and those of the
+other commands, may.  ``RUNS`` pairs each config with the exit code it has
+at this commit.
 """
 
 from __future__ import annotations
@@ -137,6 +139,10 @@ RUNS = [
     ("sample", {"data": _MANIFOLD, "train": {"steps": 40, "batch": 16, "loss_mode": "v_alg1"},
                 "sample": {"n_samples": 40, "steps": 20, "net": "train"}}, 0),
     *_target_runs(),
+    # the oracle_flow benchmark's exact shape: every other run has D <= 12, and a change of the
+    # flow's arithmetic can show only at large D, such as a sum that BLAS splits over threads
+    ("dynamics", {"data": {"D": 256, "d": 16, "seed": 0}, "target": {"kind": "k", "k": 0.8},
+                  "dynamics": {"mode": "exact", "steps": 150, "step_size": 0.5, "tol": 1e-6}}, 0),
 ]
 
 
