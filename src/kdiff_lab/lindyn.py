@@ -133,7 +133,7 @@ def _flow_modes(weight0: np.ndarray, source: GaussianSource, moments: MomentSet,
     """The support (``_support``), W0 V and, per mode (each column of V, then the null space),
     the initial distance from equilibrium, the rate lam_j alpha_sq + sigma_sq and the factor
     1 - step_size * rate, 0 for a mode at its equilibrium, which stays there whatever its factor.
-    Raises ``Divergence`` if a factor has magnitude above 1."""
+    Raises ``Divergence`` if a factor has magnitude above 1 or is NaN."""
     support = vectors, lam, star, null = _support(source, moments)
     wv = weight0 @ vectors
     # the null space's offset is squared and summed in place by numpy, not by BLAS's dot
@@ -145,7 +145,7 @@ def _flow_modes(weight0: np.ndarray, source: GaussianSource, moments: MomentSet,
     rates = np.append(lam * moments.alpha_sq + moments.sigma_sq, moments.sigma_sq)
     factors = np.where(norms > 0.0, 1.0 - step_size * rates, 0.0).tolist()
     for index, factor in enumerate(factors):
-        if abs(factor) > 1.0:
+        if not abs(factor) <= 1.0:
             name = "perpendicular" if index == lam.size else "parallel"
             raise Divergence(f"{name} mode grows by a factor {abs(factor):.6g} per step (step_size {step_size})")
     return support, wv, norms, rates, factors

@@ -293,7 +293,7 @@ class TestArgminK:
         assert abs(got - 0.5) < 1e-6
 
     def test_tol_validation(self):
-        # a NaN tol compares false with everything: it used to return 0.5 without searching
+        # NaN compares false with every bound, so a plain tol <= 0 check would let it through
         for tol in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 argmin_k(lambda k: k, tol=tol)

@@ -349,7 +349,7 @@ class TestStepBuffers:
 @pytest.mark.parametrize("name", ["lr", "adam_eps"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_train_config_rejects_a_rate_that_is_not_positive_and_finite(name, value):
-    # a NaN rate used to pass and fail only at the first step, with NonFiniteLoss
+    # NaN compares false with every bound, so a plain <= 0 check would let it through to the first step
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         TrainConfig(**{name: value})
 

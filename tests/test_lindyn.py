@@ -423,9 +423,14 @@ class TestGradientFlow:
 
     @pytest.mark.parametrize("step_size", [0.0, -0.5, math.nan, math.inf])
     def test_config_rejects_a_step_that_is_not_positive_and_finite(self, step_size):
-        # a NaN step used to give exact rows of loss nan without a Divergence
+        # NaN compares false with every bound: the exact flow would give rows of loss nan and no Divergence
         with pytest.raises(ValueError, match="step_size must be positive and finite"):
             FlowConfig(step_size=step_size, steps=10)
+
+    def test_flow_weight_rejects_a_nan_step(self):
+        basis = random_orthonormal_basis(4, 2, np.random.default_rng(24))
+        with pytest.raises(Divergence, match="parallel mode grows by a factor nan"):
+            flow_weight(np.eye(4), basis, uniform_moments(0.5), math.nan, 3)
 
     def test_records_start_at_step_zero(self):
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(22))
