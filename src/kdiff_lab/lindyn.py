@@ -103,14 +103,19 @@ def decompose(weight: np.ndarray, source: GaussianSource) -> ModeDecomposition:
     return ModeDecomposition(par, weight - par, weight)
 
 
-def _checked(weight: np.ndarray, source: GaussianSource) -> np.ndarray:
-    """A float64 copy of a D x D weight."""
-    weight = np.array(weight, dtype=np.float64)
+def _square(weight: np.ndarray, source: GaussianSource) -> np.ndarray:
+    """The weight as a float64 array, not copied if it is one; raises DimError unless it is D x D."""
+    weight = np.asarray(weight, dtype=np.float64)
     if weight.shape != (source.ambient_dim, source.ambient_dim):
         raise DimError(
             f"weight shape {weight.shape} does not match ambient dimension {source.ambient_dim}"
         )
     return weight
+
+
+def _checked(weight: np.ndarray, source: GaussianSource) -> np.ndarray:
+    """A float64 copy of a D x D weight."""
+    return _square(np.array(weight, dtype=np.float64), source)
 
 
 def _support(source: GaussianSource, moments: MomentSet):
@@ -203,7 +208,7 @@ def stochastic_gradient(
         target = k_target(float(target))
     weight = np.asarray(weight, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    kap = kappa(FLOW_MATCHING, target, loss, t)[:, None]
+    kap = kappa(target, loss, t)[:, None]
     # flow matching: alpha = t and sigma = 1 - t
     z = t[:, None] * x + (1.0 - t)[:, None] * noise
     u = target.phi * x + target.psi * noise
@@ -213,8 +218,9 @@ def stochastic_gradient(
 
 def quadratic_loss(weight: np.ndarray, source: GaussianSource, moments: MomentSet) -> float:
     """Exact training loss of an arbitrary weight (quadratic in the weight), read through
-    W F with Sigma = F F^T, |W|^2 and tr W: O(D^2 r) work and no D x D array."""
-    weight = np.asarray(weight, dtype=np.float64)
+    W F with Sigma = F F^T, |W|^2 and tr W: O(D^2 r) work and no D x D array.  Raises
+    ``DimError`` if the weight is not D x D."""
+    weight = _square(weight, source)
     wf = weight @ source.factor
     return 0.5 * (
         moments.alpha_sq * float(np.vdot(wf, wf))
@@ -372,9 +378,13 @@ def monte_carlo_loss(
     D = d = 128 with 2^18 samples, where drawing 32768 pairs at once took 70.5 MB.
 
     Raises:
-        ValueError: if there are fewer than 2 pairs, that is ``n_samples``
-            below 4.
+        DimError: if the weight is not D x D.
+        ValueError: if the weight is not finite, or if there are fewer than
+            2 pairs, that is ``n_samples`` below 4.
     """
+    weight = _square(weight, source)
+    if not np.all(np.isfinite(weight)):
+        raise ValueError("weight must be finite")
     if isinstance(target, (int, float)):
         target = k_target(float(target))
     n_pairs = n_samples // 2
@@ -382,9 +392,7 @@ def monte_carlo_loss(
         raise ValueError(
             f"need at least 4 samples with antithetic pairs for a standard error, got {n_samples}"
         )
-    values = _loss_observations(
-        np.asarray(weight, dtype=np.float64), source, target, n_pairs, rng, loss, measure, clamp_floor
-    )
+    values = _loss_observations(weight, source, target, n_pairs, rng, loss, measure, clamp_floor)
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / math.sqrt(n_pairs))
     return estimate, std_error
@@ -407,7 +415,7 @@ def _loss_observations(
         t = sample_t(measure, rng, size=m)
         x = sample_data(source, m, rng)
         noise = sample_noise(source.ambient_dim, m, rng)
-        kap = kappa(FLOW_MATCHING, target, loss, t, clamp_floor)
+        kap = kappa(target, loss, t, clamp_floor)
         # in place: a fresh array per operation made the oracle about 5% slower.  Under flow
         # matching alpha = t and sigma = 1 - t
         data_part = x @ weight.T

@@ -1,7 +1,8 @@
-"""Diffusion process schedules, prediction targets, loss weightings, and time samplers.
+"""Prediction targets, loss weightings, the kappa scale factor, and time samplers.
 
-A forward process mixes data and noise as ``z = alpha(t) x + sigma(t) n``; the
-lab's one process is flow matching, alpha = t and sigma = 1 - t.  The network
+The lab's one forward process is flow matching, which mixes data and noise as
+``z = alpha x + sigma n`` with alpha = t and sigma = 1 - t; no type describes
+it, and every formula here writes those two coefficients out.  The network
 regresses a target ``u = phi x + psi n`` with constant phi and psi.  Training
 may minimise the MSE of a different constant combination ``w = xi x + eta n``,
 which is equivalent to weighting the target MSE by ``kappa(t)^2`` with
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -79,20 +80,8 @@ def _match_scalar(out: np.ndarray, t_in) -> Union[float, np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    """Forward-process coefficients: noisy input is ``alpha(t) x + sigma(t) n``."""
-
-    alpha: Callable[[np.ndarray], np.ndarray]
-    sigma: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
-
-
-FLOW_MATCHING = ProcessSpec(
-    alpha=lambda t: _farray(t) + 0.0,
-    sigma=lambda t: 1.0 - _farray(t),
-    name="flow_matching",
-)
+# the forward process, the lab's only one; ``analytic.compute_moments`` takes it as its first argument
+FLOW_MATCHING = "flow_matching"
 
 
 @dataclass(frozen=True)
@@ -143,14 +132,8 @@ EPSILON_LOSS = LossTargetSpec(0.0, 1.0, name="epsilon")
 V_LOSS = LossTargetSpec(1.0, -1.0, name="v")
 
 
-def kappa(
-    process: ProcessSpec,
-    target: TargetSpec,
-    loss: LossTargetSpec,
-    t,
-    clamp_floor: float | None = None,
-):
-    """Scale factor relating the loss-variable error to the target error.
+def kappa(target: TargetSpec, loss: LossTargetSpec, t, clamp_floor: float | None = None):
+    """Scale factor relating the loss-variable error to the target error, under flow matching.
 
     Raises DegenerateTarget where |phi sigma - psi alpha| falls below machine
     epsilon, unless an explicit clamp floor is supplied, in which case the
@@ -160,8 +143,8 @@ def kappa(
     tt = _farray(t)
     if loss.follows_target:
         return _match_scalar(np.ones(tt.shape), t)
-    a = _farray(process.alpha(tt))
-    s = _farray(process.sigma(tt))
+    a = tt + 0.0
+    s = 1.0 - tt
     num = loss.xi * s - loss.eta * a
     den = target.phi * s - target.psi * a
     if clamp_floor is None:
@@ -204,6 +187,8 @@ class TimeMeasure:
             raise ValueError(f"interval must satisfy 0 <= lo < hi <= 1, got {self.interval}")
         if self.kind not in ("uniform", "logit_normal"):
             raise ValueError(f"unknown time-measure kind {self.kind!r}")
+        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+            raise ValueError(f"mu and sigma must be finite, got mu {self.mu} and sigma {self.sigma}")
         if self.kind == "logit_normal" and self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
         if self.kind == "uniform" and (self.mu, self.sigma) != (0.0, 1.0):

@@ -337,7 +337,7 @@ def monte_carlo_observations_reference(weight, basis, target, n_pairs, rng, loss
     residual parts from whole expressions under flow matching, alpha = t and
     sigma = 1 - t: the reference that the oracle must match bit for bit.
     """
-    from kdiff_lab import FLOW_MATCHING, kappa, sample_data, sample_noise, sample_t
+    from kdiff_lab import kappa, sample_data, sample_noise, sample_t
 
     values = []
     for start in range(0, n_pairs, 1024):
@@ -346,7 +346,7 @@ def monte_carlo_observations_reference(weight, basis, target, n_pairs, rng, loss
         x = sample_data(basis, m, rng)
         noise = sample_noise(basis.ambient_dim, m, rng)
         a, s = t[:, None], (1.0 - t)[:, None]
-        kap2 = np.asarray(kappa(FLOW_MATCHING, target, loss, t, clamp_floor), dtype=np.float64) ** 2
+        kap2 = np.asarray(kappa(target, loss, t, clamp_floor), dtype=np.float64) ** 2
         data_part = (x @ weight.T) * a - target.phi * x
         noise_part = (noise @ weight.T) * s - target.psi * noise
         sq_norm = np.einsum("ij,ij->i", data_part, data_part) + np.einsum(

@@ -202,7 +202,7 @@ def test_criterion_6_loss_weighting_identity():
     assert np.max(np.abs(v_loss - u_loss / raw_den**2)) <= 1e-10
 
     grid = np.linspace(0.0, 1.0, 1001)
-    np.testing.assert_array_equal(kappa(FLOW_MATCHING, V_TARGET, V_LOSS, grid), 1.0)
+    np.testing.assert_array_equal(kappa(V_TARGET, V_LOSS, grid), 1.0)
     _report(6, "loss-weighting identity", time.perf_counter() - start, 1.0)
 
 

@@ -17,7 +17,7 @@ from kdiff_lab import (
     DimError,
     DimensionPair,
     GaussianSource,
-    ProcessSpec,
+    MomentSet,
     QuadratureDivergence,
     SingularEquilibrium,
     Spectrum,
@@ -100,13 +100,35 @@ class TestComputeMoments:
             assert m.psi_sigma**2 <= m.psi_sq * m.sigma_sq + 1e-14
 
     def test_non_finite_integrand_raises(self):
-        blowup = ProcessSpec(
-            alpha=lambda t: np.where(np.asarray(t) > 0.5, np.inf, np.asarray(t, dtype=float)),
-            sigma=lambda t: 1.0 - np.asarray(t, dtype=float),
-            name="blowup",
-        )
-        with pytest.raises(QuadratureDivergence):
-            compute_moments(blowup, k_target(1.0), U_LOSS, UNIFORM_MEASURE)
+        class InfiniteAboveHalf(TimeMeasure):
+            def density(self, t):
+                return np.where(np.asarray(t) > 0.5, np.inf, 1.0)
+
+        with pytest.raises(QuadratureDivergence, match=r"^non-finite integrand for moment 'one'$"):
+            compute_moments(FLOW_MATCHING, k_target(1.0), U_LOSS, InfiniteAboveHalf())
+
+    @pytest.mark.parametrize("process", ["ddpm", "", None, 1.0, object()])
+    def test_only_flow_matching_is_a_process(self, process):
+        with pytest.raises(ValueError, match=r"^the only forward process is 'flow_matching', got [^\n]+$"):
+            compute_moments(process, k_target(0.5), U_LOSS, UNIFORM_MEASURE)
+
+    @pytest.mark.parametrize(
+        "mu, sigma, mass",
+        [(0.0, 0.03, "0.693581"), (0.0, 0.01, "5.47591e-05"), (0.0, 0.05, "0.989062"), (-4.0, 2.0, "1.00446")],
+    )
+    def test_quadrature_that_misses_the_density_raises(self, mu, sigma, mass):
+        measure = TimeMeasure("logit_normal", mu=mu, sigma=sigma)
+        message = rf"^the time measure's quadrature mass is {mass}, not 1 within 0\.001, at quad_nodes=64$"
+        with pytest.raises(QuadratureDivergence, match=message):
+            moments_for_k(0.5, measure=measure)
+        # enough nodes resolve the narrowest of them
+        if sigma == 0.03:
+            assert moments_for_k(0.5, measure=measure, nodes=2000).one == pytest.approx(1.0, abs=1e-12)
+
+    def test_widest_tested_measure_passes_the_mass_check(self):
+        # the edge of the logit-normal ranges the tests draw from: mass off by 2.2e-4 at 64 nodes
+        for mu in (-2.0, 2.0):
+            moments_for_k(0.5, measure=TimeMeasure("logit_normal", mu=mu, sigma=2.0))
 
     def test_cached_legendre_nodes_are_read_only(self):
         x, w = schedule._legendre(64)
@@ -125,9 +147,18 @@ class TestComputeMoments:
         ids=["u-uniform", "v-logit-normal"],
     )
     def test_cached_nodes_give_the_moments_of_fresh_ones(self, monkeypatch, nodes, loss, measure):
-        cached = [moments_for_k(0.7, loss, measure, nodes) for _ in range(2)]
+        def outcome():
+            # 2 nodes put the logit-normal's mass at 1.02098, which is rejected: then cached and
+            # fresh nodes must give the same message, and so the same mass
+            try:
+                return moments_for_k(0.7, loss, measure, nodes)
+            except QuadratureDivergence as exc:
+                return str(exc)
+
+        cached = [outcome() for _ in range(2)]
+        assert isinstance(cached[0], MomentSet) == (nodes > 2 or measure.kind == "uniform")
         monkeypatch.setattr(schedule, "_legendre", np.polynomial.legendre.leggauss)
-        assert cached[0] == cached[1] == moments_for_k(0.7, loss, measure, nodes)
+        assert cached[0] == cached[1] == outcome()
 
     def test_min_nodes(self):
         with pytest.raises(ValueError):
@@ -145,11 +176,11 @@ class TestOptimalWeightCoeffs:
         assert manifold_coefficients(moments_for_k(0.0)) == pytest.approx((-0.75, -1.5), abs=1e-12)
 
     def test_singular_denominator_raises(self):
-        # a noiseless process has sigma_sq = 0
-        noiseless = ProcessSpec(
-            alpha=lambda t: np.asarray(t, dtype=float), sigma=lambda t: np.zeros(np.shape(t)), name="noiseless"
+        # the moments of x-prediction, uniform time and no noise (sigma = 0): sigma_sq = 0
+        m = MomentSet(
+            one=1.0, alpha=0.5, sigma=0.0, alpha_sq=1.0 / 3.0, sigma_sq=0.0,
+            phi_alpha=0.5, psi_sigma=0.0, phi_sq=1.0, psi_sq=0.0,
         )
-        m = compute_moments(noiseless, k_target(1.0), U_LOSS, UNIFORM_MEASURE)
         with pytest.raises(SingularEquilibrium):
             manifold_coefficients(m)
         with pytest.raises(SingularEquilibrium):

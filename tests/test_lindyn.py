@@ -194,6 +194,12 @@ class TestQuadraticLoss:
             other = w_star + 0.1 * rng.standard_normal((5, 5))
             assert quadratic_loss(other, basis, moments) > best
 
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5), (4,), (4, 4, 1)])
+    def test_weight_must_be_d_by_d(self, shape):
+        basis = random_orthonormal_basis(4, 2, np.random.default_rng(14))
+        with pytest.raises(DimError, match=rf"^weight shape \({shape[0]},.* does not match ambient dimension 4$"):
+            quadratic_loss(np.ones(shape), basis, uniform_moments(0.5))
+
 
 class TestGradientFlow:
     def test_converges_geometrically(self):
@@ -684,10 +690,10 @@ class TestMonteCarloLoss:
             t = sample_t(measure, draws, size=m)
             x = sample_data(basis, m, draws)
             noise = sample_noise(7, m, draws)
-            a, s = FLOW_MATCHING.alpha(t)[:, None], FLOW_MATCHING.sigma(t)[:, None]
+            a, s = t[:, None], (1 - t)[:, None]
             p, q = target.phi, target.psi
             halves = [
-                0.5 * kappa(FLOW_MATCHING, target, loss, t, clamp) ** 2 * np.sum(r * r, axis=1)
+                0.5 * kappa(target, loss, t, clamp) ** 2 * np.sum(r * r, axis=1)
                 for r in (
                     (a * x + s * noise) @ weight.T - (p * x + q * noise),
                     (a * x - s * noise) @ weight.T - (p * x - q * noise),
@@ -706,6 +712,23 @@ class TestMonteCarloLoss:
                 monte_carlo_loss(np.eye(4), basis, 0.5, n_samples, np.random.default_rng(37))
         estimate, se = monte_carlo_loss(np.eye(4), basis, 0.5, 4, np.random.default_rng(37))
         assert math.isfinite(estimate) and math.isfinite(se) and se > 0.0
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5), (4,)])
+    def test_weight_must_be_d_by_d(self, shape):
+        basis = random_orthonormal_basis(4, 2, np.random.default_rng(38))
+        with pytest.raises(DimError, match="does not match ambient dimension 4"):
+            monte_carlo_loss(np.ones(shape), basis, 0.5, 64, np.random.default_rng(39))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_weight_must_be_finite(self, value):
+        basis = random_orthonormal_basis(4, 2, np.random.default_rng(38))
+        weight = np.eye(4)
+        weight[1, 2] = value
+        rng = np.random.default_rng(39)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^weight must be finite$"):
+            monte_carlo_loss(weight, basis, 0.5, 64, rng)
+        assert rng.bit_generator.state == state  # rejected before any draw
 
     def test_odd_sample_count_with_pairs_drops_one_draw(self):
         basis = random_orthonormal_basis(5, 2, np.random.default_rng(40))

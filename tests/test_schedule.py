@@ -1,4 +1,4 @@
-"""Tests for process/target/loss specs, the kappa scale factor, and time measures."""
+"""Tests for target/loss specs, the kappa scale factor, and time measures."""
 
 import math
 import warnings
@@ -12,7 +12,6 @@ from scipy import integrate, special, stats
 from kdiff_lab import (
     EPSILON_LOSS,
     EPSILON_TARGET,
-    FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
     V_LOSS,
@@ -45,47 +44,47 @@ def _mp_logit(mpmath, t: float):
 class TestKappa:
     def test_flow_matching_v_target_v_loss_is_one(self):
         np.testing.assert_allclose(
-            kappa(FLOW_MATCHING, V_TARGET, V_LOSS, TGRID), 1.0, atol=1e-14
+            kappa(V_TARGET, V_LOSS, TGRID), 1.0, atol=1e-14
         )
 
     def test_u_loss_is_one_for_every_target(self):
         for target in (EPSILON_TARGET, X_TARGET, V_TARGET, k_target(0.3), k_target(1.0)):
-            np.testing.assert_array_equal(kappa(FLOW_MATCHING, target, U_LOSS, TGRID), 1.0)
+            np.testing.assert_array_equal(kappa(target, U_LOSS, TGRID), 1.0)
         # even where the (z, u) <-> (x, n) map is singular
-        assert kappa(FLOW_MATCHING, X_TARGET, U_LOSS, 1.0) == 1.0
+        assert kappa(X_TARGET, U_LOSS, 1.0) == 1.0
 
     def test_k_half_x_loss_at_midpoint(self):
-        assert kappa(FLOW_MATCHING, k_target(0.5), X_LOSS, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert kappa(k_target(0.5), X_LOSS, 0.5) == pytest.approx(1.0, abs=1e-14)
 
     def test_x_loss_matches_direct_ratio(self):
         # x-loss: kappa = sigma / (phi sigma - psi alpha)
         target = k_target(0.3)
-        got = kappa(FLOW_MATCHING, target, X_LOSS, TGRID)
+        got = kappa(target, X_LOSS, TGRID)
         sigma = 1.0 - TGRID
         den = 0.3 * sigma + 0.7 * TGRID
         np.testing.assert_allclose(got, sigma / den, rtol=1e-14)
 
     def test_epsilon_loss_matches_direct_ratio(self):
         target = k_target(0.6)
-        got = kappa(FLOW_MATCHING, target, EPSILON_LOSS, TGRID)
+        got = kappa(target, EPSILON_LOSS, TGRID)
         den = 0.6 * (1.0 - TGRID) + 0.4 * TGRID
         np.testing.assert_allclose(got, -TGRID / den, rtol=1e-14)
 
     def test_degenerate_target_raises(self):
         # x-target at t=1: phi*sigma - psi*alpha = sigma = 0
         with pytest.raises(DegenerateTarget):
-            kappa(FLOW_MATCHING, X_TARGET, X_LOSS, 1.0)
+            kappa(X_TARGET, X_LOSS, 1.0)
 
     def test_clamp_floor_opt_in(self):
-        got = kappa(FLOW_MATCHING, X_TARGET, X_LOSS, 1.0, clamp_floor=0.05)
+        got = kappa(X_TARGET, X_LOSS, 1.0, clamp_floor=0.05)
         assert got == pytest.approx(0.0)  # numerator sigma = 0, denominator clamped
-        got = kappa(FLOW_MATCHING, k_target(1.0), V_LOSS, 0.97, clamp_floor=0.05)
+        got = kappa(k_target(1.0), V_LOSS, 0.97, clamp_floor=0.05)
         assert got == pytest.approx(1.0 / 0.05)
 
     def test_clamp_preserves_sign(self):
         # epsilon target: phi*sigma - psi*alpha = -alpha < 0; magnitude clamping
         # must keep the sign
-        got = kappa(FLOW_MATCHING, EPSILON_TARGET, X_LOSS, 0.3, clamp_floor=0.5)
+        got = kappa(EPSILON_TARGET, X_LOSS, 0.3, clamp_floor=0.5)
         assert got == pytest.approx(0.7 / -0.5, rel=1e-12)
 
 
@@ -123,7 +122,7 @@ class TestRoundTrip:
                 xi, eta = loss.xi, loss.eta
             w = xi * x + eta * n
             w_hat = xi * x_hat + eta * n_hat
-            kap = kappa(FLOW_MATCHING, target, loss, t)
+            kap = kappa(target, loss, t)
             np.testing.assert_allclose(w_hat - w, kap * (u_hat - u), atol=1e-12)
 
 
@@ -156,12 +155,6 @@ class TestKTarget:
         with pytest.raises(AttributeError):
             X_LOSS.follows_target = True
 
-    def test_flow_matching_sums_to_one(self):
-        t = np.linspace(0, 1, 101)
-        np.testing.assert_array_equal(
-            np.asarray(FLOW_MATCHING.alpha(t)) + np.asarray(FLOW_MATCHING.sigma(t)), 1.0
-        )
-
 
 def _quadrature(fn, interval, nodes=256):
     t, w = gauss_legendre_nodes(interval, nodes)
@@ -176,6 +169,12 @@ class TestTimeMeasure:
             TimeMeasure(interval=(-0.1, 1.0))
         with pytest.raises(ValueError):
             TimeMeasure(kind="nope")
+
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=r"^mu and sigma must be finite, got mu .* and sigma .*$"):
+            TimeMeasure("logit_normal", **{field: value})
 
     @pytest.mark.parametrize(
         "measure",
