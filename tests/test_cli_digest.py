@@ -35,8 +35,8 @@ def test_every_run_prints_its_expected_exit_code(tmp_path):
     cli_lines, case_lines = lines[: len(runs)], lines[len(runs) :]
     assert [(int(i), command) for i, command, _, _ in cli_lines] == [(i, command) for i, (command, _, _) in enumerate(runs)]
     assert [int(code) for _, _, code, _ in cli_lines] == [expected for _, _, expected in runs]
-    # then one oracle line per case and one weight line per case, numbered on from the runs
-    cases = [(kind, name) for kind in ("oracle", "weight") for name, _ in oracle]
+    # then one oracle, one weight and one moments line per case, numbered on from the runs
+    cases = [(kind, name) for kind in ("oracle", "weight", "moments") for name, _ in oracle]
     assert [(int(i), kind, name) for i, kind, name, _ in case_lines] == [
         (i, kind, name) for i, (kind, name) in enumerate(cases, start=len(runs))
     ]

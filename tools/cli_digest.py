@@ -14,10 +14,16 @@ observations, which a mean and standard error can hide:
 
     <index> oracle <case> <sha256 of lindyn._loss_observations>
 
-and then one line per case with the digest of the equilibrium weight of the
+then one line per case with the digest of the equilibrium weight of the
 case's source and moments, so that a change to W* shows on its own:
 
     <index> weight <case> <sha256 of lindyn.equilibrium_weight>
+
+and last one line per case with the digest of the case's moment set, the
+bytes of its nine floats in field order, so that a change to the moments
+shows on its own:
+
+    <index> moments <case> <sha256 of analytic.compute_moments>
 
 Run the script once per checkout, with the same BLAS thread count (for
 example ``OPENBLAS_NUM_THREADS=1``), and diff the two outputs: a line that
@@ -185,12 +191,20 @@ def oracle_digest(arguments) -> str:
     return hashlib.sha256(lindyn._loss_observations(*arguments()).tobytes()).hexdigest()
 
 
-def weight_digest(arguments) -> str:
-    """Digest of the equilibrium weight for one oracle case's source, target, loss, measure and
-    clamp floor, under flow matching."""
+def _moments(arguments) -> tuple:
+    """One oracle case's source and the moments of its target, loss, measure and clamp floor."""
     _, source, target, _, _, loss, measure, clamp_floor = arguments()
-    moments = compute_moments(FLOW_MATCHING, target, loss, measure, clamp_floor=clamp_floor)
-    return hashlib.sha256(equilibrium_weight(source, moments).tobytes()).hexdigest()
+    return source, compute_moments(FLOW_MATCHING, target, loss, measure, clamp_floor=clamp_floor)
+
+
+def weight_digest(arguments) -> str:
+    """Digest of the equilibrium weight for one oracle case's source and moments."""
+    return hashlib.sha256(equilibrium_weight(*_moments(arguments)).tobytes()).hexdigest()
+
+
+def moments_digest(arguments) -> str:
+    """Digest of one oracle case's moment set: its nine floats in field order."""
+    return hashlib.sha256(np.array(list(vars(_moments(arguments)[1]).values())).tobytes()).hexdigest()
 
 
 def digest(command: str, cfg: dict, seed: int = 11) -> tuple[int, str]:
@@ -218,3 +232,5 @@ if __name__ == "__main__":
         print(f"{index} oracle {name} {oracle_digest(arguments)}")
     for index, (name, arguments) in enumerate(ORACLE, start=len(RUNS) + len(ORACLE)):
         print(f"{index} weight {name} {weight_digest(arguments)}")
+    for index, (name, arguments) in enumerate(ORACLE, start=len(RUNS) + 2 * len(ORACLE)):
+        print(f"{index} moments {name} {moments_digest(arguments)}")
