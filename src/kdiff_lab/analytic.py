@@ -50,11 +50,14 @@ class DimensionPair:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Scalar integrals of schedule-coefficient products against the effective measure.
+    """Integrals of the schedule coefficients against the effective measure W = density * kappa^2.
 
-    ``one`` is the total effective mass; the remaining fields integrate the
-    named coefficient products, e.g. ``alpha_sq`` is the integral of
-    weight(t) * alpha(t)^2 with weight = density * kappa^2.
+    The first five are the target-free integrals of W, W alpha, W sigma,
+    W alpha^2 and W sigma^2, with alpha = t and sigma = 1 - t; ``one`` is the
+    total effective mass.  The target's coefficients phi and psi are
+    constants, so the last four are those integrals times them:
+    ``phi_alpha = phi alpha``, ``psi_sigma = psi sigma``, ``phi_sq = phi^2 one``
+    and ``psi_sq = psi^2 one``.
     """
 
     one: float
@@ -120,6 +123,11 @@ def compute_moments(
     """Integrate the moment set under flow matching (alpha = t, sigma = 1 - t) by Gauss-Legendre
     quadrature.  ``process`` must be ``FLOW_MATCHING``, the one forward process.
 
+    Five weighted sums over the nodes give the target-free moments, and the target's constants
+    multiply them into the other four (``MomentSet``); ``sigma`` and ``sigma_sq`` are summed over
+    1 - t, since ``one - alpha`` would cancel.  The first moment in field order that is not finite
+    raises QuadratureDivergence.
+
     64 nodes are exact for the polynomial integrands of the uniform case and
     spectrally accurate for smooth non-polynomial measures such as the
     logit-normal; raise quad_nodes for tighter tolerances there.  Where the
@@ -137,29 +145,19 @@ def compute_moments(
     kap = np.asarray(kappa(target, loss, t, clamp_floor), dtype=np.float64)
     mass = wq * measure.density(t)
     weight = mass * kap * kap
-    a, s = t + 0.0, 1.0 - t
-    integrands = {
-        "one": np.ones_like(t),
-        "alpha": a,
-        "sigma": s,
-        "alpha_sq": a * a,
-        "sigma_sq": s * s,
-        "phi_alpha": target.phi * a,
-        "psi_sigma": target.psi * s,
-        "phi_sq": target.phi * target.phi,
-        "psi_sq": target.psi * target.psi,
-    }
-    values = {}
-    for name, f in integrands.items():
-        fw = weight * f
-        if not np.all(np.isfinite(fw)):
+    s = 1.0 - t
+    one, alpha, sigma, alpha_sq, sigma_sq = (float(np.sum(weight * f)) for f in (1.0, t, s, t * t, s * s))
+    phi, psi = target.phi, target.psi
+    moments = MomentSet(one, alpha, sigma, alpha_sq, sigma_sq,
+                        phi * alpha, psi * sigma, phi * phi * one, psi * psi * one)
+    for name, value in vars(moments).items():
+        if not math.isfinite(value):
             raise QuadratureDivergence(f"non-finite integrand for moment {name!r}")
-        values[name] = float(np.sum(fw))
     total = float(np.sum(mass))
     if not abs(total - 1.0) <= _MASS_TOLERANCE:
         raise QuadratureDivergence(f"the time measure's quadrature mass is {total:.6g}, not 1 within "
                                    f"{_MASS_TOLERANCE:g}, at quad_nodes={quad_nodes}")
-    return MomentSet(**values)
+    return moments
 
 
 def optimal_loss(moments: MomentSet, spectrum: Spectrum) -> OptimalLoss:

@@ -143,10 +143,9 @@ def kappa(target: TargetSpec, loss: LossTargetSpec, t, clamp_floor: float | None
     tt = _farray(t)
     if loss.follows_target:
         return _match_scalar(np.ones(tt.shape), t)
-    a = tt + 0.0
     s = 1.0 - tt
-    num = loss.xi * s - loss.eta * a
-    den = target.phi * s - target.psi * a
+    num = loss.xi * s - loss.eta * tt
+    den = target.phi * s - target.psi * tt
     if clamp_floor is None:
         if np.any(np.abs(den) < _EPS):
             raise DegenerateTarget(

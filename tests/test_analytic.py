@@ -14,6 +14,7 @@ from kdiff_lab import (
     UNIFORM_MEASURE,
     V_LOSS,
     X_LOSS,
+    DegenerateTarget,
     DimError,
     DimensionPair,
     GaussianSource,
@@ -21,6 +22,7 @@ from kdiff_lab import (
     QuadratureDivergence,
     SingularEquilibrium,
     Spectrum,
+    TargetSpec,
     TimeMeasure,
     argmin_k,
     colored_mode_coefficients,
@@ -163,6 +165,51 @@ class TestComputeMoments:
     def test_min_nodes(self):
         with pytest.raises(ValueError):
             moments_for_k(0.5, nodes=1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(phi=st.floats(-10.0, 10.0), psi=st.floats(-10.0, 10.0), loss=_LOSSES, measure=_MEASURES)
+    def test_target_moments_are_the_five_sums_times_constants(self, phi, psi, loss, measure):
+        try:
+            m = compute_moments(FLOW_MATCHING, TargetSpec(phi, psi), loss, measure)
+        except DegenerateTarget:
+            return
+        products = [phi * m.alpha, psi * m.sigma, phi * phi * m.one, psi * psi * m.one]
+        assert np.array([m.phi_alpha, m.psi_sigma, m.phi_sq, m.psi_sq]).tobytes() == np.array(products).tobytes()
+        if loss is U_LOSS:
+            # kappa is 1, so the five sums are those of any other target
+            free = moments_for_k(0.5, measure=measure)
+            sums = ("one", "alpha", "sigma", "alpha_sq", "sigma_sq")
+            assert [getattr(m, name) for name in sums] == [getattr(free, name) for name in sums]
+
+    @pytest.mark.parametrize("loss", [U_LOSS, X_LOSS, V_LOSS], ids=["u", "x", "v"])
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            UNIFORM_MEASURE,
+            TimeMeasure("logit_normal", mu=-0.4, sigma=0.9),
+            TimeMeasure("logit_normal", interval=(0.05, 0.95), mu=0.5, sigma=1.5),
+        ],
+        ids=["uniform", "logit-normal", "logit-normal-sub"],
+    )
+    def test_moments_match_a_40_digit_sum_over_the_same_nodes(self, loss, measure):
+        mpmath = pytest.importorskip("mpmath")
+        t, wq = schedule.gauss_legendre_nodes(measure.interval, 64)
+        density = measure.density(t)
+        for k in (0.1, 0.5, 0.8, 1.0):
+            target = k_target(k)
+            got = compute_moments(FLOW_MATCHING, target, loss, measure)
+            with mpmath.workdps(40):
+                mp = [mpmath.mpf(float(v)) for v in t]
+                weight = [mpmath.mpf(a) * mpmath.mpf(b) * mpmath.mpf(c) ** 2
+                          for a, b, c in zip(wq, density, schedule.kappa(target, loss, t))]
+                one, alpha, sigma, alpha_sq, sigma_sq = (
+                    mpmath.fsum(w * f(v) for w, v in zip(weight, mp))
+                    for f in (lambda v: 1, lambda v: v, lambda v: 1 - v, lambda v: v * v, lambda v: (1 - v) ** 2)
+                )
+                phi, psi = mpmath.mpf(target.phi), mpmath.mpf(target.psi)
+                exact = [one, alpha, sigma, alpha_sq, sigma_sq, phi * alpha, psi * sigma, phi**2 * one, psi**2 * one]
+                for (name, value), ref in zip(vars(got).items(), exact):
+                    assert abs(value - ref) <= 1e-15 * abs(ref), f"{name} at k={k}: {value!r} against {ref}"
 
 
 class TestOptimalWeightCoeffs:
