@@ -103,19 +103,17 @@ def decompose(weight: np.ndarray, source: GaussianSource) -> ModeDecomposition:
     return ModeDecomposition(par, weight - par, weight)
 
 
-def _square(weight: np.ndarray, source: GaussianSource) -> np.ndarray:
-    """The weight as a float64 array, not copied if it is one; raises DimError unless it is D x D."""
+def _square(weight: np.ndarray, dim: int) -> np.ndarray:
+    """The weight as a float64 array, not copied if it is one; raises DimError unless it is dim x dim."""
     weight = np.asarray(weight, dtype=np.float64)
-    if weight.shape != (source.ambient_dim, source.ambient_dim):
-        raise DimError(
-            f"weight shape {weight.shape} does not match ambient dimension {source.ambient_dim}"
-        )
+    if weight.shape != (dim, dim):
+        raise DimError(f"weight shape {weight.shape} does not match ambient dimension {dim}")
     return weight
 
 
 def _checked(weight: np.ndarray, source: GaussianSource) -> np.ndarray:
     """A float64 copy of a D x D weight."""
-    return _square(np.array(weight, dtype=np.float64), source)
+    return _square(np.array(weight, dtype=np.float64), source.ambient_dim)
 
 
 def _support(source: GaussianSource, moments: MomentSet):
@@ -167,7 +165,10 @@ def flow_weight(
     """The exact-mode flow's weight after ``step`` Euler steps of ``step_size`` from ``weight0``,
     split into its support's and null space's parts: W* plus each mode's offset of W0 times
     its factor**step, with the factors, and the ``Divergence`` check, of ``run_gradient_flow``'s
-    rows.  Raises ``DimError`` if ``weight0`` is not D x D."""
+    rows.  Raises ``DimError`` if ``weight0`` is not D x D, and ``ValueError`` if ``step`` is not
+    a non-negative integer: a fractional power of a negative factor is complex."""
+    if not isinstance(step, (int, np.integer)) or step < 0:
+        raise ValueError(f"step must be a non-negative integer, got {step!r}")
     weight0 = _checked(weight0, source)
     (vectors, _, star, null), wv, _, _, factors = _flow_modes(weight0, source, moments, step_size)
     *powers, b = _powers(factors, step)
@@ -202,11 +203,14 @@ def stochastic_gradient(
 
     Unbiased for the expected descent direction, minus the gradient of
     ``quadratic_loss``, when t is drawn from the measure the moments were
-    computed with.
+    computed with.  Raises ``DimError`` if the weight is not D x D, with D the
+    width of ``x``.  Only the shape is checked: a weight that is not finite
+    gives a gradient that is not finite, and ``run_gradient_flow``'s stochastic
+    mode raises ``Divergence`` for it at its next recorded row.
     """
     if isinstance(target, (int, float)):
         target = k_target(float(target))
-    weight = np.asarray(weight, dtype=np.float64)
+    weight = _square(weight, np.shape(x)[-1])
     t = np.asarray(t, dtype=np.float64)
     kap = kappa(target, loss, t)[:, None]
     # flow matching: alpha = t and sigma = 1 - t
@@ -220,7 +224,7 @@ def quadratic_loss(weight: np.ndarray, source: GaussianSource, moments: MomentSe
     """Exact training loss of an arbitrary weight (quadratic in the weight), read through
     W F with Sigma = F F^T, |W|^2 and tr W: O(D^2 r) work and no D x D array.  Raises
     ``DimError`` if the weight is not D x D."""
-    weight = _square(weight, source)
+    weight = _square(weight, source.ambient_dim)
     wf = weight @ source.factor
     return 0.5 * (
         moments.alpha_sq * float(np.vdot(wf, wf))
@@ -382,7 +386,7 @@ def monte_carlo_loss(
         ValueError: if the weight is not finite, or if there are fewer than
             2 pairs, that is ``n_samples`` below 4.
     """
-    weight = _square(weight, source)
+    weight = _square(weight, source.ambient_dim)
     if not np.all(np.isfinite(weight)):
         raise ValueError("weight must be finite")
     if isinstance(target, (int, float)):

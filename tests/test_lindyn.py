@@ -158,6 +158,13 @@ class TestStochasticGradient:
         )
         np.testing.assert_array_equal(got, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5), (3, 3), (4,), (4, 4, 1)])
+    def test_weight_must_be_d_by_d(self, shape):
+        # D is the width of the samples, 4 here; three samples, so (3, 3) matches only their count
+        x, noise = np.ones((3, 4)), np.ones((3, 4))
+        with pytest.raises(DimError, match=rf"^weight shape \({shape[0]},.* does not match ambient dimension 4$"):
+            stochastic_gradient(np.ones(shape), x, noise, np.full(3, 0.5))
+
 
 class TestQuadraticLoss:
     def test_matches_optimal_loss_at_equilibrium(self):
@@ -432,6 +439,20 @@ class TestGradientFlow:
         # NaN compares false with every bound: the exact flow would give rows of loss nan and no Divergence
         with pytest.raises(ValueError, match="step_size must be positive and finite"):
             FlowConfig(step_size=step_size, steps=10)
+
+    @pytest.mark.parametrize("step", [2.5, -1])
+    def test_flow_weight_rejects_a_step_that_is_not_a_non_negative_integer(self, step):
+        # at 2.5 the negative factor of this stable step size gave a complex weight, at -1 a weight
+        # extrapolated backwards
+        source = random_orthonormal_basis(6, 2, np.random.default_rng(0))
+        moments = uniform_moments(0.8)
+        assert 2.4 < stability_bound(source, moments)
+        weight0 = np.random.default_rng(1).standard_normal((6, 6))
+        with pytest.raises(ValueError, match=rf"^step must be a non-negative integer, got {step}$"):
+            flow_weight(weight0, source, moments, 2.4, step)
+        # a numpy integer step is an integer
+        np.testing.assert_array_equal(flow_weight(weight0, source, moments, 2.4, np.int64(3)).total,
+                                      flow_weight(weight0, source, moments, 2.4, 3).total)
 
     def test_flow_weight_rejects_a_nan_step(self):
         basis = random_orthonormal_basis(4, 2, np.random.default_rng(24))
