@@ -197,7 +197,12 @@ def argmin_k(loss_fn, tol: float = 1e-8, bracket: tuple[float, float] = (0.0, 1.
     """Golden-section minimiser of a unimodal function on the bracket, [0, 1] by default.
 
     On exact ties both ends shrink, so a constant function converges to the
-    bracket's midpoint.
+    bracket's midpoint.  The bracket shrinks to ``tol``, but the minimiser is
+    reproducible only to about sqrt(eps) of the function's scale: near a
+    smooth minimum the function is flat to roundoff over that width, so its
+    comparisons there are decided by last bits.  A change in the last bits of
+    the function can move the result by more than ``tol``; one such change of
+    the moments moved ``theory``'s k_star by 3.3e-8.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

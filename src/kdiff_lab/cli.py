@@ -315,30 +315,264 @@ def _integer_columns(row, values: tuple) -> tuple:
     return tuple(isinstance(v, (int, np.integer)) for v in values)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write the header and one line per row, streamed row by row.
+# CSV text is made a block of about _BLOCK_CELLS values at a time.  Every value
+# gets a cell of _CELL bytes laid out as _TEMPLATE (columns in brackets): its
+# leading separator [0], "-" [1], the "0" of a number below 1 [2], the 17
+# digits [3-19], "." [20], the up to three zeros after the point of a number
+# below 0.1 [21-23], and the 17 digits again [27-43].  Each copy of the digits
+# is a leading digit and four 4-digit words.  A keep mask picks the cell's
+# text: at 1 <= |x| the first copy gives the integer part and the second the
+# fraction, so the point needs no shift; below 1 only the second copy is
+# kept.  Underscores are never kept.
+_BLOCK_CELLS = 4096
+_CELL = 44
+_TEMPLATE = np.frombuffer(b",-0" + b"_" * 17 + b".000" + b"_" * 20, np.uint8)
+# Values with _LOW <= |x| < _HIGH are printed by the block formatter.  There
+# %.17g has the exponent E of a fixed-point number, -4 <= E <= 15, and
+# N = round(|x| 10^(16 - E)) holds its 17 digits.
+_LOW, _HIGH = 1e-4, 1e16
+_E_MIN = -5  # floor(log10|x|) may land one below E at 1e-4
+_POWERS = np.array([float(10 ** (16 - e)) for e in range(_E_MIN, 17)])  # each exact
+_SPLITTER = 134217729.0  # 2^27 + 1
 
-    Integers are written as integers and every other value with 17
-    significant digits.  The first row fixes which columns are integers, so
-    the row format is built once and each row is formatted by a single
-    ``%``; a later row that differs raises ``ValueError`` and leaves no file.
+
+def _split(a):
+    """Veltkamp's split: a = high + low, each with at most 26 significant bits."""
+    c = a * _SPLITTER
+    high = c - (c - a)
+    return high, a - high
+
+
+_POWERS_HIGH, _POWERS_LOW = _split(_POWERS)
+# the four ASCII digits of each 4-digit group, and as one word
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_GROUP_DIGITS = np.stack([np.tile(np.repeat(_DIGITS, 10 ** (3 - j)), 10**j) for j in range(4)], axis=1)
+_GROUP_TEXT = _GROUP_DIGITS.view(np.uint32).ravel()
+# trailing zero digits of each group, 4 for 0
+_ZERO = (_GROUP_DIGITS == ord("0")).astype(np.uint8)
+_GROUP_ZEROS = _ZERO[:, 3] * (1 + _ZERO[:, 2] * (1 + _ZERO[:, 1] * (1 + _ZERO[:, 0])))
+_TEXT_CODES = 2 * 20 * 17  # keep codes below this are (sign, E, trailing zeros)
+
+
+def _keep_table(width: int) -> np.ndarray:
+    """Keep mask of a cell per code.
+
+    Code ``340 neg + 17 (E + 4) + tz`` keeps the text of a formatted value
+    with sign ``neg``, exponent E and tz trailing zero digits; code
+    ``_TEXT_CODES + L`` keeps the separator and the L bytes after it.
+    """
+    col = np.arange(width)
+    code = np.arange(_TEXT_CODES + width)[:, None]
+    neg, exp, tz = code // 340, code // 17 % 20 - 4, code % 17
+    first, second = np.full(width, -1), np.full(width, -1)  # the digit index a column holds
+    first[3], first[4:20] = 0, np.arange(1, 17)
+    second[27], second[28:44] = 0, np.arange(1, 17)
+    last = 16 - tz  # the last digit written
+    formatted = (
+        (col == 0)
+        | ((col == 1) & (neg == 1))
+        | ((col == 2) & (exp < 0))
+        | ((first >= 0) & (first <= exp))
+        | ((col == 20) & ((exp < 0) | (last > exp)))
+        | ((col >= 21) & (col <= 23) & (col - 21 < -exp - 1))
+        | ((second >= 0) & (second > exp) & (second <= last))
+    )
+    return np.where(code < _TEXT_CODES, formatted, col <= code - _TEXT_CODES)
+
+
+_KEEP = _keep_table(_CELL)
+
+
+class _CsvBlock:
+    """Cells and work arrays for formatting blocks of ``rows`` x ``cols`` values.
+
+    One set serves every block of a file, so a block writes into memory that
+    is already mapped; how much memory a file takes does not depend on its
+    length.
+    """
+
+    def __init__(self, rows: int, cols: int, width: int):
+        cells = rows * cols
+        self.width = width
+        self.keep_table = _KEEP if width == _CELL else _keep_table(width)
+        self.text = np.full((cells, width), ord("_"), np.uint8)
+        self.text[:, :_CELL] = _TEMPLATE
+        self.text.reshape(rows, cols, width)[:, :1, 0] = ord("\n")
+        # the keep mask, then the kept bytes with NUL for the rest
+        self.kept = bytearray(cells * width)
+        self.keep = np.frombuffer(self.kept, bool).reshape(cells, width)
+        self.abs, self.high, self.low = (np.empty(cells) for _ in range(3))
+        self.exp, self.num, self.quot, self.code = (np.empty(cells, np.int64) for _ in range(4))
+        self.groups = np.empty((cells, 4), np.int64)
+        self.group_text = np.empty((cells, 4), np.uint32)
+        self.zeros = np.empty((cells, 4), np.uint8)
+        self.tz = np.empty(cells, np.uint8)
+        self.inside = np.empty(cells, bool)
+
+    @staticmethod
+    def _product(a, exp, high, low) -> None:
+        """high + low = a 10^(16 - exp) exactly (Dekker's two-product)."""
+        i = exp - _E_MIN
+        np.multiply(a, _POWERS[i], out=high)
+        a_high, a_low = _split(a)
+        p_high, p_low = _POWERS_HIGH[i], _POWERS_LOW[i]
+        low[:] = ((a_high * p_high - high) + a_high * p_low + a_low * p_high) + a_low * p_low
+
+    def format(self, x: np.ndarray, text_cols: list[int], texts: list[str]) -> bytes | bytearray:
+        """The CSV text of the float64 block ``x``, one line per row.
+
+        Each line starts with its newline.  The columns ``text_cols`` are
+        written as ``texts``, given row by row; every other value as
+        ``'%.17g' % v``.
+        """
+        n, m = x.shape
+        cells = n * m
+        if not cells:
+            return b"\n" * n
+        a, high, low, exp = self.abs[:cells], self.high[:cells], self.low[:cells], self.exp[:cells]
+        np.abs(x, out=a.reshape(n, m))
+        if text_cols:
+            a.reshape(n, m)[:, text_cols] = 1.5
+        text_cells = (np.arange(n)[:, None] * m + np.array(text_cols, np.int64)).ravel()
+        inside = self.inside[:cells]
+        np.greater_equal(a, _LOW, out=inside)
+        inside &= a < _HIGH
+        if not inside.all():
+            outside = np.flatnonzero(~inside)
+            texts = texts + ["%.17g" % v for v in x.reshape(-1)[outside].tolist()]
+            text_cells = np.concatenate([text_cells, outside])
+            a[outside] = 1.5
+
+        np.log10(a, out=high)
+        np.floor(high, out=high)
+        exp[:] = high
+        self._product(a, exp, high, low)
+        # fix E where log10 was off by one: then high + low lies outside [1e16, 1e17)
+        off = np.flatnonzero((high <= 1e16) | (high >= 1e17))
+        if off.size:
+            h, lo = high[off], low[off]
+            fixed = exp[off] - ((h < 1e16) | ((h == 1e16) & (lo < 0))) + ((h > 1e17) | ((h == 1e17) & (lo >= 0)))
+            exp[off] = fixed
+            h, lo = np.empty(off.size), np.empty(off.size)
+            self._product(a[off], fixed, h, lo)
+            high[off], low[off] = h, lo
+        # high is an even integer (its spacing is at least 2), so rounding low
+        # half to even rounds high + low half to even, as %.17g does.  N cannot
+        # round up to 10^17: that needs |x| within 5e-18 relative below
+        # 10^(E + 1), and no double lies that close below 10^-3 .. 10^16
+        # (10^0 .. 10^16 are doubles, the doubles nearest 10^-3 .. 10^-1 lie
+        # above them, and doubles are at least 1.1e-16 relative apart)
+        num, quot = self.num[:cells], self.quot[:cells]
+        num[:] = high
+        np.rint(low, out=low)
+        quot[:] = low
+        num += quot
+        groups = self.groups[:cells]
+        for j in (3, 2, 1, 0):
+            np.floor_divide(num, 10000, out=quot)
+            np.multiply(quot, 10000, out=groups[:, j])
+            np.subtract(num, groups[:, j], out=groups[:, j])
+            num, quot = quot, num  # num is left with the leading digit
+
+        text = self.text[:cells]
+        words = text.view(np.uint32)
+        np.add(num, ord("0"), out=text[:, 3], casting="unsafe")
+        text[:, 27] = text[:, 3]
+        group_text = self.group_text[:cells]
+        np.take(_GROUP_TEXT, groups, out=group_text, mode="clip")
+        words[:, 1:5] = group_text
+        words[:, 7:11] = group_text
+        zeros, tz = self.zeros[:cells], self.tz[:cells]
+        np.take(_GROUP_ZEROS, groups, out=zeros, mode="clip")
+        tz[:] = zeros[:, 0]
+        for j in (1, 2, 3):
+            tz *= zeros[:, j] == 4
+            tz += zeros[:, j]
+        code = self.code[:cells]
+        np.multiply(exp, 17, out=code)
+        code += 4 * 17
+        code += tz
+        code += np.less(x, 0).reshape(-1) * 340
+
+        if texts:
+            lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+            starts = np.cumsum(lengths) - lengths
+            at = np.repeat(text_cells * self.width + 1 - starts, lengths) + np.arange(lengths.sum())
+            text.reshape(-1)[at] = np.frombuffer("".join(texts).encode("ascii"), np.uint8)
+            code[text_cells] = _TEXT_CODES + lengths
+        keep = self.keep[:cells]
+        np.take(self.keep_table, code, axis=0, out=keep, mode="clip")
+        np.multiply(text, keep, out=keep.view(np.uint8))
+        if texts:
+            text[text_cells, 1:_CELL] = _TEMPLATE[1:]
+        # text holds no NUL byte, so deleting them drops exactly the unkept bytes
+        kept = self.kept if keep.size == len(self.kept) else self.kept[: keep.size]
+        return kept.translate(None, b"\0")
+
+
+def _block_rows(cols: int) -> int:
+    return max(1, _BLOCK_CELLS // max(cols, 1))
+
+
+def _csv_blocks(path: Path, rows):
+    """Yield ``(values, integer columns, integer texts)`` for blocks of rows.
+
+    ``values`` is a float64 array whose integer columns are placeholders;
+    the texts are ``'%d' % v`` of those columns, row by row.
+    """
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
+        step = _block_rows(rows.shape[1])
+        for start in range(0, len(rows), step):
+            yield rows[start : start + step].astype(np.float64, copy=False), [], []
+        return
+    kinds = int_cols = step = None
+    block, texts = [], []
+    for i, row in enumerate(rows):
+        values = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
+        row_kinds = _integer_columns(row, values)
+        if kinds is None:
+            kinds, step = row_kinds, _block_rows(len(row_kinds))
+            int_cols = [c for c, is_int in enumerate(kinds) if is_int]
+        elif row_kinds != kinds:
+            raise ValueError(f"{path.name}: row {i} does not match the first row's integer and float columns")
+        if int_cols:
+            texts.extend("%d" % values[c] for c in int_cols)
+            values = [0.0 if is_int else v for v, is_int in zip(values, kinds)]
+        block.append(values)
+        if len(block) == step:
+            yield _float_block(path, block, len(kinds)), int_cols, texts
+            block, texts = [], []
+    if block:
+        yield _float_block(path, block, len(kinds)), int_cols, texts
+
+
+def _float_block(path: Path, block: list, cols: int) -> np.ndarray:
+    values = np.array(block).reshape(len(block), cols)
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"{path.name}: a float column holds a value that is not a real number")
+    return values.astype(np.float64, copy=False)
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header and one line per row, formatted a block of rows at a time.
+
+    Integers are written as integers (``%d``) and every other value with 17
+    significant digits (``%.17g``), byte for byte.  The first row fixes which
+    columns are integers; a later row that differs raises ``ValueError`` and
+    leaves no file.  Only one block of text is held in memory at a time.
     """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            kinds = line = None
-            for i, row in enumerate(rows):
-                values = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
-                row_kinds = _integer_columns(row, values)
-                if line is None:
-                    kinds = row_kinds
-                    line = ",".join("%d" if is_int else "%.17g" for is_int in kinds) + "\n"
-                elif row_kinds != kinds:
-                    raise ValueError(
-                        f"{path.name}: row {i} does not match the first row's integer "
-                        "and float columns"
-                    )
-                fh.write(line % values)
+        with open(path, "wb") as fh:
+            fh.write(",".join(header).encode("utf-8"))
+            cells = None
+            for values, int_cols, texts in _csv_blocks(path, rows):
+                # a cell holds its separator and the longest integer's text, in whole words
+                width = max(_CELL, 4 * -(-(1 + max(map(len, texts), default=0)) // 4))
+                if cells is None or width > cells.width:
+                    # no later block has more rows than the one that sets its size
+                    cells = _CsvBlock(*values.shape, width)
+                fh.write(cells.format(values, int_cols, texts))
+            fh.write(b"\n")
     except BaseException:
         path.unlink(missing_ok=True)
         raise

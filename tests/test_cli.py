@@ -5,12 +5,14 @@ import json
 import math
 import re
 import resource
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kdiff_lab import (
     FLOW_MATCHING,
@@ -566,6 +568,91 @@ class TestWriteCsv:
         self._assert_same_bytes(tmp_path, ["x0", "x1"], np.empty((0, 2)))
         self._assert_same_bytes(tmp_path, ["step", "loss"], [])
         assert (tmp_path / "got.csv").read_text() == "step,loss\n"
+
+    @settings(
+        max_examples=100, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=80),
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        )
+    )
+    def test_any_float_table(self, tmp_path, rows):
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(rows.shape[1])], rows)
+
+    @settings(
+        max_examples=100, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(bits=hnp.arrays(np.uint64, st.tuples(st.integers(1, 100), st.integers(1, 70))))
+    def test_any_bit_pattern(self, tmp_path, bits):
+        rows = bits.view(np.float64)
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(rows.shape[1])], rows)
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(51).integers(0, 2**64, (2000, 64), dtype=np.uint64, endpoint=False)
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(64)], bits.view(np.float64))
+
+    def test_neighbours_of_powers_of_ten(self, tmp_path):
+        # 1e-4 <= |x| < 1e16 is formatted in blocks, the rest value by value
+        powers = 10.0 ** np.arange(-5, 18)
+        values = np.concatenate([
+            np.nextafter(powers, -np.inf), powers, np.nextafter(powers, np.inf),
+            np.nextafter([1e-4, 1e16], -np.inf), [1e-4, 1e16], np.nextafter([1e-4, 1e16], np.inf),
+        ])
+        rows = np.concatenate([values, -values]).reshape(-1, 1)
+        self._assert_same_bytes(tmp_path, ["x"], rows)
+
+    def test_the_double_below_a_power_of_ten_keeps_its_exponent(self, tmp_path):
+        # its 17 digits never round up to the power itself
+        below = np.nextafter(10.0 ** np.arange(-4, 17), 0.0)
+        write_csv(tmp_path / "got.csv", ["x"], below.reshape(-1, 1))
+        lines = (tmp_path / "got.csv").read_text().splitlines()[1:]
+        assert lines == ["%.17g" % v for v in below]
+        assert all(line.replace(".", "").lstrip("0").startswith("9" * 13) for line in lines), lines
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        # j / 2^17 for odd j has 17 fraction digits ending in 5: a tie at 17 significant digits
+        ties = np.arange(2**17 + 1, 10 * 2**17, 2) / 2.0**17
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(64)], ties.reshape(-1, 64))
+        write_csv(tmp_path / "one.csv", ["x"], [(1.00000762939453125,)])
+        assert (tmp_path / "one.csv").read_text() == "x\n1.0000076293945312\n"
+
+    def test_signed_zeros_float32_and_integer_columns(self, tmp_path):
+        rows = [
+            (0.0, -0.0, np.float32(v), 2**63 + i, -(2**64) - i, np.uint64(2**64 - 1 - i), 10**60 + i)
+            for i, v in enumerate([0.1, -1e-5, 3.4e38, 1.4e-45, 7.0])
+        ]
+        self._assert_same_bytes(tmp_path, ["z", "nz", "f32", "big", "neg", "u64", "huge"], rows)
+        self._assert_same_bytes(tmp_path, ["f32"], np.array([[0.1], [-2.5e-6], [65504.0]], np.float32))
+
+    def test_rows_without_values_are_empty_lines(self, tmp_path):
+        self._assert_same_bytes(tmp_path, [], [(), ()])
+        self._assert_same_bytes(tmp_path, [], np.empty((3, 0)))
+
+    def test_a_value_that_is_not_a_number_raises_and_leaves_no_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(TypeError):
+            write_csv(path, ["a", "b"], [(1, 0.5), (2, None)])
+        assert not path.exists()
+
+    def test_memory_does_not_grow_with_the_table(self, tmp_path):
+        # one block of text is held at a time; 64 KiB covers the writer's
+        # own small allocations, whose sizes vary with the text
+        def traced_peak(rows):
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "m.csv", [f"x{i}" for i in range(64)], rows)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rng = np.random.default_rng(52)
+        small, large = rng.standard_normal((400, 64)), rng.standard_normal((40_000, 64))
+        assert traced_peak(large) <= traced_peak(small) + 64 * 1024
 
 
 class TestConfigValidation:
