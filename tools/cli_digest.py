@@ -151,6 +151,10 @@ RUNS = [
                   "dynamics": {"mode": "exact", "steps": 150, "step_size": 0.5, "tol": 1e-6}}, 0),
     # a logit-normal measure too narrow for 64 quadrature nodes, which integrate 0.69 of its mass
     ("theory", {"time_sampler": {"kind": "logit_normal", "mu": 0.0, "sigma": 0.03}, "data": {"D": 16, "d": 4}}, 1),
+    # steps above 2^53, which a float64 step column could not hold, and a binned trainer whose
+    # history (7 columns, 585 rows a block) spans three CSV blocks
+    ("dynamics", {"data": _MANIFOLD, "dynamics": {"mode": "exact", "steps": 10**17, "tol": 1e-6}}, 0),
+    ("train", {"data": _MANIFOLD, "train": {"steps": 1200, "batch": 32, "k_bins": 4}}, 0),
 ]
 
 
