@@ -308,13 +308,6 @@ def load_config(path, seed: int | None = None) -> Config:
     )
 
 
-def _integer_columns(row, values: tuple) -> tuple:
-    """Which of a row's values are written as integers."""
-    if isinstance(row, np.ndarray) and row.dtype.kind in "biuf":
-        return (row.dtype.kind != "f",) * len(values)
-    return tuple(isinstance(v, (int, np.integer)) for v in values)
-
-
 # CSV text is made a block of about _BLOCK_CELLS values at a time.  Every value
 # gets a cell of _CELL bytes laid out as _TEMPLATE (columns in brackets): its
 # leading separator [0], "-" [1], the "0" of a number below 1 [2], the 17
@@ -323,7 +316,8 @@ def _integer_columns(row, values: tuple) -> tuple:
 # is a leading digit and four 4-digit words.  A keep mask picks the cell's
 # text: at 1 <= |x| the first copy gives the integer part and the second the
 # fraction, so the point needs no shift; below 1 only the second copy is
-# kept.  Underscores are never kept.
+# kept.  Underscores are never kept.  Any other text fits a cell too: %d of an
+# int64 or uint64 is at most 20 bytes and a fallback %.17g at most 24.
 _BLOCK_CELLS = 4096
 _CELL = 44
 _TEMPLATE = np.frombuffer(b",-0" + b"_" * 17 + b".000" + b"_" * 20, np.uint8)
@@ -354,17 +348,17 @@ _GROUP_ZEROS = _ZERO[:, 3] * (1 + _ZERO[:, 2] * (1 + _ZERO[:, 1] * (1 + _ZERO[:,
 _TEXT_CODES = 2 * 20 * 17  # keep codes below this are (sign, E, trailing zeros)
 
 
-def _keep_table(width: int) -> np.ndarray:
+def _keep_table() -> np.ndarray:
     """Keep mask of a cell per code.
 
     Code ``340 neg + 17 (E + 4) + tz`` keeps the text of a formatted value
     with sign ``neg``, exponent E and tz trailing zero digits; code
     ``_TEXT_CODES + L`` keeps the separator and the L bytes after it.
     """
-    col = np.arange(width)
-    code = np.arange(_TEXT_CODES + width)[:, None]
+    col = np.arange(_CELL)
+    code = np.arange(_TEXT_CODES + _CELL)[:, None]
     neg, exp, tz = code // 340, code // 17 % 20 - 4, code % 17
-    first, second = np.full(width, -1), np.full(width, -1)  # the digit index a column holds
+    first, second = np.full(_CELL, -1), np.full(_CELL, -1)  # the digit index a column holds
     first[3], first[4:20] = 0, np.arange(1, 17)
     second[27], second[28:44] = 0, np.arange(1, 17)
     last = 16 - tz  # the last digit written
@@ -380,7 +374,7 @@ def _keep_table(width: int) -> np.ndarray:
     return np.where(code < _TEXT_CODES, formatted, col <= code - _TEXT_CODES)
 
 
-_KEEP = _keep_table(_CELL)
+_KEEP = _keep_table()
 
 
 class _CsvBlock:
@@ -391,16 +385,13 @@ class _CsvBlock:
     length.
     """
 
-    def __init__(self, rows: int, cols: int, width: int):
+    def __init__(self, rows: int, cols: int):
         cells = rows * cols
-        self.width = width
-        self.keep_table = _KEEP if width == _CELL else _keep_table(width)
-        self.text = np.full((cells, width), ord("_"), np.uint8)
-        self.text[:, :_CELL] = _TEMPLATE
-        self.text.reshape(rows, cols, width)[:, :1, 0] = ord("\n")
+        self.text = np.tile(_TEMPLATE, (cells, 1))
+        self.text.reshape(rows, cols, _CELL)[:, :1, 0] = ord("\n")
         # the keep mask, then the kept bytes with NUL for the rest
-        self.kept = bytearray(cells * width)
-        self.keep = np.frombuffer(self.kept, bool).reshape(cells, width)
+        self.kept = bytearray(cells * _CELL)
+        self.keep = np.frombuffer(self.kept, bool).reshape(cells, _CELL)
         self.abs, self.high, self.low = (np.empty(cells) for _ in range(3))
         self.exp, self.num, self.quot, self.code = (np.empty(cells, np.int64) for _ in range(4))
         self.groups = np.empty((cells, 4), np.int64)
@@ -422,7 +413,7 @@ class _CsvBlock:
         """The CSV text of the float64 block ``x``, one line per row.
 
         Each line starts with its newline.  The columns ``text_cols`` are
-        written as ``texts``, given row by row; every other value as
+        written as ``texts``, given column by column; every other value as
         ``'%.17g' % v``.
         """
         n, m = x.shape
@@ -433,7 +424,7 @@ class _CsvBlock:
         np.abs(x, out=a.reshape(n, m))
         if text_cols:
             a.reshape(n, m)[:, text_cols] = 1.5
-        text_cells = (np.arange(n)[:, None] * m + np.array(text_cols, np.int64)).ravel()
+        text_cells = (np.array(text_cols, np.int64)[:, None] + np.arange(n) * m).ravel()
         inside = self.inside[:cells]
         np.greater_equal(a, _LOW, out=inside)
         inside &= a < _HIGH
@@ -497,11 +488,11 @@ class _CsvBlock:
         if texts:
             lengths = np.fromiter(map(len, texts), np.int64, len(texts))
             starts = np.cumsum(lengths) - lengths
-            at = np.repeat(text_cells * self.width + 1 - starts, lengths) + np.arange(lengths.sum())
+            at = np.repeat(text_cells * _CELL + 1 - starts, lengths) + np.arange(lengths.sum())
             text.reshape(-1)[at] = np.frombuffer("".join(texts).encode("ascii"), np.uint8)
             code[text_cells] = _TEXT_CODES + lengths
         keep = self.keep[:cells]
-        np.take(self.keep_table, code, axis=0, out=keep, mode="clip")
+        np.take(_KEEP, code, axis=0, out=keep, mode="clip")
         np.multiply(text, keep, out=keep.view(np.uint8))
         if texts:
             text[text_cells, 1:_CELL] = _TEMPLATE[1:]
@@ -510,68 +501,40 @@ class _CsvBlock:
         return kept.translate(None, b"\0")
 
 
-def _block_rows(cols: int) -> int:
-    return max(1, _BLOCK_CELLS // max(cols, 1))
-
-
-def _csv_blocks(path: Path, rows):
-    """Yield ``(values, integer columns, integer texts)`` for blocks of rows.
-
-    ``values`` is a float64 array whose integer columns are placeholders;
-    the texts are ``'%d' % v`` of those columns, row by row.
-    """
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f":
-        step = _block_rows(rows.shape[1])
-        for start in range(0, len(rows), step):
-            yield rows[start : start + step].astype(np.float64, copy=False), [], []
-        return
-    kinds = int_cols = step = None
-    block, texts = [], []
-    for i, row in enumerate(rows):
-        values = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
-        row_kinds = _integer_columns(row, values)
-        if kinds is None:
-            kinds, step = row_kinds, _block_rows(len(row_kinds))
-            int_cols = [c for c, is_int in enumerate(kinds) if is_int]
-        elif row_kinds != kinds:
-            raise ValueError(f"{path.name}: row {i} does not match the first row's integer and float columns")
-        if int_cols:
-            texts.extend("%d" % values[c] for c in int_cols)
-            values = [0.0 if is_int else v for v, is_int in zip(values, kinds)]
-        block.append(values)
-        if len(block) == step:
-            yield _float_block(path, block, len(kinds)), int_cols, texts
-            block, texts = [], []
-    if block:
-        yield _float_block(path, block, len(kinds)), int_cols, texts
-
-
-def _float_block(path: Path, block: list, cols: int) -> np.ndarray:
-    values = np.array(block).reshape(len(block), cols)
-    if values.dtype.kind not in "biuf":
-        raise TypeError(f"{path.name}: a float column holds a value that is not a real number")
-    return values.astype(np.float64, copy=False)
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write the header and one line per row, formatted a block of rows at a time.
 
-    Integers are written as integers (``%d``) and every other value with 17
-    significant digits (``%.17g``), byte for byte.  The first row fixes which
-    columns are integers; a later row that differs raises ``ValueError`` and
-    leaves no file.  Only one block of text is held in memory at a time.
+    ``columns`` are arrays of equal length: a 1-d array is one column and a
+    2-d array one column per array column.  Integer arrays are written with
+    ``%d`` and float arrays with ``%.17g``, byte for byte.  Unequal lengths
+    raise ``ValueError`` and any other dtype ``TypeError``; either leaves no
+    file.  Only one block of text is held in memory at a time.
     """
     try:
+        tables = [a[:, None] if a.ndim == 1 else a for a in map(np.asarray, columns)]
+        lengths = {len(t) for t in tables}
+        if len(lengths) > 1:
+            raise ValueError(f"{path.name}: columns have unequal lengths {sorted(lengths)}")
+        if any(t.dtype.kind not in "iuf" for t in tables):
+            raise TypeError(f"{path.name}: a column is neither integer nor float")
+        n, ends = max(lengths, default=0), np.cumsum([0] + [t.shape[1] for t in tables])
+        spans = list(zip(tables, ends, ends[1:]))
+        int_cols = [c for t, lo, hi in spans if t.dtype.kind != "f" for c in range(lo, hi)]
+        step = max(1, _BLOCK_CELLS // max(ends[-1], 1))
+        # float values in place, zeros at the integer columns, whose cells hold their texts
+        values = np.zeros((min(step, n), ends[-1]))
+        cells = _CsvBlock(*values.shape)
         with open(path, "wb") as fh:
             fh.write(",".join(header).encode("utf-8"))
-            cells = None
-            for values, int_cols, texts in _csv_blocks(path, rows):
-                # a cell holds its separator and the longest integer's text, in whole words
-                width = max(_CELL, 4 * -(-(1 + max(map(len, texts), default=0)) // 4))
-                if cells is None or width > cells.width:
-                    # no later block has more rows than the one that sets its size
-                    cells = _CsvBlock(*values.shape, width)
-                fh.write(cells.format(values, int_cols, texts))
+            for start in range(0, n, step):
+                block, texts = values[: n - start], []
+                for t, lo, hi in spans:
+                    part = t[start : start + step]
+                    if t.dtype.kind == "f":
+                        block[:, lo:hi] = part
+                    else:
+                        texts += map(str, part.T.ravel().tolist())
+                fh.write(cells.format(block, int_cols, texts))
             fh.write(b"\n")
     except BaseException:
         path.unlink(missing_ok=True)
@@ -618,15 +581,15 @@ def cmd_theory(cfg: Config, out: Path) -> int:
         return (k, loss.total, loss.parallel, loss.perpendicular)
 
     grid = np.linspace(0.0, 1.0, cfg.k_points).tolist()
-    rows = [row(k) for k in grid]
-    write_csv(out / "theory.csv", ["k", "delta_total", "delta_parallel", "delta_perpendicular"], rows)
+    table = np.array([row(k) for k in grid])
+    write_csv(out / "theory.csv", ["k", "delta_total", "delta_parallel", "delta_perpendicular"], [table])
     if cfg.loss.follows_target:
         k_star = _u_loss_k_star(cfg)
     else:
-        best = int(np.argmin([r[1] for r in rows]))  # the first, so the lowest k, on ties
+        best = int(np.argmin(table[:, 1]))  # the first, so the lowest k, on ties
         bracket = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
         searched = analytic.argmin_k(lambda k: row(k)[1], bracket=bracket)
-        k_star = searched if row(searched)[1] <= rows[best][1] else grid[best]
+        k_star = searched if row(searched)[1] <= table[best, 1] else grid[best]
     delta = row(k_star)[1]
     write_json(out / "theory_summary.json", {"k_star": k_star, "delta_at_k_star": delta})
     print(f"theory: k_star = {k_star:.6f}")
@@ -646,8 +609,9 @@ def cmd_dynamics(cfg: Config, out: Path) -> int:
         weight0, source, cfg.flow, cfg.target, cfg.loss, cfg.measure, rng=rng
     )
 
-    rows = [(rec.step, rec.loss, rec.dist_par, rec.dist_perp) for rec in trajectory]
-    write_csv(out / "dynamics.csv", ["step", "loss", "dist_par", "dist_perp"], rows)
+    steps = np.array([rec.step for rec in trajectory], np.int64)
+    values = np.array([(rec.loss, rec.dist_par, rec.dist_perp) for rec in trajectory])
+    write_csv(out / "dynamics.csv", ["step", "loss", "dist_par", "dist_perp"], [steps, values])
     final, tol = trajectory[-1], cfg.tol
     converged = final.dist_par < tol and final.dist_perp < tol
     write_json(
@@ -683,8 +647,7 @@ def cmd_train(cfg: Config, out: Path) -> int:
     k_header = [f"k_t{p:g}" for p in history.probe_points] if kparam.is_binned else ["k"]
     final_k = history.final_k
     k_columns = history.k_values.reshape(len(history.steps), -1)
-    rows = [(int(s), l, *kv) for s, l, kv in zip(history.steps, history.losses, k_columns)]
-    write_csv(out / "history.csv", ["step", "loss", *k_header], rows)
+    write_csv(out / "history.csv", ["step", "loss", *k_header], [history.steps, history.losses, k_columns])
 
     summary = {"final_k": final_k}
     if k_star is None:
@@ -729,7 +692,7 @@ def cmd_sample(cfg: Config, out: Path) -> int:
         raise NonFiniteState("state became non-finite at t = 1")
 
     header = [f"x{i}" for i in range(dim)]
-    write_csv(out / "samples.csv", header, z1)
+    write_csv(out / "samples.csv", header, [z1])
 
     def off_manifold_fraction(z: np.ndarray):
         if len(z) == 0:

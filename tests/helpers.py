@@ -264,22 +264,21 @@ def training_step_reference(net, kparam, x, config, rng):
     return loss, grads
 
 
-def write_csv_reference(path, header, rows) -> None:
+def write_csv_reference(path, header, columns) -> None:
     """``cli.write_csv`` as a per-value formatter that builds the whole text.
 
-    Each value is written with ``str(int(v))`` when it is an integer and
-    ``f"{float(v):.17g}"`` otherwise: the reference the row-format writer
-    must match byte for byte.
+    Each value of an integer array is written with ``str(int(v))`` and each
+    value of a float array with ``f"{float(v):.17g}"``: the reference the
+    block writer must match byte for byte.  A 1-d array is one column and a
+    2-d array one column per array column.
     """
-
-    def fmt(value) -> str:
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return f"{float(value):.17g}"
-
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    texts = []
+    for array in map(np.asarray, columns):
+        fmt = (lambda v: str(int(v))) if array.dtype.kind in "iu" else (lambda v: f"{float(v):.17g}")
+        for column in (array.reshape(len(array), 1) if array.ndim == 1 else array).T:
+            texts.append([fmt(v) for v in column.tolist()])
+    rows = len(columns[0]) if len(columns) else 0
+    lines = [",".join(header)] + [",".join(column[i] for column in texts) for i in range(rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

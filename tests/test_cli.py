@@ -190,6 +190,13 @@ class TestDynamics:
         # and the loss is (phi_sq tr Sigma + psi_sq D) / 2, with phi = k and psi = k - 1
         assert rows[0, 1] == pytest.approx(0.5 * (0.7**2 * 4.5 + 0.3**2 * 6.0), rel=1e-14)
 
+    def test_steps_above_two_to_the_53_are_written_exactly(self, tmp_path):
+        # a float64 step column would print 1e+17 and round the step below it
+        cfg = write_config(tmp_path, "c.json", {"data": {"D": 12, "d": 3}, "dynamics": {"steps": 10**17}})
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "dynamics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[-2:]] == ["96157460014321552", "100000000000000000"]
+
     def test_unstable_step_size_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"dynamics": {"step_size": 4.0}})
         code = main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -523,50 +530,55 @@ def test_all_zero_spectrum_runs_every_command(tmp_path, command):
     assert any((tmp_path / "out").iterdir())
 
 
-class TestWriteCsv:
-    """The row-format writer against the per-value reference, byte for byte."""
+_INT64 = np.iinfo(np.int64)
+_UINT64 = np.iinfo(np.uint64)
 
-    def _assert_same_bytes(self, tmp_path, header, rows):
-        write_csv(tmp_path / "got.csv", header, rows)
-        write_csv_reference(tmp_path / "ref.csv", header, rows)
+
+class TestWriteCsv:
+    """The column writer against the per-value reference, byte for byte."""
+
+    def _assert_same_bytes(self, tmp_path, header, columns):
+        write_csv(tmp_path / "got.csv", header, columns)
+        write_csv_reference(tmp_path / "ref.csv", header, columns)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_special_float_values(self, tmp_path):
-        rows = np.array(_SPECIAL).reshape(1, -1)
-        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(rows.shape[1])], rows)
-        self._assert_same_bytes(tmp_path, ["a", "b"], [(v, np.float64(v)) for v in _SPECIAL])
+        values = np.array(_SPECIAL)
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(values.size)], [values.reshape(1, -1)])
+        self._assert_same_bytes(tmp_path, ["a", "b"], [values, values.reshape(-1, 1)])
 
-    def test_mixed_integer_and_float_rows(self, tmp_path):
-        rows = [
-            (int(step), np.int64(-step), np.float64(0.5**step), float(step), np.float32(0.1), step * 10**18)
-            for step in range(1, 6)
+    def test_mixed_integer_and_float_columns(self, tmp_path):
+        step = np.arange(1, 6)
+        columns = [
+            step, -step, 0.5**step, step.astype(np.float64), np.full(5, 0.1, np.float32),
+            step.astype(np.uint64) * np.uint64(10**18),
         ]
-        self._assert_same_bytes(tmp_path, ["step", "n", "loss", "f", "f32", "big"], rows)
-        self._assert_same_bytes(tmp_path, ["i"], np.arange(-3, 4).reshape(-1, 1))
+        self._assert_same_bytes(tmp_path, ["step", "n", "loss", "f", "f32", "big"], columns)
+        self._assert_same_bytes(tmp_path, ["i"], [np.arange(-3, 4).reshape(-1, 1)])
 
     def test_random_float_matrix(self, tmp_path):
         rows = np.random.default_rng(50).standard_normal((300, 7)) * 10.0 ** np.arange(-150, 200, 50)
-        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(7)], rows)
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(7)], [rows])
 
     @pytest.mark.parametrize(
-        "rows",
+        "columns",
         [
-            [(1, 0.5), (2.7, 0.25)],
-            [(1, 0.5), (2, np.int64(3))],
-            [(1, 0.5), (2, 0.25, 0.125)],
-            [np.array([1.0, 2.0]), np.array([3, 4])],
+            [np.arange(3), np.zeros(2)],
+            [np.zeros((3, 2)), np.arange(4)],
+            [np.arange(2), np.zeros((2, 1)), np.zeros(0)],
         ],
-        ids=["float-in-int-column", "int-in-float-column", "longer-row", "int-array-row"],
+        ids=["shorter-float", "longer-int", "empty-last"],
     )
-    def test_a_row_unlike_the_first_raises_and_leaves_no_file(self, tmp_path, rows):
+    def test_unequal_lengths_raise_and_leave_no_file(self, tmp_path, columns):
         path = tmp_path / "bad.csv"
-        with pytest.raises(ValueError, match="row 1"):
-            write_csv(path, ["a", "b"], iter(rows))
+        path.write_text("an earlier run's table\n")
+        with pytest.raises(ValueError, match="unequal lengths"):
+            write_csv(path, ["a", "b"], columns)
         assert not path.exists()
 
     def test_zero_rows_writes_the_header_only(self, tmp_path):
-        self._assert_same_bytes(tmp_path, ["x0", "x1"], np.empty((0, 2)))
-        self._assert_same_bytes(tmp_path, ["step", "loss"], [])
+        self._assert_same_bytes(tmp_path, ["x0", "x1"], [np.empty((0, 2))])
+        self._assert_same_bytes(tmp_path, ["step", "loss"], [np.empty(0, np.int64), np.empty(0)])
         assert (tmp_path / "got.csv").read_text() == "step,loss\n"
 
     @settings(
@@ -581,7 +593,7 @@ class TestWriteCsv:
         )
     )
     def test_any_float_table(self, tmp_path, rows):
-        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(rows.shape[1])], rows)
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(rows.shape[1])], [rows])
 
     @settings(
         max_examples=100, deadline=None, derandomize=True, database=None,
@@ -590,11 +602,30 @@ class TestWriteCsv:
     @given(bits=hnp.arrays(np.uint64, st.tuples(st.integers(1, 100), st.integers(1, 70))))
     def test_any_bit_pattern(self, tmp_path, bits):
         rows = bits.view(np.float64)
-        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(rows.shape[1])], rows)
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(rows.shape[1])], [rows])
+
+    @settings(
+        max_examples=50, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.data_too_large],
+    )
+    @given(
+        table=st.integers(0, 1200).flatmap(
+            lambda n: st.tuples(
+                hnp.arrays(np.int64, n, elements=st.sampled_from([_INT64.min, _INT64.max]) | st.integers(
+                    _INT64.min, _INT64.max)),
+                hnp.arrays(np.float64, (n, 3), elements=st.floats(allow_nan=True, allow_subnormal=True)),
+                hnp.arrays(np.uint64, (n, 2), elements=st.sampled_from([0, _UINT64.max]) | st.integers(
+                    0, _UINT64.max)),
+            )
+        )
+    )
+    def test_64_bit_integer_columns_beside_a_float_block(self, tmp_path, table):
+        # 6 columns make blocks of 682 rows, so longer tables carry integers across blocks
+        self._assert_same_bytes(tmp_path, ["i", "x0", "x1", "x2", "u0", "u1"], list(table))
 
     def test_random_bit_patterns(self, tmp_path):
         bits = np.random.default_rng(51).integers(0, 2**64, (2000, 64), dtype=np.uint64, endpoint=False)
-        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(64)], bits.view(np.float64))
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(64)], [bits.view(np.float64)])
 
     def test_neighbours_of_powers_of_ten(self, tmp_path):
         # 1e-4 <= |x| < 1e16 is formatted in blocks, the rest value by value
@@ -603,13 +634,12 @@ class TestWriteCsv:
             np.nextafter(powers, -np.inf), powers, np.nextafter(powers, np.inf),
             np.nextafter([1e-4, 1e16], -np.inf), [1e-4, 1e16], np.nextafter([1e-4, 1e16], np.inf),
         ])
-        rows = np.concatenate([values, -values]).reshape(-1, 1)
-        self._assert_same_bytes(tmp_path, ["x"], rows)
+        self._assert_same_bytes(tmp_path, ["x"], [np.concatenate([values, -values])])
 
     def test_the_double_below_a_power_of_ten_keeps_its_exponent(self, tmp_path):
         # its 17 digits never round up to the power itself
         below = np.nextafter(10.0 ** np.arange(-4, 17), 0.0)
-        write_csv(tmp_path / "got.csv", ["x"], below.reshape(-1, 1))
+        write_csv(tmp_path / "got.csv", ["x"], [below])
         lines = (tmp_path / "got.csv").read_text().splitlines()[1:]
         assert lines == ["%.17g" % v for v in below]
         assert all(line.replace(".", "").lstrip("0").startswith("9" * 13) for line in lines), lines
@@ -617,26 +647,35 @@ class TestWriteCsv:
     def test_exact_ties_round_half_to_even(self, tmp_path):
         # j / 2^17 for odd j has 17 fraction digits ending in 5: a tie at 17 significant digits
         ties = np.arange(2**17 + 1, 10 * 2**17, 2) / 2.0**17
-        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(64)], ties.reshape(-1, 64))
-        write_csv(tmp_path / "one.csv", ["x"], [(1.00000762939453125,)])
+        self._assert_same_bytes(tmp_path, [f"x{i}" for i in range(64)], [ties.reshape(-1, 64)])
+        write_csv(tmp_path / "one.csv", ["x"], [np.array([1.00000762939453125])])
         assert (tmp_path / "one.csv").read_text() == "x\n1.0000076293945312\n"
 
     def test_signed_zeros_float32_and_integer_columns(self, tmp_path):
-        rows = [
-            (0.0, -0.0, np.float32(v), 2**63 + i, -(2**64) - i, np.uint64(2**64 - 1 - i), 10**60 + i)
-            for i, v in enumerate([0.1, -1e-5, 3.4e38, 1.4e-45, 7.0])
+        i = np.arange(5)
+        columns = [
+            np.zeros(5), np.full(5, -0.0), np.array([0.1, -1e-5, 3.4e38, 1.4e-45, 7.0], np.float32),
+            np.uint64(2**63) + i.astype(np.uint64), _UINT64.max - i.astype(np.uint64),
+            _INT64.min + i, _INT64.max - i,
         ]
-        self._assert_same_bytes(tmp_path, ["z", "nz", "f32", "big", "neg", "u64", "huge"], rows)
-        self._assert_same_bytes(tmp_path, ["f32"], np.array([[0.1], [-2.5e-6], [65504.0]], np.float32))
+        self._assert_same_bytes(tmp_path, ["z", "nz", "f32", "big", "u64", "min", "max"], columns)
+        self._assert_same_bytes(tmp_path, ["f32"], [np.array([[0.1], [-2.5e-6], [65504.0]], np.float32)])
+        assert (tmp_path / "got.csv").read_text().splitlines()[1] == "0.10000000149011612"
 
     def test_rows_without_values_are_empty_lines(self, tmp_path):
-        self._assert_same_bytes(tmp_path, [], [(), ()])
-        self._assert_same_bytes(tmp_path, [], np.empty((3, 0)))
+        self._assert_same_bytes(tmp_path, [], [np.empty((2, 0))])
+        self._assert_same_bytes(tmp_path, [], [np.empty((3, 0), np.int64)])
+        assert (tmp_path / "got.csv").read_bytes() == b"\n\n\n\n"
 
-    def test_a_value_that_is_not_a_number_raises_and_leaves_no_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "column",
+        [np.array([0.5, None], dtype=object), np.array(["a", "b"]), np.array([True, False]), np.ones(2, complex)],
+        ids=["object", "str", "bool", "complex"],
+    )
+    def test_a_column_that_is_not_integer_or_float_raises_and_leaves_no_file(self, tmp_path, column):
         path = tmp_path / "bad.csv"
-        with pytest.raises(TypeError):
-            write_csv(path, ["a", "b"], [(1, 0.5), (2, None)])
+        with pytest.raises(TypeError, match="neither integer nor float"):
+            write_csv(path, ["a", "b"], [np.arange(2), column])
         assert not path.exists()
 
     def test_memory_does_not_grow_with_the_table(self, tmp_path):
@@ -645,7 +684,7 @@ class TestWriteCsv:
         def traced_peak(rows):
             tracemalloc.start()
             try:
-                write_csv(tmp_path / "m.csv", [f"x{i}" for i in range(64)], rows)
+                write_csv(tmp_path / "m.csv", [f"x{i}" for i in range(64)], [rows])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
