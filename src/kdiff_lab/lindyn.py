@@ -220,6 +220,12 @@ def stochastic_gradient(
     return -(resid.T @ z) / len(t)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of a * b over two matrices, by numpy's einsum rather than BLAS's dot product,
+    whose threads would tie the sum's last bits to the thread count."""
+    return float(np.einsum("ij,ij->", a, b))
+
+
 def quadratic_loss(weight: np.ndarray, source: GaussianSource, moments: MomentSet) -> float:
     """Exact training loss of an arbitrary weight (quadratic in the weight), read through
     W F with Sigma = F F^T, |W|^2 and tr W: O(D^2 r) work and no D x D array.  Raises
@@ -227,9 +233,9 @@ def quadratic_loss(weight: np.ndarray, source: GaussianSource, moments: MomentSe
     weight = _square(weight, source.ambient_dim)
     wf = weight @ source.factor
     return 0.5 * (
-        moments.alpha_sq * float(np.vdot(wf, wf))
-        + moments.sigma_sq * float(np.vdot(weight, weight))
-        - 2.0 * (moments.phi_alpha * float(np.vdot(source.factor, wf)) + moments.psi_sigma * float(np.trace(weight)))
+        moments.alpha_sq * _dot(wf, wf)
+        + moments.sigma_sq * _dot(weight, weight)
+        - 2.0 * (moments.phi_alpha * _dot(source.factor, wf) + moments.psi_sigma * float(np.trace(weight)))
         + moments.phi_sq * float(np.sum(source.eigenvalues))
         + moments.psi_sq * source.ambient_dim
     )
@@ -315,11 +321,12 @@ def run_gradient_flow(
             if i not in keep:
                 continue
             wv = weight @ vectors
+            par, perp = wv - star, _null_offset(weight, wv, vectors, null)
             rec = FlowRecord(
                 step=i,
                 loss=quadratic_loss(weight, source, moments),
-                dist_par=float(np.linalg.norm(wv - star)),
-                dist_perp=float(np.linalg.norm(_null_offset(weight, wv, vectors, null))),
+                dist_par=math.sqrt(_dot(par, par)),
+                dist_perp=math.sqrt(_dot(perp, perp)),
             )
             if not all(map(math.isfinite, (rec.loss, rec.dist_par, rec.dist_perp))):
                 raise Divergence(f"stochastic flow is not finite at step {i} (loss {rec.loss:.6g})")

@@ -27,10 +27,10 @@ shows on its own:
 
 Run the script once per checkout, with the same BLAS thread count (for
 example ``OPENBLAS_NUM_THREADS=1``), and diff the two outputs: a line that
-differs names the run whose bytes changed.  Exact ``dynamics`` lines do not
-depend on the thread count; stochastic ``dynamics`` lines, and those of the
-other commands, may.  ``RUNS`` pairs each config with the exit code it has
-at this commit.
+differs names the run whose bytes changed.  ``dynamics`` lines, exact and
+stochastic, do not depend on the thread count; those of the other commands
+were not seen to, but no test checks them.  ``RUNS`` pairs each config with
+the exit code it has at this commit.
 """
 
 from __future__ import annotations
