@@ -595,6 +595,26 @@ class TestWriteCsv:
             write_csv(path, ["a", "b"], columns)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            (["a"], [np.zeros((2, 3))]),
+            (["step", "loss", "k", "extra"], [np.arange(2), np.zeros(2), np.zeros((2, 1))]),
+            (["a"], [np.empty((2, 0))]),
+            (["a"], []),
+            ([], [np.zeros(0)]),
+        ],
+        ids=["short", "long", "zero-columns", "no-arrays", "no-names"],
+    )
+    def test_a_header_unlike_the_columns_raises_and_leaves_no_file(self, tmp_path, header, columns):
+        path = tmp_path / "bad.csv"
+        path.write_text("an earlier run's table\n")
+        width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
+        message = f"bad.csv: the header has length {len(header)}, the table {width} columns"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_csv(path, header, columns)
+        assert not path.exists()
+
     def test_zero_rows_writes_the_header_only(self, tmp_path):
         self._assert_same_bytes(tmp_path, ["x0", "x1"], [np.empty((0, 2))])
         self._assert_same_bytes(tmp_path, ["step", "loss"], [np.empty(0, np.int64), np.empty(0)])
