@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from kdiff_lab import EPSILON_LOSS, U_LOSS, V_LOSS, X_LOSS
+
 from helpers import run_python
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
@@ -43,3 +45,8 @@ def test_every_run_prints_its_expected_exit_code(tmp_path):
     assert all(len(sha) == 64 for *_, sha in lines)
     assert not any(tmp_path.iterdir())  # every run's directory is removed
 
+
+
+def test_oracle_cases_cover_every_loss():
+    losses = {arguments()[5] for _, arguments in _tool().ORACLE}
+    assert losses == {U_LOSS, X_LOSS, EPSILON_LOSS, V_LOSS}

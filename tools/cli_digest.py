@@ -47,10 +47,12 @@ from pathlib import Path
 import numpy as np
 
 from kdiff_lab import (
+    EPSILON_LOSS,
     FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
     V_LOSS,
+    X_LOSS,
     GaussianSource,
     TimeMeasure,
     compute_moments,
@@ -181,12 +183,23 @@ def _v_loss_oracle() -> tuple:
     return weight, source, k_target(0.3), 2500, rng, V_LOSS, measure, 0.05
 
 
+def _logit_normal_oracle(seed: int, loss) -> tuple:
+    # a k-target off the ends, whose conversion denominator never vanishes: no clamp floor
+    rng = np.random.default_rng(seed)
+    source = random_orthonormal_basis(10, 3, rng)
+    weight = 0.3 * rng.standard_normal((10, 10))
+    measure = TimeMeasure("logit_normal", mu=0.2, sigma=0.8)
+    return weight, source, k_target(0.6), 2500, rng, loss, measure, None
+
+
 # name and arguments of lindyn._loss_observations, built when digested
 ORACLE = [
     *((f"bench-D{D}-d{d}-k{k:g}", partial(_bench_oracle, index, D, d, k))
       for index, (D, d, k) in enumerate(((2, 1, 0.5), (8, 2, 0.25), (16, 4, 0.75), (32, 4, 1.0), (32, 16, 0.0)))),
     ("spectrum", _spectrum_oracle),
     ("v-logit-normal", _v_loss_oracle),
+    ("x-logit-normal", partial(_logit_normal_oracle, 3300, X_LOSS)),
+    ("epsilon-logit-normal", partial(_logit_normal_oracle, 3400, EPSILON_LOSS)),
 ]
 
 
