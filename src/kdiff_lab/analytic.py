@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimError, QuadratureDivergence, SingularEquilibrium
-from .schedule import FLOW_MATCHING, LossTargetSpec, TargetSpec, TimeMeasure, gauss_legendre_nodes, kappa
+from .schedule import FLOW_MATCHING, TargetSpec, TimeMeasure, gauss_legendre_nodes, kappa
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # Largest |quadrature mass - 1| compute_moments accepts.  At 64 nodes logit-normal measures with mu in
@@ -115,13 +115,15 @@ class OptimalLoss:
 def compute_moments(
     process: str,
     target: TargetSpec,
-    loss: LossTargetSpec,
+    loss: TargetSpec | None,
     measure: TimeMeasure,
     quad_nodes: int = 64,
     clamp_floor: float | None = None,
 ) -> MomentSet:
     """Integrate the moment set under flow matching (alpha = t, sigma = 1 - t) by Gauss-Legendre
-    quadrature.  ``process`` must be ``FLOW_MATCHING``, the one forward process.
+    quadrature.  ``process`` must be ``FLOW_MATCHING``, the one forward process.  ``loss`` is
+    ``U_LOSS``, the target's own MSE, or the target whose MSE is trained, weighted by
+    ``kappa(target, loss, t)^2``.
 
     Five weighted sums over the nodes give the target-free moments, and the target's constants
     multiply them into the other four (``MomentSet``); ``sigma`` and ``sigma_sq`` are summed over

@@ -31,15 +31,11 @@ import numpy as np
 from . import analytic, geometry, kdiff, lindyn, sampler
 from .errors import ConfigError, DimError, KDiffLabError, NonFiniteState
 from .schedule import (
-    EPSILON_LOSS,
     EPSILON_TARGET,
     FLOW_MATCHING,
     U_LOSS,
-    V_LOSS,
     V_TARGET,
-    X_LOSS,
     X_TARGET,
-    LossTargetSpec,
     TargetSpec,
     TimeMeasure,
     k_target,
@@ -50,8 +46,9 @@ _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_CHECK_FAILED = 2
 
-_LOSSES = {"u": U_LOSS, "x": X_LOSS, "epsilon": EPSILON_LOSS, "v": V_LOSS}
 _TARGETS = {"epsilon": EPSILON_TARGET, "x": X_TARGET, "v": V_TARGET}
+# a loss is the MSE of a named target, or the regressed target's own (u)
+_LOSSES = {"u": U_LOSS, **_TARGETS}
 _NETS = {"optimal_linear": "optimal_linear", "train": "train"}
 
 # _LIBRARY marks a key whose default is that of the library dataclass it
@@ -115,7 +112,7 @@ class Config:
 
     seed: int
     output_dir: str
-    loss: LossTargetSpec
+    loss: TargetSpec | None  # U_LOSS (None) for the target's own MSE
     measure: TimeMeasure
     target: TargetSpec
     spectrum: analytic.Spectrum
@@ -559,7 +556,7 @@ def cmd_theory(cfg: Config, out: Path) -> int:
     grid = np.linspace(0.0, 1.0, cfg.k_points).tolist()
     table = np.array([row(k) for k in grid])
     write_csv(out / "theory.csv", ["k", "delta_total", "delta_parallel", "delta_perpendicular"], [table])
-    if cfg.loss.follows_target:
+    if cfg.loss is U_LOSS:
         k_star = _u_loss_k_star(cfg)
     else:
         best = int(np.argmin(table[:, 1]))  # the first, so the lowest k, on ties

@@ -37,7 +37,6 @@ from .schedule import (
     FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
-    LossTargetSpec,
     TargetSpec,
     TimeMeasure,
     k_target,
@@ -197,7 +196,7 @@ def stochastic_gradient(
     noise: np.ndarray,
     t: np.ndarray,
     target: TargetSpec | float = 1.0,
-    loss: LossTargetSpec = U_LOSS,
+    loss: TargetSpec | None = U_LOSS,
 ) -> np.ndarray:
     """Batch estimate of the descent direction from samples (x, noise, t).
 
@@ -259,7 +258,7 @@ def run_gradient_flow(
     source: GaussianSource,
     config: FlowConfig,
     target: TargetSpec | float = 1.0,
-    loss: LossTargetSpec = U_LOSS,
+    loss: TargetSpec | None = U_LOSS,
     measure: TimeMeasure = UNIFORM_MEASURE,
     rng: np.random.Generator | None = None,
 ) -> list[FlowRecord]:
@@ -369,7 +368,7 @@ def monte_carlo_loss(
     target: TargetSpec | float,
     n_samples: int,
     rng: np.random.Generator,
-    loss: LossTargetSpec = U_LOSS,
+    loss: TargetSpec | None = U_LOSS,
     measure: TimeMeasure = UNIFORM_MEASURE,
     clamp_floor: float | None = None,
 ) -> tuple[float, float]:
@@ -415,7 +414,7 @@ def _loss_observations(
     target: TargetSpec,
     n_pairs: int,
     rng: np.random.Generator,
-    loss: LossTargetSpec,
+    loss: TargetSpec | None,
     measure: TimeMeasure,
     clamp_floor: float | None,
 ) -> np.ndarray:

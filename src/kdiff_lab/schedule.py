@@ -3,11 +3,15 @@
 The lab's one forward process is flow matching, which mixes data and noise as
 ``z = alpha x + sigma n`` with alpha = t and sigma = 1 - t; no type describes
 it, and every formula here writes those two coefficients out.  The network
-regresses a target ``u = phi x + psi n`` with constant phi and psi.  Training
-may minimise the MSE of a different constant combination ``w = xi x + eta n``,
-which is equivalent to weighting the target MSE by ``kappa(t)^2`` with
+regresses a target ``u = phi x + psi n`` with constant phi and psi.  A loss is
+the MSE of a target too: the target's own (``U_LOSS``), or that of another
+target ``w = phi_w x + psi_w n``, which is equivalent to weighting the target
+MSE by ``kappa(t)^2`` with
 
-    kappa = (xi sigma - eta alpha) / (phi sigma - psi alpha)
+    kappa = (phi_w sigma - psi_w alpha) / (phi sigma - psi alpha)
+
+so the x-, epsilon- and v-losses are the MSEs of ``X_TARGET``,
+``EPSILON_TARGET`` and ``V_TARGET``.
 
 All types here are immutable after construction and safe to share across
 threads; samplers take an explicit ``numpy.random.Generator`` so parallel
@@ -111,29 +115,14 @@ def k_target(k: float) -> TargetSpec:
     return TargetSpec(k, -(1.0 - k), name=f"k({k:g})")
 
 
-@dataclass(frozen=True)
-class LossTargetSpec:
-    """Training-variable coefficients ``w = xi x + eta n``; None for both is the plain
-    target loss (w == u)."""
-
-    xi: float | None
-    eta: float | None
-    name: str = "custom"
-
-    @property
-    def follows_target(self) -> bool:
-        """Whether this is the plain target loss, whose scale factor is 1 for every target."""
-        return self.xi is None
+# the plain target MSE, the loss of whichever target is regressed: kappa is 1 for every target
+U_LOSS = None
 
 
-U_LOSS = LossTargetSpec(None, None, name="u")
-X_LOSS = LossTargetSpec(1.0, 0.0, name="x")
-EPSILON_LOSS = LossTargetSpec(0.0, 1.0, name="epsilon")
-V_LOSS = LossTargetSpec(1.0, -1.0, name="v")
-
-
-def kappa(target: TargetSpec, loss: LossTargetSpec, t, clamp_floor: float | None = None):
-    """Scale factor relating the loss-variable error to the target error, under flow matching.
+def kappa(target: TargetSpec, loss: TargetSpec | None, t, clamp_floor: float | None = None):
+    """Scale factor relating the loss target's error to the regressed target's, under flow matching:
+    ``(phi_w sigma - psi_w alpha) / (phi sigma - psi alpha)`` for a loss target (phi_w, psi_w), and 1
+    for ``U_LOSS``.
 
     Raises DegenerateTarget where |phi sigma - psi alpha| falls below machine
     epsilon, unless an explicit clamp floor is supplied, in which case the
@@ -141,10 +130,10 @@ def kappa(target: TargetSpec, loss: LossTargetSpec, t, clamp_floor: float | None
     analytic callers should not silently mask singular configurations.
     """
     tt = _farray(t)
-    if loss.follows_target:
+    if loss is U_LOSS:
         return _match_scalar(np.ones(tt.shape), t)
     s = 1.0 - tt
-    num = loss.xi * s - loss.eta * tt
+    num = loss.phi * s - loss.psi * tt
     den = target.phi * s - target.psi * tt
     if clamp_floor is None:
         if np.any(np.abs(den) < _EPS):

@@ -17,7 +17,6 @@ from kdiff_lab import (
     FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
-    V_LOSS,
     V_TARGET,
     DimensionPair,
     FlowConfig,
@@ -202,7 +201,7 @@ def test_criterion_6_loss_weighting_identity():
     assert np.max(np.abs(v_loss - u_loss / raw_den**2)) <= 1e-10
 
     grid = np.linspace(0.0, 1.0, 1001)
-    np.testing.assert_array_equal(kappa(V_TARGET, V_LOSS, grid), 1.0)
+    np.testing.assert_array_equal(kappa(V_TARGET, V_TARGET, grid), 1.0)
     _report(6, "loss-weighting identity", time.perf_counter() - start, 1.0)
 
 

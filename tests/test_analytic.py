@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdiff_lab import (
-    EPSILON_LOSS,
+    EPSILON_TARGET,
     FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
-    V_LOSS,
-    X_LOSS,
+    V_TARGET,
+    X_TARGET,
     DegenerateTarget,
     DimError,
     DimensionPair,
@@ -57,7 +57,7 @@ _MEASURES = st.one_of(
     st.just(UNIFORM_MEASURE),
     st.builds(TimeMeasure, st.just("logit_normal"), mu=st.floats(-2.0, 2.0), sigma=st.floats(0.3, 2.0)),
 )
-_LOSSES = st.sampled_from([U_LOSS, X_LOSS, EPSILON_LOSS, V_LOSS])
+_LOSSES = st.sampled_from([U_LOSS, X_TARGET, EPSILON_TARGET, V_TARGET])
 # a few fixed values make repeated and zero eigenvalues common
 _EIGENVALUES = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0), min_size=1, max_size=48)
 
@@ -144,7 +144,7 @@ class TestComputeMoments:
         "loss, measure",
         [
             (U_LOSS, UNIFORM_MEASURE),
-            (V_LOSS, TimeMeasure("logit_normal", interval=(0.05, 0.95), mu=-0.4, sigma=0.9)),
+            (V_TARGET, TimeMeasure("logit_normal", interval=(0.05, 0.95), mu=-0.4, sigma=0.9)),
         ],
         ids=["u-uniform", "v-logit-normal"],
     )
@@ -181,7 +181,7 @@ class TestComputeMoments:
             sums = ("one", "alpha", "sigma", "alpha_sq", "sigma_sq")
             assert [getattr(m, name) for name in sums] == [getattr(free, name) for name in sums]
 
-    @pytest.mark.parametrize("loss", [U_LOSS, X_LOSS, V_LOSS], ids=["u", "x", "v"])
+    @pytest.mark.parametrize("loss", [U_LOSS, X_TARGET, V_TARGET], ids=["u", "x", "v"])
     @pytest.mark.parametrize(
         "measure",
         [
@@ -548,7 +548,7 @@ class TestColored:
 
         def total(k):
             m = compute_moments(
-                FLOW_MATCHING, k_target(k), V_LOSS, UNIFORM_MEASURE, quad_nodes=96
+                FLOW_MATCHING, k_target(k), V_TARGET, UNIFORM_MEASURE, quad_nodes=96
             )
             return optimal_loss(m, spectrum).total
 

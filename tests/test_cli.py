@@ -143,7 +143,7 @@ class TestTheory:
         delta = json.loads((out / "theory_summary.json").read_text())["delta_at_k_star"]
         best = read_csv(out / "theory.csv")[1][:, 1].min()
         config = load_config(path)
-        if config.closed_form and config.loss.follows_target:
+        if config.closed_form and config.loss is U_LOSS:
             # D / (D + d) is exact; its quadrature row may sit a few ulps above
             # a grid row at almost the same k
             assert delta <= best * (1.0 + 1e-12)

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from kdiff_lab import EPSILON_LOSS, U_LOSS, V_LOSS, X_LOSS
+from kdiff_lab import EPSILON_TARGET, U_LOSS, V_TARGET, X_TARGET
 
 from helpers import run_python
 
@@ -49,4 +49,4 @@ def test_every_run_prints_its_expected_exit_code(tmp_path):
 
 def test_oracle_cases_cover_every_loss():
     losses = {arguments()[5] for _, arguments in _tool().ORACLE}
-    assert losses == {U_LOSS, X_LOSS, EPSILON_LOSS, V_LOSS}
+    assert losses == {U_LOSS, X_TARGET, EPSILON_TARGET, V_TARGET}

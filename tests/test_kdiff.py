@@ -13,7 +13,7 @@ from kdiff_lab import (
     FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
-    V_LOSS,
+    V_TARGET,
     KParam,
     NonFiniteLoss,
     OptimizerState,
@@ -375,7 +375,7 @@ class TestLossEquivalence:
 
     def test_conversion_factor_matches_kappa(self):
         for k, t in [(0.2, 0.3), (0.7, 0.6), (0.5, 0.9)]:
-            kap = kappa(k_target(k), V_LOSS, t)
+            kap = kappa(k_target(k), V_TARGET, t)
             assert kap == pytest.approx(1.0 / (k * (1.0 - t) + (1.0 - k) * t), rel=1e-14)
 
     def test_batch_means_agree_between_modes(self):

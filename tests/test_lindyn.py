@@ -14,7 +14,7 @@ from kdiff_lab import (
     FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
-    V_LOSS,
+    V_TARGET,
     Divergence,
     FlowConfig,
     GaussianSource,
@@ -690,7 +690,7 @@ class TestMonteCarloLoss:
         [
             (U_LOSS, UNIFORM_MEASURE, 1802),
             (U_LOSS, UNIFORM_MEASURE, 5002),
-            (V_LOSS, TimeMeasure("logit_normal", mu=-0.5, sigma=1.0), 4402),
+            (V_TARGET, TimeMeasure("logit_normal", mu=-0.5, sigma=1.0), 4402),
         ],
         ids=["u-one-block", "u-blocks", "v-logit-normal"],
     )
@@ -784,7 +784,7 @@ class TestMonteCarloBlocks:
         options = dict(loss=U_LOSS, measure=UNIFORM_MEASURE, clamp_floor=None)
         if v_loss:
             measure = TimeMeasure("logit_normal", mu=-0.4, sigma=0.9)
-            options.update(loss=V_LOSS, measure=measure, clamp_floor=0.05)
+            options.update(loss=V_TARGET, measure=measure, clamp_floor=0.05)
         # a mean hides last-bit differences of single observations, so compare those too
         observations = [
             oracle(weight, basis, target, n_samples // 2, np.random.default_rng(seed + 1), **options)

@@ -10,16 +10,12 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from kdiff_lab import (
-    EPSILON_LOSS,
     EPSILON_TARGET,
     U_LOSS,
     UNIFORM_MEASURE,
-    V_LOSS,
     V_TARGET,
-    X_LOSS,
     X_TARGET,
     DegenerateTarget,
-    LossTargetSpec,
     TargetSpec,
     TimeMeasure,
     k_target,
@@ -44,7 +40,7 @@ def _mp_logit(mpmath, t: float):
 class TestKappa:
     def test_flow_matching_v_target_v_loss_is_one(self):
         np.testing.assert_allclose(
-            kappa(V_TARGET, V_LOSS, TGRID), 1.0, atol=1e-14
+            kappa(V_TARGET, V_TARGET, TGRID), 1.0, atol=1e-14
         )
 
     def test_u_loss_is_one_for_every_target(self):
@@ -54,37 +50,37 @@ class TestKappa:
         assert kappa(X_TARGET, U_LOSS, 1.0) == 1.0
 
     def test_k_half_x_loss_at_midpoint(self):
-        assert kappa(k_target(0.5), X_LOSS, 0.5) == pytest.approx(1.0, abs=1e-14)
+        assert kappa(k_target(0.5), X_TARGET, 0.5) == pytest.approx(1.0, abs=1e-14)
 
     def test_x_loss_matches_direct_ratio(self):
         # x-loss: kappa = sigma / (phi sigma - psi alpha)
         target = k_target(0.3)
-        got = kappa(target, X_LOSS, TGRID)
+        got = kappa(target, X_TARGET, TGRID)
         sigma = 1.0 - TGRID
         den = 0.3 * sigma + 0.7 * TGRID
         np.testing.assert_allclose(got, sigma / den, rtol=1e-14)
 
     def test_epsilon_loss_matches_direct_ratio(self):
         target = k_target(0.6)
-        got = kappa(target, EPSILON_LOSS, TGRID)
+        got = kappa(target, EPSILON_TARGET, TGRID)
         den = 0.6 * (1.0 - TGRID) + 0.4 * TGRID
         np.testing.assert_allclose(got, -TGRID / den, rtol=1e-14)
 
     def test_degenerate_target_raises(self):
         # x-target at t=1: phi*sigma - psi*alpha = sigma = 0
         with pytest.raises(DegenerateTarget):
-            kappa(X_TARGET, X_LOSS, 1.0)
+            kappa(X_TARGET, X_TARGET, 1.0)
 
     def test_clamp_floor_opt_in(self):
-        got = kappa(X_TARGET, X_LOSS, 1.0, clamp_floor=0.05)
+        got = kappa(X_TARGET, X_TARGET, 1.0, clamp_floor=0.05)
         assert got == pytest.approx(0.0)  # numerator sigma = 0, denominator clamped
-        got = kappa(k_target(1.0), V_LOSS, 0.97, clamp_floor=0.05)
+        got = kappa(k_target(1.0), V_TARGET, 0.97, clamp_floor=0.05)
         assert got == pytest.approx(1.0 / 0.05)
 
     def test_clamp_preserves_sign(self):
         # epsilon target: phi*sigma - psi*alpha = -alpha < 0; magnitude clamping
         # must keep the sign
-        got = kappa(EPSILON_TARGET, X_LOSS, 0.3, clamp_floor=0.5)
+        got = kappa(EPSILON_TARGET, X_TARGET, 0.3, clamp_floor=0.5)
         assert got == pytest.approx(0.7 / -0.5, rel=1e-12)
 
 
@@ -93,17 +89,17 @@ class TestRoundTrip:
     reproduces w_hat - w = kappa * (u_hat - u)."""
 
     PAIRS = [
-        (k_target(0.3), X_LOSS),
-        (k_target(0.7), EPSILON_LOSS),
-        (k_target(0.5), V_LOSS),
-        (V_TARGET, V_LOSS),
-        (V_TARGET, X_LOSS),
-        (X_TARGET, V_LOSS),
-        (EPSILON_TARGET, X_LOSS),
+        (k_target(0.3), X_TARGET),
+        (k_target(0.7), EPSILON_TARGET),
+        (k_target(0.5), V_TARGET),
+        (V_TARGET, V_TARGET),
+        (V_TARGET, X_TARGET),
+        (X_TARGET, V_TARGET),
+        (EPSILON_TARGET, X_TARGET),
         (k_target(0.9), U_LOSS),
     ]
 
-    @pytest.mark.parametrize("target,loss", PAIRS, ids=[f"{t.name}-{l.name}" for t, l in PAIRS])
+    @pytest.mark.parametrize("target,loss", PAIRS, ids=[f"{t.name}-{l.name if l else 'u'}" for t, l in PAIRS])
     def test_identity(self, target, loss):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -116,12 +112,9 @@ class TestRoundTrip:
             den = phi * s - psi * a
             x_hat = (-psi * z + s * u_hat) / den
             n_hat = (phi * z - a * u_hat) / den
-            if loss.follows_target:
-                xi, eta = phi, psi
-            else:
-                xi, eta = loss.xi, loss.eta
-            w = xi * x + eta * n
-            w_hat = xi * x_hat + eta * n_hat
+            phi_w, psi_w = (phi, psi) if loss is U_LOSS else (loss.phi, loss.psi)
+            w = phi_w * x + psi_w * n
+            w_hat = phi_w * x_hat + psi_w * n_hat
             kap = kappa(target, loss, t)
             np.testing.assert_allclose(w_hat - w, kap * (u_hat - u), atol=1e-12)
 
@@ -145,15 +138,13 @@ class TestKTarget:
         assert k_target(1.0).psi == X_TARGET.psi
 
     def test_coefficients_are_numbers(self):
-        # a target and a loss are their constant coefficients, compared as values
+        # a target, and so a loss, is its constant coefficients, compared as values
         assert k_target(0.25) == TargetSpec(0.25, -0.75, name="k(0.25)")
-        assert (X_LOSS.xi, X_LOSS.eta, V_LOSS.eta) == (1.0, 0.0, -1.0)
-        assert U_LOSS.follows_target and not any(loss.follows_target for loss in (X_LOSS, EPSILON_LOSS, V_LOSS))
-        # follows_target is read from the coefficients, so it cannot disagree with them
-        with pytest.raises(TypeError):
-            LossTargetSpec(1.0, 0.0, follows_target=True)
+        assert (X_TARGET.phi, X_TARGET.psi, V_TARGET.psi) == (1.0, 0.0, -1.0)
+        assert U_LOSS is None
+        # the named targets are shared as losses, so they cannot change
         with pytest.raises(AttributeError):
-            X_LOSS.follows_target = True
+            X_TARGET.phi = 0.0
 
 
 def _quadrature(fn, interval, nodes=256):

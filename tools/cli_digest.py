@@ -47,12 +47,12 @@ from pathlib import Path
 import numpy as np
 
 from kdiff_lab import (
-    EPSILON_LOSS,
+    EPSILON_TARGET,
     FLOW_MATCHING,
     U_LOSS,
     UNIFORM_MEASURE,
-    V_LOSS,
-    X_LOSS,
+    V_TARGET,
+    X_TARGET,
     GaussianSource,
     TimeMeasure,
     compute_moments,
@@ -180,7 +180,7 @@ def _v_loss_oracle() -> tuple:
     source = random_orthonormal_basis(12, 3, rng)
     weight = 0.3 * rng.standard_normal((12, 12))
     measure = TimeMeasure("logit_normal", mu=-0.4, sigma=0.9)
-    return weight, source, k_target(0.3), 2500, rng, V_LOSS, measure, 0.05
+    return weight, source, k_target(0.3), 2500, rng, V_TARGET, measure, 0.05
 
 
 def _logit_normal_oracle(seed: int, loss) -> tuple:
@@ -198,8 +198,8 @@ ORACLE = [
       for index, (D, d, k) in enumerate(((2, 1, 0.5), (8, 2, 0.25), (16, 4, 0.75), (32, 4, 1.0), (32, 16, 0.0)))),
     ("spectrum", _spectrum_oracle),
     ("v-logit-normal", _v_loss_oracle),
-    ("x-logit-normal", partial(_logit_normal_oracle, 3300, X_LOSS)),
-    ("epsilon-logit-normal", partial(_logit_normal_oracle, 3400, EPSILON_LOSS)),
+    ("x-logit-normal", partial(_logit_normal_oracle, 3300, X_TARGET)),
+    ("epsilon-logit-normal", partial(_logit_normal_oracle, 3400, EPSILON_TARGET)),
 ]
 
 
