@@ -243,7 +243,9 @@ def load_config(path, seed: int | None = None) -> Config:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an integer of too many
+    # digits; RecursionError is arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -478,6 +480,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     ``%d`` and float arrays with ``%.17g``, byte for byte.  Unequal lengths
     and a header whose length is not the number of columns raise
     ``ValueError``, and any other dtype ``TypeError``; each leaves no file.
+    A directory at ``path`` raises ``IsADirectoryError`` and is kept.
     Only one block of text is held in memory at a time, in the two buffers of
     one ``_CsvBlock`` made for the whole file.
     """
@@ -510,7 +513,9 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
                 fh.write(cells.format(block, int_cols, texts))
             fh.write(b"\n")
     except BaseException:
-        path.unlink(missing_ok=True)
+        # an earlier run's table or this run's partial one; a directory in the way is left as it is
+        if not path.is_dir():
+            path.unlink(missing_ok=True)
         raise
 
 
@@ -722,7 +727,8 @@ def main(argv=None) -> int:
             created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
             out.mkdir(parents=True, exist_ok=True)
             return _COMMANDS[args.command](cfg, out)
-        except (KDiffLabError, MemoryError) as exc:
+        # an OSError here is an output path that cannot be made or written
+        except (KDiffLabError, MemoryError, OSError) as exc:
             name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
             print(f"error: {name}: {exc}", file=sys.stderr)
             # a failed run leaves behind no directory it made and left empty

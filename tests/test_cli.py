@@ -161,6 +161,20 @@ class TestTheory:
             tmp_path / "b" / "theory_summary.json"
         ).read_bytes()
 
+    def test_manifold_data_is_its_0_1_spectrum_in_any_order(self, tmp_path):
+        # under the v-loss and logit-normal time, which no closed form covers
+        spectrum = [1.0] * 3 + [0.0] * 9
+        shuffled = np.random.default_rng(12).permutation(spectrum).tolist()
+        assert shuffled != spectrum
+        files = set()
+        for name, data in [("manifold", {"D": 12, "d": 3}), ("spectrum", {"spectrum": spectrum}),
+                           ("shuffled", {"spectrum": shuffled})]:
+            cfg = {"loss": "v", "time_sampler": {"kind": "logit_normal"}, "data": data}
+            out = tmp_path / name
+            assert main(["theory", "--config", write_config(tmp_path, f"{name}.json", cfg), "--out", str(out)]) == 0
+            files.add(((out / "theory.csv").read_bytes(), (out / "theory_summary.json").read_bytes()))
+        assert len(files) == 1
+
 
 class TestDynamics:
     def test_default_run_converges(self, tmp_path):
@@ -717,6 +731,15 @@ class TestWriteCsv:
             write_csv(path, ["a", "b"], [np.arange(2), column])
         assert not path.exists()
 
+    def test_a_directory_at_the_path_raises_and_is_kept(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            write_csv(path, ["a"], [np.zeros(2)])
+        # the one error is the open's: the cleanup does not try to remove the directory
+        assert info.value.__context__ is None
+        assert path.is_dir()
+
     def test_memory_does_not_grow_with_the_table(self, tmp_path):
         # one block of text is held at a time; 64 KiB covers the writer's
         # own small allocations, whose sizes vary with the text
@@ -753,6 +776,24 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["theory", "--config", str(path)]) == 1
         assert "valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff", id="not-utf-8"),
+            pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)", id="5000-digits"),
+            pytest.param(b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded", id="nested-200000-deep"),
+        ],
+    )
+    def test_undecodable_config_is_one_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        path.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: config {path} is not valid JSON: ") and err.count("\n") == 1, err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_unsupported_process(self, tmp_path, capsys):
         # flow matching is the one process, so the config has no key to name it
@@ -1217,6 +1258,27 @@ class TestImpossibleSizes:
         out.mkdir()
         assert main(["dynamics", "--config", path, "--out", str(out)]) == 1
         assert out.is_dir()
+
+    @pytest.mark.parametrize(
+        "out, taken, message",
+        [
+            pytest.param("taken", "taken", "error: FileExistsError: ", id="out-is-a-file"),
+            pytest.param("taken/run", "taken", "error: NotADirectoryError: ", id="out-under-a-file"),
+            pytest.param("run", "run/theory.csv/", "error: IsADirectoryError: ", id="result-name-is-a-directory"),
+        ],
+    )
+    def test_an_output_path_that_cannot_be_written_is_one_error_line(self, tmp_path, capsys, out, taken, message):
+        path = write_config(tmp_path, "c.json", {"theory": {"k_points": 3}})
+        if taken.endswith("/"):
+            (tmp_path / taken).mkdir(parents=True)
+        else:
+            (tmp_path / taken).write_text("not a directory\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["theory", "--config", path, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        # the run made nothing, and what was in its way is kept
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 # Runs every subcommand at a tiny size in one interpreter, then theory,

@@ -175,21 +175,12 @@ def _spectrum_oracle() -> tuple:
     return weight, source, k_target(0.6), 3000, rng, U_LOSS, UNIFORM_MEASURE, None
 
 
-def _v_loss_oracle() -> tuple:
-    rng = np.random.default_rng(3200)
-    source = random_orthonormal_basis(12, 3, rng)
-    weight = 0.3 * rng.standard_normal((12, 12))
-    measure = TimeMeasure("logit_normal", mu=-0.4, sigma=0.9)
-    return weight, source, k_target(0.3), 2500, rng, V_TARGET, measure, 0.05
-
-
-def _logit_normal_oracle(seed: int, loss) -> tuple:
-    # a k-target off the ends, whose conversion denominator never vanishes: no clamp floor
+def _logit_normal_oracle(seed: int, D: int, k: float, loss, mu: float, sigma: float, clamp_floor) -> tuple:
     rng = np.random.default_rng(seed)
-    source = random_orthonormal_basis(10, 3, rng)
-    weight = 0.3 * rng.standard_normal((10, 10))
-    measure = TimeMeasure("logit_normal", mu=0.2, sigma=0.8)
-    return weight, source, k_target(0.6), 2500, rng, loss, measure, None
+    source = random_orthonormal_basis(D, 3, rng)
+    weight = 0.3 * rng.standard_normal((D, D))
+    measure = TimeMeasure("logit_normal", mu=mu, sigma=sigma)
+    return weight, source, k_target(k), 2500, rng, loss, measure, clamp_floor
 
 
 # name and arguments of lindyn._loss_observations, built when digested
@@ -197,9 +188,11 @@ ORACLE = [
     *((f"bench-D{D}-d{d}-k{k:g}", partial(_bench_oracle, index, D, d, k))
       for index, (D, d, k) in enumerate(((2, 1, 0.5), (8, 2, 0.25), (16, 4, 0.75), (32, 4, 1.0), (32, 16, 0.0)))),
     ("spectrum", _spectrum_oracle),
-    ("v-logit-normal", _v_loss_oracle),
-    ("x-logit-normal", partial(_logit_normal_oracle, 3300, X_TARGET)),
-    ("epsilon-logit-normal", partial(_logit_normal_oracle, 3400, EPSILON_TARGET)),
+    # one case per loss but the u-loss; the x and epsilon cases' k-target is off the ends, so
+    # their conversion denominator never vanishes and they need no clamp floor
+    ("v-logit-normal", partial(_logit_normal_oracle, 3200, 12, 0.3, V_TARGET, -0.4, 0.9, 0.05)),
+    ("x-logit-normal", partial(_logit_normal_oracle, 3300, 10, 0.6, X_TARGET, 0.2, 0.8, None)),
+    ("epsilon-logit-normal", partial(_logit_normal_oracle, 3400, 10, 0.6, EPSILON_TARGET, 0.2, 0.8, None)),
 ]
 
 
