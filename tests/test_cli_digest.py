@@ -28,6 +28,18 @@ def test_matrix_covers_both_train_loss_modes():
     assert modes == {"u", "v_alg1"}
 
 
+def test_matrix_covers_frozen_and_trainable_k_with_and_without_bins():
+    trained = [
+        (command, cfg.get("train", {}))
+        for command, cfg, _ in _tool().RUNS
+        if command == "train" or (command == "sample" and cfg.get("sample", {}).get("net") == "train")
+    ]
+    covered = {(train.get("k_trainable", True), "k_bins" in train) for _, train in trained}
+    assert covered == {(trainable, binned) for trainable in (True, False) for binned in (True, False)}
+    # both commands run a frozen k
+    assert {command for command, train in trained if train.get("k_trainable") is False} == {"train", "sample"}
+
+
 def test_every_run_prints_its_expected_exit_code(tmp_path):
     proc = run_python([str(_TOOL)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -44,7 +56,6 @@ def test_every_run_prints_its_expected_exit_code(tmp_path):
     ]
     assert all(len(sha) == 64 for *_, sha in lines)
     assert not any(tmp_path.iterdir())  # every run's directory is removed
-
 
 
 def test_oracle_cases_cover_every_loss():

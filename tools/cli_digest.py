@@ -157,6 +157,10 @@ RUNS = [
     # history (7 columns, 585 rows a block) spans three CSV blocks
     ("dynamics", {"data": _MANIFOLD, "dynamics": {"mode": "exact", "steps": 10**17, "tol": 1e-6}}, 0),
     ("train", {"data": _MANIFOLD, "train": {"steps": 1200, "batch": 32, "k_bins": 4}}, 0),
+    # frozen binned k: the trainer and a sampler whose net it trained leave every knot at k_init
+    ("train", {"data": _MANIFOLD, "train": {"steps": 60, "batch": 32, "k_bins": 4, "k_trainable": False}}, 0),
+    ("sample", {"data": _MANIFOLD, "train": {"steps": 40, "batch": 16, "k_bins": 4, "k_trainable": False},
+                "sample": {"n_samples": 40, "steps": 20, "net": "train"}}, 0),
 ]
 
 
