@@ -10,8 +10,6 @@ ever being told the intrinsic dimension.
 import numpy as np
 
 from kdiff_lab import (
-    KParam,
-    PureLinear,
     Spectrum,
     TrainConfig,
     colored_optimal_k,
@@ -22,11 +20,7 @@ from kdiff_lab import (
 
 def run(ambient, d, steps=4000, seed=11):
     basis = random_orthonormal_basis(ambient, d, np.random.default_rng(2 * seed))
-    net = PureLinear.zeros(ambient)
-    kparam = KParam.constant(0.5)
-    config = TrainConfig(steps=steps, batch=128, seed=seed)
-    history = train(net, kparam, basis, config)
-    return history
+    return train(basis, TrainConfig(steps=steps, batch=128, seed=seed))
 
 
 def main():
@@ -45,10 +39,7 @@ def main():
     print()
     print("=== Time-binned k(t) with a handful of bins ===")
     basis = random_orthonormal_basis(16, 4, np.random.default_rng(5))
-    net = PureLinear.zeros(16)
-    kparam = KParam.binned(n_bins=8)
-    config = TrainConfig(steps=4000, batch=128, seed=13)
-    history = train(net, kparam, basis, config)
+    history = train(basis, TrainConfig(steps=4000, batch=128, seed=13, k_bins=8))
     probes = ", ".join(
         f"k({p:g})={v:.3f}" for p, v in zip(history.probe_points, history.k_values[-1])
     )

@@ -35,7 +35,7 @@ def main():
 
     print("=== Self-convergence order under grid doubling ===")
     net = PureLinear(0.4 * rng.standard_normal((4, 4)))
-    kparam = KParam.constant(0.7, trainable=False)
+    kparam = KParam.constant(0.7)
     z0 = rng.standard_normal((8, 4))
     for solver in ("euler", "heun"):
         outs = {

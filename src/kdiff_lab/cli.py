@@ -84,8 +84,8 @@ _SCHEMA = {
         **_fields_of(lindyn.FlowConfig, skip=("step_size", "steps")),
         "tol": (float, 1e-6),
     },
-    # the run seed and time measure are the top level's
-    "train": {**_fields_of(kdiff.TrainConfig, skip=("seed", "measure")), "k_bins": (int, None)},
+    # the run seed and time measure are the top level's; k_bins's type is not a plain name
+    "train": {**_fields_of(kdiff.TrainConfig, skip=("seed", "measure", "k_bins")), "k_bins": (int, None)},
     "sample": {
         **_fields_of(sampler.SampleRun),
         "n_samples": (int, 1000),
@@ -122,7 +122,6 @@ class Config:
     flow: lindyn.FlowConfig
     tol: float
     train: kdiff.TrainConfig
-    k_bins: int | None
     sample: sampler.SampleRun
     n_samples: int
     net: str
@@ -264,14 +263,11 @@ def load_config(path, seed: int | None = None) -> Config:
     theory = _section(raw, "theory")
     dynamics = _section(raw, "dynamics")
     tol = dynamics.pop("tol")
-    train = _section(raw, "train")
-    k_bins = train.pop("k_bins")
-    train = _built("train", kdiff.TrainConfig, **train, seed=seed, measure=measure)
+    train = _built("train", kdiff.TrainConfig, **_section(raw, "train"), seed=seed, measure=measure)
     if train.loss_mode == "v_alg1":
         # v_alg1 weights the u-residual by kappa = 1 / den, with den clamped at clamp_floor, so
         # its gradient's terms reach (lam + 1) kappa^2, which Adam squares: moment 1 / clamp_floor^2
         analytic._check_mode_terms(spectrum.eigenvalues, train.clamp_floor**-2)
-    _built("train", kdiff.make_kparam, train, k_bins)  # checks k_init and k_bins
     flow = _built("dynamics", lindyn.FlowConfig, **dynamics)
     sample = _section(raw, "sample")
     n_samples, net, sample_k = sample.pop("n_samples"), sample.pop("net"), sample.pop("k")
@@ -299,7 +295,6 @@ def load_config(path, seed: int | None = None) -> Config:
         flow=flow,
         tol=tol,
         train=train,
-        k_bins=k_bins,
         sample=sample,
         n_samples=n_samples,
         net=net,
@@ -523,6 +518,18 @@ def write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+@dataclass(frozen=True)
+class _Results:
+    """A run's output directory; each result path it gives is added to ``written``."""
+
+    directory: Path
+    written: list[Path]
+
+    def path(self, name: str) -> Path:
+        self.written.append(self.directory / name)
+        return self.written[-1]
+
+
 def _u_loss_k_star(cfg: Config) -> float:
     """The exact u-loss k*: D / (D + trace) where that closed form holds, else from one moment set."""
     if cfg.closed_form:
@@ -540,7 +547,7 @@ def _data_source(cfg: Config) -> geometry.GaussianSource:
     return geometry.random_orthonormal_basis(cfg.spectrum.dim, cfg.manifold_dim, basis_rng)
 
 
-def cmd_theory(cfg: Config, out: Path) -> int:
+def cmd_theory(cfg: Config, out: _Results) -> int:
     """Sweep the equilibrium loss over a k grid and report its minimiser.
 
     Every source writes the same ``theory.csv``: a row's total and its
@@ -560,7 +567,7 @@ def cmd_theory(cfg: Config, out: Path) -> int:
 
     grid = np.linspace(0.0, 1.0, cfg.k_points).tolist()
     table = np.array([row(k) for k in grid])
-    write_csv(out / "theory.csv", ["k", "delta_total", "delta_parallel", "delta_perpendicular"], [table])
+    write_csv(out.path("theory.csv"), ["k", "delta_total", "delta_parallel", "delta_perpendicular"], [table])
     if cfg.loss is U_LOSS:
         k_star = _u_loss_k_star(cfg)
     else:
@@ -569,12 +576,12 @@ def cmd_theory(cfg: Config, out: Path) -> int:
         searched = analytic.argmin_k(lambda k: row(k)[1], bracket=bracket)
         k_star = searched if row(searched)[1] <= table[best, 1] else grid[best]
     delta = row(k_star)[1]
-    write_json(out / "theory_summary.json", {"k_star": k_star, "delta_at_k_star": delta})
+    write_json(out.path("theory_summary.json"), {"k_star": k_star, "delta_at_k_star": delta})
     print(f"theory: k_star = {k_star:.6f}")
     return _EXIT_OK
 
 
-def cmd_dynamics(cfg: Config, out: Path) -> int:
+def cmd_dynamics(cfg: Config, out: _Results) -> int:
     """Integrate the linear-model gradient flow and check convergence to equilibrium.
 
     ``dist_par`` is the distance on the data's support, ``dist_perp`` on its
@@ -589,11 +596,11 @@ def cmd_dynamics(cfg: Config, out: Path) -> int:
 
     steps = np.array([rec.step for rec in trajectory], np.int64)
     values = np.array([(rec.loss, rec.dist_par, rec.dist_perp) for rec in trajectory])
-    write_csv(out / "dynamics.csv", ["step", "loss", "dist_par", "dist_perp"], [steps, values])
+    write_csv(out.path("dynamics.csv"), ["step", "loss", "dist_par", "dist_perp"], [steps, values])
     final, tol = trajectory[-1], cfg.tol
     converged = final.dist_par < tol and final.dist_perp < tol
     write_json(
-        out / "dynamics_summary.json",
+        out.path("dynamics_summary.json"),
         {
             "converged": converged,
             "final_dist_par": final.dist_par,
@@ -612,20 +619,18 @@ def cmd_dynamics(cfg: Config, out: Path) -> int:
     return _EXIT_OK
 
 
-def cmd_train(cfg: Config, out: Path) -> int:
+def cmd_train(cfg: Config, out: _Results) -> int:
     """Train the toy model (optionally with a trainable k) and summarise the fixed point."""
     config = cfg.train
-    kparam = kdiff.make_kparam(config, cfg.k_bins)
     # loss_mode "u" trains the plain target MSE whatever the top-level loss, so k* is
     # the u-loss optimum; the theory does not cover v_alg1's velocity-weighted loss
     k_star = _u_loss_k_star(cfg) if config.loss_mode == "u" else None
-    net = kdiff.PureLinear.zeros(cfg.spectrum.dim)
-    history = kdiff.train(net, kparam, _data_source(cfg), config)
+    history = kdiff.train(_data_source(cfg), config)
 
-    k_header = [f"k_t{p:g}" for p in history.probe_points] if kparam.is_binned else ["k"]
+    k_header = ["k"] if history.probe_points is None else [f"k_t{p:g}" for p in history.probe_points]
     final_k = history.final_k
     k_columns = history.k_values.reshape(len(history.steps), -1)
-    write_csv(out / "history.csv", ["step", "loss", *k_header], [history.steps, history.losses, k_columns])
+    write_csv(out.path("history.csv"), ["step", "loss", *k_header], [history.steps, history.losses, k_columns])
 
     summary = {"final_k": final_k}
     if k_star is None:
@@ -638,12 +643,12 @@ def cmd_train(cfg: Config, out: Path) -> int:
             report += f", gap = {summary['abs_gap']:.4f}"
         else:
             report += " (k frozen)"
-    write_json(out / "train_summary.json", summary)
+    write_json(out.path("train_summary.json"), summary)
     print(f"train: final_k = {final_k:.4f}, {report}")
     return _EXIT_OK
 
 
-def cmd_sample(cfg: Config, out: Path) -> int:
+def cmd_sample(cfg: Config, out: _Results) -> int:
     """Integrate the sampling ODE and report off-manifold energy diagnostics.
 
     Both nets are linear, so their field is linear in the state: the run
@@ -659,9 +664,8 @@ def cmd_sample(cfg: Config, out: Path) -> int:
         net = kdiff.PureLinear(lindyn.equilibrium_weight(source, moments))
         kparam = cfg.sample_k
     else:
-        kparam = kdiff.make_kparam(cfg.train, cfg.k_bins)
-        net = kdiff.PureLinear.zeros(dim)
-        kdiff.train(net, kparam, source, cfg.train)
+        history = kdiff.train(source, cfg.train)
+        net, kparam = history.net, history.kparam
 
     rng = derive_rng(cfg.seed, "sampler", "noise")
     z0 = rng.standard_normal((cfg.n_samples, dim))
@@ -670,7 +674,7 @@ def cmd_sample(cfg: Config, out: Path) -> int:
         raise NonFiniteState("state became non-finite at t = 1")
 
     header = [f"x{i}" for i in range(dim)]
-    write_csv(out / "samples.csv", header, [z1])
+    write_csv(out.path("samples.csv"), header, [z1])
 
     def off_manifold_fraction(z: np.ndarray):
         if len(z) == 0:
@@ -685,7 +689,7 @@ def cmd_sample(cfg: Config, out: Path) -> int:
         "off_manifold_fraction_t0": off_manifold_fraction(z0),
         "off_manifold_fraction_t1": off_manifold_fraction(z1),
     }
-    write_json(out / "diagnostics.json", diagnostics)
+    write_json(out.path("diagnostics.json"), diagnostics)
     print(
         "sample: off-manifold fraction "
         f"{diagnostics['off_manifold_fraction_t0']} -> {diagnostics['off_manifold_fraction_t1']}"
@@ -720,18 +724,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
-        created = []
+        created, written = [], []
         try:
             cfg = load_config(args.config, seed=args.seed)
             out = Path(args.out if args.out is not None else cfg.output_dir)
             created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
             out.mkdir(parents=True, exist_ok=True)
-            return _COMMANDS[args.command](cfg, out)
+            return _COMMANDS[args.command](cfg, _Results(out, written))
         # an OSError here is an output path that cannot be made or written
         except (KDiffLabError, MemoryError, OSError) as exc:
             name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
             print(f"error: {name}: {exc}", file=sys.stderr)
-            # a failed run leaves behind no directory it made and left empty
+            # a failed run leaves behind no result file it wrote and no directory it made and left empty
+            for path in written:
+                if not path.is_dir():
+                    path.unlink(missing_ok=True)
             for path in created:
                 try:
                     path.rmdir()

@@ -58,24 +58,21 @@ class KParam:
     and stays strictly inside (0, 1) for finite raw values.
     """
 
-    def __init__(self, raw, trainable: bool = True):
+    def __init__(self, raw):
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim > 1:
             raise ValueError("raw must be a scalar or a 1-d knot vector")
         if raw.ndim == 1 and raw.size < 2:
             raise ValueError("binned mode needs at least 2 knots")
         self.raw = raw
-        self.trainable = trainable
 
     @classmethod
-    def constant(cls, k_init: float = 0.5, trainable: bool = True) -> "KParam":
-        return cls(np.asarray(_logit(k_init)), trainable)
+    def constant(cls, k_init: float) -> "KParam":
+        return cls(np.asarray(_logit(k_init)))
 
     @classmethod
-    def binned(cls, n_bins: int = 128, k_init: float = 0.5, trainable: bool = True) -> "KParam":
-        if n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
-        return cls(np.full(n_bins + 1, _logit(k_init)), trainable)
+    def binned(cls, n_bins: int, k_init: float) -> "KParam":
+        return cls(np.full(n_bins + 1, _logit(k_init)))
 
     @property
     def is_binned(self) -> bool:
@@ -180,7 +177,7 @@ class PureLinear:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings for a training run.
+    """Settings for a training run from W = 0 and k = k_init, constant or on k_bins time bins.
 
     loss_mode "u" is the plain target MSE (the mode whose trainable-k fixed
     point is compared against the closed-form optimum); "v_alg1" is the
@@ -200,6 +197,7 @@ class TrainConfig:
     clamp_floor: float = 0.05
     k_trainable: bool = True
     k_init: float = 0.5
+    k_bins: int | None = None
     measure: TimeMeasure = UNIFORM_MEASURE
 
     def __post_init__(self):
@@ -217,13 +215,10 @@ class TrainConfig:
             raise ValueError("clamp_floor must lie in (0, 1)")
         if self.batch < 1 or self.steps < 1:
             raise ValueError("batch and steps must be >= 1")
-
-
-def make_kparam(config: TrainConfig, n_bins: int | None = None) -> KParam:
-    """Build the k parameter a config describes (binned when n_bins is given)."""
-    if n_bins is None:
-        return KParam.constant(config.k_init, trainable=config.k_trainable)
-    return KParam.binned(n_bins, config.k_init, trainable=config.k_trainable)
+        if not 0.0 < self.k_init < 1.0:
+            raise ValueError(f"need 0 < k_init < 1, got {self.k_init}")
+        if self.k_bins is not None and self.k_bins < 1:
+            raise ValueError("k_bins must be >= 1")
 
 
 class _StepBuffers:
@@ -252,9 +247,9 @@ def training_step(
 ):
     """One step: draw (t, e), form input and target, return loss and gradients.
 
-    Gradient keys are "net.<param>" plus "k" when the target parameter is
-    trainable.  The returned loss is the batch mean of per-sample halved
-    squared errors of the residual r = u_hat - u, which "v_alg1" divides by
+    Gradient keys are "net.<param>" plus "k" when ``config.k_trainable``.
+    The returned loss is the batch mean of per-sample halved squared errors
+    of the residual r = u_hat - u, which "v_alg1" divides by
     den = max(k (1 - t) + (1 - k) t, clamp_floor) (the velocity residual
     v_pred - v up to rounding).
 
@@ -296,7 +291,7 @@ def training_step(
         grad /= batch
     else:
         np.divide(r, batch, out=grad)
-    if kparam.trainable:
+    if config.k_trainable:
         # du/dk = x + e; under v_alg1, d(den)/dk = 1 - 2t where the clamp is not active
         dldk = -np.einsum("ij,ij->i", r, np.add(x, e, out=work))
         if velocity:
@@ -307,7 +302,7 @@ def training_step(
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"training loss is {loss!r}")
     grads = {f"net.{name}": g for name, g in net.backward(cache, grad).items()}
-    if kparam.trainable:
+    if config.k_trainable:
         grads["k"] = kparam.grad_raw(t, dldk)
     return loss, grads
 
@@ -354,49 +349,48 @@ K_PROBES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
 @dataclass(frozen=True)
 class TrainHistory:
-    """Per-step losses and k snapshots (taken after each update)."""
+    """Per-step losses and k snapshots (taken after each update), and the trained net and k."""
 
     steps: np.ndarray
     losses: np.ndarray
     k_values: np.ndarray
-    probe_points: np.ndarray | None = None
+    net: PureLinear
+    kparam: KParam
+
+    @property
+    def probe_points(self) -> np.ndarray | None:
+        """The times at which a binned k is recorded; None for a constant k, recorded at 1/2."""
+        return K_PROBES.copy() if self.kparam.is_binned else None
 
     @property
     def final_k(self) -> float:
         """The last k; for binned k, its value at the central probe point."""
         last = self.k_values[-1]
-        if np.ndim(last) == 0:
-            return float(last)
-        return float(last[self.probe_points.size // 2])
+        return float(last if np.ndim(last) == 0 else last[K_PROBES.size // 2])
 
 
-def train(net, kparam: KParam, data_source, config: TrainConfig) -> TrainHistory:
-    """Run the training loop on fresh batches from the data source.
+def train(data_source, config: TrainConfig) -> TrainHistory:
+    """Train a zero ``PureLinear`` net and the k that ``config`` describes on fresh batches.
 
     data_source is a ``geometry.GaussianSource``; batches come from
     ``geometry.sample_data``.  Deterministic given config.seed.
     """
+    net, bins = PureLinear.zeros(data_source.ambient_dim), config.k_bins
+    kparam = KParam.constant(config.k_init) if bins is None else KParam.binned(bins, config.k_init)
     rng = derive_rng(config.seed, "kdiff", "train")
     params = {f"net.{name}": p for name, p in net.params().items()}
-    if kparam.trainable:
+    if config.k_trainable:
         params["k"] = kparam.raw
     state = OptimizerState()
     steps = np.arange(1, config.steps + 1)
     losses = np.empty(config.steps)
-    if kparam.is_binned:
-        k_values = np.empty((config.steps, K_PROBES.size))
-        probes = K_PROBES.copy()
-    else:
-        k_values = np.empty(config.steps)
-        probes = None
-    buffers = _StepBuffers(config.batch, data_source.factor.shape[0])
+    probes = K_PROBES if kparam.is_binned else 0.5
+    k_values = np.empty((config.steps, *np.shape(probes)))
+    buffers = _StepBuffers(config.batch, net.dim)
     for i in range(config.steps):
         x = sample_data(data_source, config.batch, rng)
         loss, grads = training_step(net, kparam, x, config, rng, buffers=buffers)
         optimizer_step(params, grads, state, config)
         losses[i] = loss
-        if kparam.is_binned:
-            k_values[i] = kparam.value(K_PROBES)
-        else:
-            k_values[i] = kparam.value(0.5)
-    return TrainHistory(steps, losses, k_values, probes)
+        k_values[i] = kparam.value(probes)
+    return TrainHistory(steps, losses, k_values, net, kparam)

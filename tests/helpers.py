@@ -94,7 +94,7 @@ def gradient_check(net, kparam, x, config, seed: int, step: float = 1e-4) -> flo
         return value
 
     params = {f"net.{name}": p for name, p in net.params().items()}
-    if kparam.trainable:
+    if config.k_trainable:
         params["k"] = kparam.raw
     worst = 0.0
     for name, p in params.items():
@@ -249,7 +249,7 @@ def training_step_reference(net, kparam, x, config, rng):
         r = r / den[:, None]
     loss = 0.5 * float(np.sum(r * r)) / batch
     g_uhat = r / den[:, None] / batch if velocity else r / batch
-    if kparam.trainable:
+    if config.k_trainable:
         dldk = -np.einsum("ij,ij->i", r, x + e)
         if velocity:
             dden = np.where(raw_den > config.clamp_floor, 1.0 - 2.0 * t, 0.0)
@@ -259,7 +259,7 @@ def training_step_reference(net, kparam, x, config, rng):
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"training loss is {loss!r}")
     grads = {f"net.{name}": g for name, g in net.backward(cache, g_uhat).items()}
-    if kparam.trainable:
+    if config.k_trainable:
         grads["k"] = kparam.grad_raw(t, dldk)
     return loss, grads
 

@@ -157,8 +157,6 @@ def test_criterion_5_flagship_trainable_k():
     target_sparse = 64.0 / 68.0
     for seed in (1, 2, 3):
         basis = random_orthonormal_basis(64, 4, np.random.default_rng(500 + seed))
-        net = PureLinear.zeros(64)
-        kparam = KParam.constant(0.5)
         config = TrainConfig(
             loss_mode="u",
             optimizer="adam",
@@ -170,14 +168,11 @@ def test_criterion_5_flagship_trainable_k():
             seed=seed,
             k_init=0.5,
         )
-        history = train(net, kparam, basis, config)
+        history = train(basis, config)
         assert abs(history.final_k - target_sparse) <= 0.03, (seed, history.final_k)
 
     basis = random_orthonormal_basis(8, 8, np.random.default_rng(504))
-    net = PureLinear.zeros(8)
-    kparam = KParam.constant(0.5)
-    config = TrainConfig(steps=20_000, batch=256, seed=7)
-    history = train(net, kparam, basis, config)
+    history = train(basis, TrainConfig(steps=20_000, batch=256, seed=7))
     assert abs(history.final_k - 0.5) <= 0.03, history.final_k
     _report(5, "flagship trainable-k reproduction", time.perf_counter() - start, 300.0)
 
@@ -257,7 +252,7 @@ def test_criterion_9_sampler_orders_and_equivalence():
     rng = np.random.default_rng(9009)
     weight = 0.4 * rng.standard_normal((4, 4))
     net = PureLinear(weight)
-    kparam = KParam.constant(0.7, trainable=False)
+    kparam = KParam.constant(0.7)
     z0 = rng.standard_normal((8, 4))
 
     ratios = {}

@@ -956,7 +956,7 @@ class TestConfigValidation:
                 "sample", {"train": {"k_init": 0}}, "ConfigError: train: need 0 < k_init < 1, got 0", id="sample-k_init-zero",
             ),
             pytest.param(
-                "train", {"train": {"k_bins": 0}}, "ConfigError: train: n_bins must be >= 1", id="k_bins-zero",
+                "train", {"train": {"k_bins": 0}}, "ConfigError: train: k_bins must be >= 1", id="k_bins-zero",
             ),
             pytest.param(
                 "theory", {"target": {"kind": "k", "k": 7}}, "ConfigError: target: k must lie in [0, 1], got 7",
@@ -1279,6 +1279,31 @@ class TestImpossibleSizes:
         assert err.startswith(message) and err.count("\n") == 1, err
         # the run made nothing, and what was in its way is kept
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "command, table, summary",
+        [
+            ("theory", "theory.csv", "theory_summary.json"),
+            ("dynamics", "dynamics.csv", "dynamics_summary.json"),
+            ("train", "history.csv", "train_summary.json"),
+            ("sample", "samples.csv", "diagnostics.json"),
+        ],
+    )
+    def test_a_failed_run_removes_the_results_it_wrote(self, tmp_path, capsys, command, table, summary):
+        cfg = {"data": {"D": 4, "d": 2}, "theory": {"k_points": 3}, "train": {"steps": 3, "batch": 8},
+               "sample": {"n_samples": 4, "steps": 2}}
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "run"
+        (out / summary).mkdir(parents=True)
+        (out / "earlier.csv").write_text("an earlier run's file\n")
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IsADirectoryError: ") and err.count("\n") == 1, err
+        # the table written before the summary failed is gone; what was in the run's way is kept
+        assert sorted(p.name for p in out.iterdir()) == sorted(["earlier.csv", summary])
+        assert (out / summary).is_dir() and not any((out / summary).iterdir())
+        assert (out / "earlier.csv").read_text() == "an earlier run's file\n"
+        assert not (out / table).exists()
 
 
 # Runs every subcommand at a tiny size in one interpreter, then theory,

@@ -25,7 +25,6 @@ from kdiff_lab import (
     equilibrium_weight,
     k_target,
     kappa,
-    make_kparam,
     optimizer_step,
     random_orthonormal_basis,
     sample_data,
@@ -217,8 +216,8 @@ class TestTrainingStep:
         from kdiff_lab import Spectrum, optimal_loss, sample_data
 
         net = PureLinear(equilibrium_weight(basis, moments))
-        kparam = KParam.constant(k, trainable=False)
-        config = TrainConfig(loss_mode="u", batch=512, steps=1)
+        kparam = KParam.constant(k)
+        config = TrainConfig(loss_mode="u", batch=512, steps=1, k_trainable=False)
         rng = np.random.default_rng(5)
         losses = []
         for _ in range(400):
@@ -272,7 +271,7 @@ class TestStepBuffers:
         rng = np.random.default_rng(seed)
         net = PureLinear(rng.standard_normal((dim, dim)) / math.sqrt(dim))
         raw = rng.uniform(-3.0, 3.0, size=None if n_bins is None else n_bins + 1)
-        kparam = KParam(np.asarray(raw), trainable=k_trainable)
+        kparam = KParam(np.asarray(raw))
         if logit_normal:
             lo, hi = rng.uniform(0.0, 0.4), rng.uniform(0.6, 1.0)
             measure = TimeMeasure("logit_normal", (lo, hi), rng.uniform(-1.0, 1.0), rng.uniform(0.3, 1.5))
@@ -301,7 +300,7 @@ class TestStepBuffers:
         rng = np.random.default_rng(31)
         dim, batch = 6, 40
         net = _KeepOutputs(0.5 * rng.standard_normal((dim, dim)))
-        kparam = KParam(rng.uniform(-1.0, 1.0, size=5), trainable=k_trainable)
+        kparam = KParam(rng.uniform(-1.0, 1.0, size=5))
         config = TrainConfig(loss_mode=loss_mode, batch=batch, steps=2, k_trainable=k_trainable)
         draws = ReplayRNG(32)
         buffers = _StepBuffers(batch, dim)
@@ -327,11 +326,11 @@ class TestStepBuffers:
     @pytest.mark.parametrize("n_bins", [None, 16], ids=["constant", "binned"])
     def test_train_matches_a_loop_of_reference_steps(self, loss_mode, n_bins):
         basis = random_orthonormal_basis(64, 4, np.random.default_rng(33))
-        config = TrainConfig(loss_mode=loss_mode, batch=256, steps=40, seed=34)
-        net, kparam = PureLinear.zeros(64), make_kparam(config, n_bins)
-        history = train(net, kparam, basis, config)
+        config = TrainConfig(loss_mode=loss_mode, batch=256, steps=40, seed=34, k_bins=n_bins)
+        history = train(basis, config)
 
-        ref_net, ref_kparam = PureLinear.zeros(64), make_kparam(config, n_bins)
+        ref_net = PureLinear.zeros(64)
+        ref_kparam = KParam.constant(0.5) if n_bins is None else KParam.binned(n_bins, 0.5)
         params = {"net.weight": ref_net.weight, "k": ref_kparam.raw}
         state, losses, k_values = OptimizerState(), [], []
         stream = derive_rng(config.seed, "kdiff", "train")
@@ -343,7 +342,8 @@ class TestStepBuffers:
             k_values.append(ref_kparam.value(0.5 if n_bins is None else K_PROBES))
         np.testing.assert_array_equal(history.losses, losses)
         np.testing.assert_array_equal(history.k_values, np.asarray(k_values))
-        np.testing.assert_array_equal(net.weight, ref_net.weight)
+        np.testing.assert_array_equal(history.net.weight, ref_net.weight)
+        np.testing.assert_array_equal(history.kparam.raw, ref_kparam.raw)
 
 
 @pytest.mark.parametrize("name", ["lr", "adam_eps"])
@@ -482,53 +482,63 @@ class TestTrain:
     def test_deterministic_given_seed(self):
         basis = random_orthonormal_basis(8, 2, np.random.default_rng(16))
         config = TrainConfig(steps=100, batch=64, seed=21)
-        runs = []
-        for _ in range(2):
-            net = PureLinear.zeros(8)
-            kparam = KParam.constant(0.5)
-            runs.append((train(net, kparam, basis, config), net.weight.copy()))
-        (h1, w1), (h2, w2) = runs
+        h1, h2 = train(basis, config), train(basis, config)
         np.testing.assert_array_equal(h1.losses, h2.losses)
         np.testing.assert_array_equal(h1.k_values, h2.k_values)
-        np.testing.assert_array_equal(w1, w2)
+        np.testing.assert_array_equal(h1.net.weight, h2.net.weight)
 
     def test_k_stays_strictly_inside_unit_interval(self):
         basis = random_orthonormal_basis(8, 2, np.random.default_rng(17))
-        net = PureLinear.zeros(8)
-        kparam = KParam.constant(0.5)
-        config = TrainConfig(steps=500, batch=64, seed=3)
-        history = train(net, kparam, basis, config)
+        history = train(basis, TrainConfig(steps=500, batch=64, seed=3))
         assert np.all(history.k_values > expit(-40.0))
         assert np.all(history.k_values < expit(40.0))
 
     def test_trainable_k_moves_toward_dimension_ratio(self):
         # D=16, d=4: the loss-minimising target parameter is 16/20 = 0.8
         basis = random_orthonormal_basis(16, 4, np.random.default_rng(2))
-        net = PureLinear.zeros(16)
-        kparam = KParam.constant(0.5)
-        config = TrainConfig(steps=3000, batch=128, seed=11)
-        history = train(net, kparam, basis, config)
+        history = train(basis, TrainConfig(steps=3000, batch=128, seed=11))
         assert abs(history.final_k - 0.8) < 0.05
 
     def test_frozen_k_weight_converges_to_equilibrium(self):
         basis = random_orthonormal_basis(2, 1, np.random.default_rng(100))
-        net = PureLinear.zeros(2)
-        kparam = KParam.constant(0.5, trainable=False)
         config = TrainConfig(
             loss_mode="u", optimizer="sgd", lr=3e-2, batch=32768, steps=1000,
             seed=5, k_trainable=False,
         )
-        train(net, kparam, basis, config)
+        history = train(basis, config)
         moments = compute_moments(FLOW_MATCHING, k_target(0.5), U_LOSS, UNIFORM_MEASURE)
         w_star = equilibrium_weight(basis, moments)
-        assert np.linalg.norm(net.weight - w_star) < 1e-3
+        assert np.linalg.norm(history.net.weight - w_star) < 1e-3
 
     def test_binned_history_records_probe_points(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(18))
-        net = PureLinear.zeros(6)
-        kparam = KParam.binned(8, 0.5)
-        config = TrainConfig(steps=50, batch=32, seed=9)
-        history = train(net, kparam, basis, config)
+        history = train(basis, TrainConfig(steps=50, batch=32, seed=9, k_bins=8))
         assert history.k_values.shape == (50, 5)
         np.testing.assert_array_equal(history.probe_points, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert history.final_k == history.k_values[-1, 2]  # the central probe
+        assert history.kparam.n_bins == 8
+
+    def test_constant_history_records_k_at_one_half(self):
+        basis = random_orthonormal_basis(6, 2, np.random.default_rng(18))
+        history = train(basis, TrainConfig(steps=20, batch=32, seed=9))
+        assert history.k_values.shape == (20,) and history.probe_points is None
+        assert history.final_k == history.k_values[-1] == history.kparam.value(0.5)
+
+    def test_frozen_binned_k_stays_at_its_start(self):
+        basis = random_orthonormal_basis(6, 2, np.random.default_rng(19))
+        history = train(basis, TrainConfig(k_trainable=False, k_bins=4, steps=30, batch=32, seed=10))
+        np.testing.assert_array_equal(history.kparam.raw, KParam.binned(4, 0.5).raw)
+        np.testing.assert_array_equal(history.k_values, np.full((30, 5), 0.5))
+        assert np.any(history.net.weight != 0.0)  # the net trained
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_train_config_rejects_a_k_init_outside_the_unit_interval(value):
+    with pytest.raises(ValueError, match="k_init"):
+        TrainConfig(k_init=value)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_train_config_rejects_fewer_than_one_k_bin(value):
+    with pytest.raises(ValueError, match="k_bins must be >= 1"):
+        TrainConfig(k_bins=value)

@@ -117,7 +117,7 @@ class TestConvergenceOrders:
         rng = np.random.default_rng(1)
         weight = 0.4 * rng.standard_normal((4, 4))
         net = PureLinear(weight)
-        kparam = KParam.constant(0.7, trainable=False)
+        kparam = KParam.constant(0.7)
         z0 = rng.standard_normal((8, 4))
         outs = {}
         for steps in (n, 2 * n, 4 * n):
