@@ -275,7 +275,7 @@ def load_config(path, seed: int | None = None) -> Config:
         raise ConfigError("sample.k applies to net optimal_linear only; a trained net uses train.k_init")
     # each size makes an array of 8-byte floats, whose byte count numpy must index
     per_row = {"sample.n_samples": n_samples, "train.batch": train.batch, "dynamics.batch": flow.batch}
-    sizes = {"theory.k_points": theory["k_points"]}
+    sizes = {"theory.k_points": theory["k_points"], "train.k_bins + 1": (train.k_bins or 0) + 1}
     sizes.update((f"{key} x data.D", rows * spectrum.dim) for key, rows in per_row.items())
     for keys, count in sizes.items():
         if 8 * count > _INT_MAX:

@@ -1225,6 +1225,7 @@ class TestImpossibleSizes:
             ),
             pytest.param("sample", {"sample": {"n_samples": 1e12}}, "MemoryError: ", id="n_samples"),
             pytest.param("train", {"train": {"batch": 1e12, "steps": 2}}, "MemoryError: ", id="batch"),
+            pytest.param("train", {"train": {"k_bins": 1e12, "steps": 2}}, "MemoryError: ", id="k_bins"),
             # element counts a numpy index can hold, but byte counts it cannot
             pytest.param(
                 "theory", {"theory": {"k_points": 4e18}}, "ConfigError: theory.k_points = 4000000000000000000",
@@ -1237,6 +1238,11 @@ class TestImpossibleSizes:
             pytest.param(
                 "train", {"train": {"batch": 1e18, "steps": 2}}, "ConfigError: train.batch x data.D = ",
                 id="batch-bytes",
+            ),
+            # k_bins + 1 knots
+            pytest.param(
+                "train", {"train": {"k_bins": 4e18, "steps": 2}}, "ConfigError: train.k_bins + 1 = 4000000000000000001",
+                id="k_bins-bytes",
             ),
         ],
     )
