@@ -51,16 +51,12 @@ _TARGETS = {"epsilon": EPSILON_TARGET, "x": X_TARGET, "v": V_TARGET}
 _LOSSES = {"u": U_LOSS, **_TARGETS}
 _NETS = {"optimal_linear": "optimal_linear", "train": "train"}
 
-# _LIBRARY marks a key whose default is that of the library dataclass it
-# fills, so an absent key is left out of the constructor call.
-_LIBRARY = object()
-
 
 def _fields_of(cls, skip: tuple[str, ...] = ()) -> dict:
     """Schema entries for a library dataclass's fields, but those in ``skip``:
-    each typed by its annotation and left to the dataclass's default."""
+    each typed by its annotation, an optional one by the type it takes, with the field's default."""
     fields = (f for f in dataclasses.fields(cls) if f.name not in skip)
-    return {f.name: (getattr(builtins, f.type), _LIBRARY) for f in fields}
+    return {f.name: (getattr(builtins, f.type.removesuffix(" | None")), f.default) for f in fields}
 
 
 # Every accepted key, by section ("" is the top level), with its JSON type and
@@ -71,7 +67,9 @@ _SCHEMA = {
         "seed": (int, 0),
         "output_dir": (str, "."),
         "loss": (_LOSSES, "u"),
-        "interval": (list, _LIBRARY),
+        "interval": (list, list(TimeMeasure.interval)),
+        # one floor for the velocity conversion, in training and in sampling
+        "clamp_floor": (float, kdiff.CLAMP_FLOOR),
     },
     "target": {"kind": (str, "k"), "k": (float, 1.0), "phi": (float, None), "psi": (float, None)},
     # the interval is the top level's
@@ -84,10 +82,10 @@ _SCHEMA = {
         **_fields_of(lindyn.FlowConfig, skip=("step_size", "steps")),
         "tol": (float, 1e-6),
     },
-    # the run seed and time measure are the top level's; k_bins's type is not a plain name
-    "train": {**_fields_of(kdiff.TrainConfig, skip=("seed", "measure", "k_bins")), "k_bins": (int, None)},
+    # the run seed, time measure and clamp floor are the top level's
+    "train": _fields_of(kdiff.TrainConfig, skip=("seed", "measure", "clamp_floor")),
     "sample": {
-        **_fields_of(sampler.SampleRun),
+        **_fields_of(sampler.SampleRun, skip=("clamp_floor",)),
         "n_samples": (int, 1000),
         "net": (_NETS, "optimal_linear"),
         "k": (float, 0.5),
@@ -162,8 +160,7 @@ def _typed(path: str, value, kind: type | dict, nullable: bool = False):
 
 
 def _section(raw: dict, name: str) -> dict:
-    """A section's values checked against the schema, with the CLI's defaults
-    filled in; a key the library dataclass defaults is left out when absent."""
+    """A section's values checked against the schema, with every default filled in."""
     if name:
         values, prefix = raw.get(name, {}), f"{name}."
         if not isinstance(values, dict):
@@ -175,11 +172,10 @@ def _section(raw: dict, name: str) -> dict:
     if unknown:
         where = f" in section {name!r}" if name else ""
         raise ConfigError(f"unknown config keys{where}: {sorted(unknown)}")
-    out = {}
-    for key, (kind, default) in _SCHEMA[name].items():
-        if key in values or default is not _LIBRARY:
-            out[key] = _typed(prefix + key, values.get(key, default), kind, default is None)
-    return out
+    return {
+        key: _typed(prefix + key, values.get(key, default), kind, default is None)
+        for key, (kind, default) in _SCHEMA[name].items()
+    }
 
 
 def _built(section: str, build, *args, **kwargs):
@@ -251,11 +247,11 @@ def load_config(path, seed: int | None = None) -> Config:
     top = _section(raw, "")
     if seed is None:
         seed = top["seed"]
+    floor = top["clamp_floor"]
+    if not 0.0 < floor < 1.0:
+        raise ConfigError(f"clamp_floor must lie in (0, 1), got {floor}")
     target = _target(raw)
-    time_sampler = _section(raw, "time_sampler")
-    if "interval" in top:
-        time_sampler["interval"] = top["interval"]
-    measure = _built("interval/time_sampler", TimeMeasure, **time_sampler)
+    measure = _built("interval/time_sampler", TimeMeasure, **_section(raw, "time_sampler"), interval=top["interval"])
     data = _section(raw, "data")
     spectrum = _spectrum(raw, data)
     # the trainer and the per-mode formulas square terms of order lam: reject before any work
@@ -263,11 +259,13 @@ def load_config(path, seed: int | None = None) -> Config:
     theory = _section(raw, "theory")
     dynamics = _section(raw, "dynamics")
     tol = dynamics.pop("tol")
-    train = _built("train", kdiff.TrainConfig, **_section(raw, "train"), seed=seed, measure=measure)
+    train = _section(raw, "train")
+    train = _built("train", kdiff.TrainConfig, **train, seed=seed, measure=measure, clamp_floor=floor)
     if train.loss_mode == "v_alg1":
         # v_alg1 weights the u-residual by kappa = 1 / den, with den clamped at clamp_floor, so
-        # its gradient's terms reach (lam + 1) kappa^2, which Adam squares: moment 1 / clamp_floor^2
-        analytic._check_mode_terms(spectrum.eigenvalues, train.clamp_floor**-2)
+        # its gradient's terms reach (lam + 1) kappa^2, which Adam squares: moment 1 / clamp_floor^2, inf
+        # below a floor of about 1e-154, where clamp_floor**-2 would raise OverflowError
+        analytic._check_mode_terms(spectrum.eigenvalues, 1.0 / floor / floor)
     flow = _built("dynamics", lindyn.FlowConfig, **dynamics)
     sample = _section(raw, "sample")
     n_samples, net, sample_k = sample.pop("n_samples"), sample.pop("net"), sample.pop("k")
@@ -280,7 +278,7 @@ def load_config(path, seed: int | None = None) -> Config:
     for keys, count in sizes.items():
         if 8 * count > _INT_MAX:
             raise ConfigError(f"{keys} = {count} floats take more than {_INT_MAX} bytes")
-    sample = _built("sample", sampler.SampleRun, **sample)
+    sample = _built("sample", sampler.SampleRun, **sample, clamp_floor=floor)
     _built("sample", k_target, sample_k)  # checks sample.k
     return Config(
         seed=seed,
@@ -731,10 +729,7 @@ def main(argv=None) -> int:
             created = [p for p in (out, *out.parents) if not p.exists()]  # deepest first
             out.mkdir(parents=True, exist_ok=True)
             return _COMMANDS[args.command](cfg, _Results(out, written))
-        # an OSError here is an output path that cannot be made or written
-        except (KDiffLabError, MemoryError, OSError) as exc:
-            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-            print(f"error: {name}: {exc}", file=sys.stderr)
+        except BaseException as exc:
             # a failed run leaves behind no result file it wrote and no directory it made and left empty
             for path in written:
                 if not path.is_dir():
@@ -744,6 +739,12 @@ def main(argv=None) -> int:
                     path.rmdir()
                 except OSError:
                     break
+            # an OSError here is an output path that cannot be made or written; any other
+            # exception is a fault of the program, and its traceback is the report
+            if not isinstance(exc, (KDiffLabError, MemoryError, OSError)):
+                raise
+            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            print(f"error: {name}: {exc}", file=sys.stderr)
             return _EXIT_ERROR
 
 

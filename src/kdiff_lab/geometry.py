@@ -7,9 +7,9 @@ data on a d-dimensional linear subspace of R^D is the case of d unit
 eigenvalues, so its covariance factor F = Q sqrt(lam) is the orthonormal basis
 itself and the intrinsic latents are whitened.  A spectrum given as
 eigenvalues lies along the standard basis.  One sampler serves every source,
-embedding r standard-normal latents by F.  Ambient noise is standard normal.
-All samplers take an explicit generator handle, so independent handles may
-run in parallel; the sources themselves are immutable and shareable.
+embedding r standard-normal latents by F.  It takes an explicit generator
+handle, so independent handles may run in parallel; the sources themselves
+are immutable and shareable.
 """
 
 from __future__ import annotations
@@ -88,8 +88,3 @@ def sample_data(source: GaussianSource, batch: int, rng: np.random.Generator) ->
     """Draw Gaussian data rows with second moment ``source.factor @ source.factor.T``:
     standard-normal latents, one per column of the factor, embedded by the factor."""
     return rng.standard_normal((batch, source.factor.shape[1])) @ source.factor.T
-
-
-def sample_noise(dim: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard Gaussian white noise rows."""
-    return rng.standard_normal((batch, dim))

@@ -30,6 +30,8 @@ from .geometry import sample_data
 from .schedule import UNIFORM_MEASURE, TimeMeasure, sample_t
 from .seeding import derive_rng
 
+CLAMP_FLOOR = 0.05  # the default floor of the velocity conversion's denominator
+
 
 def _sigmoid(x: float) -> float:
     """Logistic sigmoid of one float, bit for bit ``scipy.special.expit``.
@@ -123,7 +125,7 @@ class KParam:
         return grad
 
 
-def u_to_v(u, z, t, k, clamp_floor: float = 0.05):
+def u_to_v(u, z, t, k, clamp_floor: float = CLAMP_FLOOR):
     """Convert a target-space value to a velocity.
 
     v = ((1 - 2k) z + u) / max(k (1 - t) + (1 - k) t, clamp_floor).
@@ -194,7 +196,7 @@ class TrainConfig:
     batch: int = 256
     steps: int = 20_000
     seed: int = 0
-    clamp_floor: float = 0.05
+    clamp_floor: float = CLAMP_FLOOR
     k_trainable: bool = True
     k_init: float = 0.5
     k_bins: int | None = None

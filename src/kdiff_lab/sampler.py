@@ -1,8 +1,8 @@
 """ODE integration of the learned velocity field from noise (t=0) to data (t=1).
 
-The network's target-space output is converted to a velocity with the same
-clamped denominator used in training; with k = 0.5 the conversion collapses
-to doubling the output, so sampling coincides with plain velocity
+The network's target-space output is converted to a velocity with the
+clamped denominator of training, at its floor; with k = 0.5 the conversion
+collapses to doubling the output, so sampling coincides with plain velocity
 prediction.  Trajectories are independent across the batch dimension.
 
 ``integrate`` steps any net over the batch.  A linear net's field is linear
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState
-from .kdiff import KParam, u_to_v
+from .kdiff import CLAMP_FLOOR, KParam, u_to_v
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,12 @@ class SampleRun:
     """Integration grid and solver choice: ``steps`` uniform steps on [0, 1].
 
     ``clamp_floor`` bounds the target-to-velocity conversion's denominator
-    away from 0, as in training, and must lie in (0, 1).
+    away from 0, at the trainer's floor in a CLI run, and must lie in (0, 1).
     """
 
     steps: int = 50
     solver: str = "heun"
-    clamp_floor: float = 0.05
+    clamp_floor: float = CLAMP_FLOOR
 
     def __post_init__(self):
         if self.solver not in ("euler", "heun"):
@@ -61,7 +61,7 @@ def _check_finite(z, t_next: float):
         raise NonFiniteState(f"state became non-finite at t = {t_next:g}")
 
 
-def euler_step(z, t: float, t_next: float, net, kparam, clamp_floor: float = 0.05):
+def euler_step(z, t: float, t_next: float, net, kparam, clamp_floor: float = CLAMP_FLOOR):
     """One explicit Euler step of the velocity field."""
     if not t < t_next:
         raise ValueError(f"need t < t_next, got {t} >= {t_next}")
@@ -71,7 +71,7 @@ def euler_step(z, t: float, t_next: float, net, kparam, clamp_floor: float = 0.0
     return z_next
 
 
-def heun_step(z, t: float, t_next: float, net, kparam, clamp_floor: float = 0.05):
+def heun_step(z, t: float, t_next: float, net, kparam, clamp_floor: float = CLAMP_FLOOR):
     """One Heun (trapezoidal predictor-corrector) step of the velocity field."""
     if not t < t_next:
         raise ValueError(f"need t < t_next, got {t} >= {t_next}")

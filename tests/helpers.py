@@ -336,14 +336,14 @@ def monte_carlo_observations_reference(weight, basis, target, n_pairs, rng, loss
     residual parts from whole expressions under flow matching, alpha = t and
     sigma = 1 - t: the reference that the oracle must match bit for bit.
     """
-    from kdiff_lab import kappa, sample_data, sample_noise, sample_t
+    from kdiff_lab import kappa, sample_data, sample_t
 
     values = []
     for start in range(0, n_pairs, 1024):
         m = min(1024, n_pairs - start)
         t = sample_t(measure, rng, size=m)
         x = sample_data(basis, m, rng)
-        noise = sample_noise(basis.ambient_dim, m, rng)
+        noise = rng.standard_normal((m, basis.ambient_dim))
         a, s = t[:, None], (1.0 - t)[:, None]
         kap2 = np.asarray(kappa(target, loss, t, clamp_floor), dtype=np.float64) ** 2
         data_part = (x @ weight.T) * a - target.phi * x
@@ -376,12 +376,12 @@ def stochastic_flow_reference(weight0, source, config, target, rng):
     the reference that a stochastic ``run_gradient_flow`` row must rebuild
     bit for bit.
     """
-    from kdiff_lab import UNIFORM_MEASURE, sample_data, sample_noise, sample_t, stochastic_gradient
+    from kdiff_lab import UNIFORM_MEASURE, sample_data, sample_t, stochastic_gradient
 
     weights = [np.array(weight0, dtype=np.float64)]
     for _ in range(config.steps):
         x = sample_data(source, config.batch, rng)
-        noise = sample_noise(source.ambient_dim, config.batch, rng)
+        noise = rng.standard_normal((config.batch, source.ambient_dim))
         t = sample_t(UNIFORM_MEASURE, rng, size=config.batch)
         weight = weights[-1]
         weights.append(weight + config.step_size * stochastic_gradient(weight, x, noise, t, target=target))

@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface and its file outputs."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
 import resource
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +23,11 @@ from kdiff_lab import (
     UNIFORM_MEASURE,
     ConfigError,
     DimError,
+    FlowConfig,
+    SampleRun,
     Spectrum,
+    TimeMeasure,
+    TrainConfig,
     analytic,
     cli,
     k_target,
@@ -855,7 +862,16 @@ class TestConfigValidation:
             pytest.param("sample", {"sample": {"solver": "rk4"}}, "ConfigError: sample: unknown solver", id="sample-rk4"),
             pytest.param("sample", {"sample": {"n_samples": "abc"}}, 'ConfigError: sample.n_samples must be an integer, got "abc"', id="n_samples-str"),
             pytest.param("sample", {"sample": {"k": 1.5}}, "ConfigError: sample: k must lie in [0, 1]", id="sample-k-above-1"),
-            pytest.param("sample", {"sample": {"clamp_floor": "a"}}, 'ConfigError: sample.clamp_floor must be a finite number, got "a"', id="clamp_floor-str"),
+            pytest.param("sample", {"clamp_floor": "a"}, 'ConfigError: clamp_floor must be a finite number, got "a"', id="clamp_floor-str"),
+            # one floor serves training and sampling, so neither section takes one
+            *(
+                pytest.param(
+                    command, {section: {"clamp_floor": 0.2}},
+                    f"ConfigError: unknown config keys in section '{section}': ['clamp_floor']",
+                    id=f"{command}-{section}-clamp_floor",
+                )
+                for command, section in (("train", "train"), ("sample", "sample"), ("sample", "train"))
+            ),
             pytest.param(
                 "theory", {"theory": {"k_points": "x"}}, 'ConfigError: theory.k_points must be an integer, got "x"',
                 id="k_points-str",
@@ -995,12 +1011,16 @@ class TestConfigValidation:
                 "ConfigError: train: beta1 and beta2 must lie in [0, 1)", id="beta1-negative",
             ),
             pytest.param(
-                "sample", {"data": {"D": 8, "d": 2}, "sample": {"clamp_floor": 5.0}},
-                "ConfigError: sample: clamp_floor must lie in (0, 1)", id="sample-clamp_floor-high",
+                "sample", {"data": {"D": 8, "d": 2}, "clamp_floor": 5.0},
+                "ConfigError: clamp_floor must lie in (0, 1), got 5.0", id="sample-clamp_floor-high",
             ),
             pytest.param(
-                "sample", {"data": {"D": 8, "d": 2}, "sample": {"clamp_floor": 0.0, "k": 1.0}},
-                "ConfigError: sample: clamp_floor must lie in (0, 1)", id="sample-clamp_floor-zero",
+                "sample", {"data": {"D": 8, "d": 2}, "clamp_floor": 0.0, "sample": {"k": 1.0}},
+                "ConfigError: clamp_floor must lie in (0, 1), got 0.0", id="sample-clamp_floor-zero",
+            ),
+            pytest.param(
+                "train", {"clamp_floor": 1.0, "train": {"loss_mode": "v_alg1"}},
+                "ConfigError: clamp_floor must lie in (0, 1), got 1.0", id="train-clamp_floor-one",
             ),
             pytest.param(
                 "theory", {"time_sampler": {"kind": "uniform", "sigma": -3, "mu": 99}},
@@ -1042,6 +1062,16 @@ class TestConfigValidation:
                            "sample": {"n_samples": 5, "steps": 3, "net": "train"}},
                 "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.300e+154, largest moment 4.000e+02",
                 id="sample-train-v_alg1-clamp-overflow",
+            ),
+            # 1 / clamp_floor^2 overflows to inf whatever the spectrum: clamp_floor**-2 raised OverflowError here
+            *(
+                pytest.param(
+                    command, {"clamp_floor": floor, "train": {"loss_mode": "v_alg1"}},
+                    "SingularEquilibrium: per-mode terms overflow: largest eigenvalue 1.000e+00, largest moment inf",
+                    id=f"{command}-v_alg1-clamp_floor-{floor:g}",
+                )
+                for command in ("theory", "dynamics", "train", "sample")
+                for floor in (1e-300, 5e-324)
             ),
             pytest.param(
                 "sample", {"data": {"spectrum": [1e155, 0]}, "train": {"steps": 20, "batch": 8},
@@ -1104,6 +1134,11 @@ class TestConfigValidation:
         assert main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_one_clamp_floor_sets_training_and_sampling(self, tmp_path):
+        for cfg, floor in (({"clamp_floor": 0.3}, 0.3), ({}, TrainConfig.clamp_floor)):
+            got = load_config(write_config(tmp_path, "c.json", cfg))
+            assert got.train.clamp_floor == got.sample.clamp_floor == floor
+
     def test_named_target_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"target": "v", "dynamics": {"steps": 5, "tol": 10.0}})
         assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -1122,55 +1157,69 @@ class TestConfigValidation:
 
 # JSON values a config key may be given: every JSON type, with numbers near
 # the valid ranges, names the schema knows, and integral extremes that no
-# array can hold.  Values between about 1e7 and 1e18 are left out: as a data.D
-# they are valid and would allocate a spectrum of that length.
+# array can hold.  Integers are small or beyond what numpy can index, and so
+# are integral floats: a size in between is valid, and could take seconds or
+# allocate gigabytes.
 _NAMES = st.sampled_from(
     ["k", "linear", "v", "x", "epsilon", "u", "uniform", "logit_normal", "flow_matching", "exact",
      "stochastic", "adam", "sgd", "v_alg1", "heun", "euler", "optimal_linear", "train"]
 )
 _EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 2**63, 10**30, 2.5, True])
 _SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 300), st.floats(-300.0, 300.0), _EXTREMES, _NAMES,
+    st.none(), st.booleans(), st.integers(-3, 8), st.floats(-8.0, 8.0), _EXTREMES, _NAMES,
     st.text(max_size=3),
 )
 _VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
-# values of a key's own type, so that most examples get past the type checks
+# values of a key's own type, with the extremes: 0, subnormals, +-1e+-300,
+# 1 - 2^-53, the empty list, and numbers of any size, such as a step size or
+# learning rate on which a run diverges
+_FLOATS = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 1e-300, -1e-300, 1e300, -1e300, 1 - 2**-53]),
+    st.floats(-1e300, 1e300),
+)
 _OF_TYPE = {
-    int: st.integers(-2, 40),
-    float: st.floats(-1.0, 2.0),
+    int: st.integers(-1, 5) | st.sampled_from([2**63, 10**30, 1e300]),
+    float: _FLOATS,
     bool: st.booleans(),
     str: _NAMES,
-    list: st.lists(st.floats(-0.5, 2.0), max_size=4),
+    list: st.lists(_FLOATS, max_size=4),
 }
 _SECTIONS = [name for name in cli._SCHEMA if name]
 
 
+def _large(kind, default) -> bool:
+    """Whether a key is an integer whose default is too large a size for a run of milliseconds."""
+    return kind is int and (default or 0) > 20
+
+
+def _of_type(kind, default):
+    """A key's default, but a large one, or a value of its type."""
+    values = st.sampled_from(sorted(kind)) if isinstance(kind, dict) else _OF_TYPE[kind]
+    return values if _large(kind, default) else st.just(default) | values
+
+
+# every (section, key) of the schema
+_KEYS = [(name, key) for name, keys in cli._SCHEMA.items() for key in keys]
+
+
 @st.composite
 def _configs(draw):
-    """Either one key given any JSON value and the rest left out, or random
-    known keys in every section, most of their own type, with now and then an
-    unknown key or a section that is not an object."""
-    if draw(st.booleans()):
-        name = draw(st.sampled_from(list(cli._SCHEMA)))
-        values = {draw(st.sampled_from(list(cli._SCHEMA[name]))): draw(_VALUES)}
-        return {name: values} if name else values
-
-    def section(name):
-        obj = {}
-        for key in draw(st.lists(st.sampled_from(list(cli._SCHEMA[name])), unique=True)):
-            kind, default = cli._SCHEMA[name][key]
-            of_type = st.sampled_from(sorted(kind)) if isinstance(kind, dict) else _OF_TYPE[kind]
-            if default not in (None, cli._LIBRARY):
-                of_type = st.just(default) | of_type
-            obj[key] = draw(_VALUES if draw(st.integers(0, 9)) == 7 else of_type)
-        if draw(st.integers(0, 19)) == 7:
-            obj[draw(st.text(max_size=3))] = draw(_VALUES)
-        return obj
-
-    cfg = section("")
-    for name in draw(st.lists(st.sampled_from(_SECTIONS), unique=True)):
-        cfg[name] = draw(_VALUES) if draw(st.integers(0, 19)) == 7 else section(name)
-    return cfg
+    """A config drawn from the schema alone.  Every integer key with a large
+    default is given a value of 2 to 4; then one to four keys are given their
+    default, a value of their type or, now and then, any JSON value.  Now and
+    then a section is not an object, or holds an unknown key."""
+    cfg = {
+        name: {key: draw(st.integers(2, 4)) for key, spec in keys.items() if _large(*spec)}
+        for name, keys in cli._SCHEMA.items()
+    }
+    for name, key in draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=4)):
+        cfg[name][key] = draw(_VALUES if draw(st.integers(0, 9)) == 7 else _of_type(*cli._SCHEMA[name][key]))
+    if draw(st.integers(0, 19)) == 7:
+        cfg[draw(st.sampled_from(list(cli._SCHEMA)))][draw(st.text(max_size=3))] = draw(_VALUES)
+    if draw(st.integers(0, 19)) == 7:
+        cfg[draw(st.sampled_from(_SECTIONS))] = draw(_VALUES)
+    return {**cfg.pop(""), **cfg}
 
 
 def _readme_config() -> dict:
@@ -1178,6 +1227,24 @@ def _readme_config() -> dict:
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Command line.*?```jsonc\n(.*?)```", text, re.S).group(1)
     return json.loads(re.sub(r"//.*", "", block))
+
+
+# the result files of each command, in name order
+_RESULTS = {
+    "theory": ["theory.csv", "theory_summary.json"],
+    "dynamics": ["dynamics.csv", "dynamics_summary.json"],
+    "train": ["history.csv", "train_summary.json"],
+    "sample": ["diagnostics.json", "samples.csv"],
+}
+
+
+def _run(command: str, config: str, out: Path) -> tuple:
+    """``main`` run on a config: its exit code, stdout, stderr and the result files in ``out``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, "--config", config, "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    return code, stdout.getvalue(), stderr.getvalue(), files
 
 
 class TestConfigSchema:
@@ -1192,6 +1259,45 @@ class TestConfigSchema:
             assert isinstance(load_config(path), cli.Config)
         except (ConfigError, DimError) as exc:
             assert "\n" not in str(exc)
+
+    # 400 examples of up to eight runs each: about 6 s on a 2-core VM
+    @settings(
+        max_examples=400, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cfg=_configs())
+    def test_every_command_fails_cleanly_or_writes_its_results_alike_twice(self, tmp_path, cfg):
+        """Every command exits 0, 1 or 2.  Exit 1 prints one error line, after
+        any warnings, and leaves nothing the run made; exit 0 or 2 writes every
+        result file, none empty, and a rerun prints and writes the same bytes."""
+        with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+            root = Path(tmp)
+            config = write_config(root, "c.json", cfg)
+            for command, results in _RESULTS.items():
+                first = _run(command, config, root / command / "run")
+                code, _, err, files = first
+                assert code in (0, 1, 2), (command, code)
+                if code == 1:
+                    lines = err.splitlines()
+                    assert lines and lines[-1].startswith("error: "), (command, err)
+                    assert all(line.startswith("warning: ") for line in lines[:-1]), (command, err)
+                    assert not (root / command).exists(), command
+                    continue
+                assert sorted(files) == results and all(files.values()), (command, sorted(files))
+                assert _run(command, config, root / f"{command}-rerun" / "run") == first, command
+
+    def test_a_key_a_dataclass_fills_has_that_fields_default(self):
+        filled = {"": (TimeMeasure, TrainConfig, SampleRun), "time_sampler": (TimeMeasure,),
+                  "dynamics": (FlowConfig,), "train": (TrainConfig,), "sample": (SampleRun,)}
+        checked = set()
+        for name, classes in filled.items():
+            for field in (f for cls in classes for f in dataclasses.fields(cls)):
+                # FlowConfig has no default step: the CLI's dynamics step is its own
+                if field.name in cli._SCHEMA[name] and field.default is not dataclasses.MISSING:
+                    default = list(field.default) if isinstance(field.default, tuple) else field.default
+                    assert cli._SCHEMA[name][field.name][1] == default, (name, field.name)
+                    checked.add((name, field.name))
+        assert {("", "clamp_floor"), ("", "interval"), ("train", "k_bins"), ("sample", "solver")} <= checked
 
     def test_readme_example_names_every_key_with_its_default(self, tmp_path):
         doc = _readme_config()
@@ -1285,6 +1391,17 @@ class TestImpossibleSizes:
         assert err.startswith(message) and err.count("\n") == 1, err
         # the run made nothing, and what was in its way is kept
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_an_unexpected_exception_keeps_its_traceback_and_removes_what_the_run_made(self, tmp_path, monkeypatch):
+        def faulty(cfg, out):
+            cli.write_json(out.path("theory_summary.json"), {"k_star": 0.5})
+            raise RuntimeError("a fault in the program")
+
+        monkeypatch.setitem(cli._COMMANDS, "theory", faulty)
+        path = write_config(tmp_path, "c.json", {})
+        with pytest.raises(RuntimeError, match="a fault in the program"):
+            main(["theory", "--config", path, "--out", str(tmp_path / "outb" / "run")])
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
     @pytest.mark.parametrize(
         "command, table, summary",

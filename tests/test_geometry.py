@@ -1,4 +1,4 @@
-"""Tests for Gaussian data sources and the data/noise samplers."""
+"""Tests for Gaussian data sources and their sampler."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from kdiff_lab import (
     derive_rng,
     random_orthonormal_basis,
     sample_data,
-    sample_noise,
 )
 
 
@@ -91,23 +90,10 @@ class TestSampleData:
     def test_independent_streams_uncorrelated(self):
         basis = random_orthonormal_basis(6, 2, np.random.default_rng(10))
         x = sample_data(basis, 200_000, derive_rng(0, "test", "data"))
-        n = sample_noise(6, 200_000, derive_rng(0, "test", "noise"))
+        n = derive_rng(0, "test", "noise").standard_normal((200_000, 6))
         cross = x.T @ n / len(x)
         # entries are ~Normal(0, 1/sqrt(N)); generous multiple, fixed seed
         assert np.max(np.abs(cross)) < 5.0 / np.sqrt(len(x))
-
-
-class TestSampleNoise:
-    def test_moments(self):
-        n = sample_noise(4, 1_000_000, np.random.default_rng(11))
-        assert np.max(np.abs(n.mean(axis=0))) < 3.5 / np.sqrt(len(n))
-        cov = n.T @ n / len(n)
-        assert np.max(np.abs(cov - np.eye(4))) < 5e-3
-
-    def test_deterministic_given_seed(self):
-        a = sample_noise(5, 10, np.random.default_rng(12))
-        b = sample_noise(5, 10, np.random.default_rng(12))
-        np.testing.assert_array_equal(a, b)
 
 
 class TestColoredCovariance:

@@ -34,7 +34,6 @@ from kdiff_lab import (
     random_orthonormal_basis,
     run_gradient_flow,
     sample_data,
-    sample_noise,
     sample_t,
     stability_bound,
     stochastic_gradient,
@@ -710,7 +709,7 @@ class TestMonteCarloLoss:
             m = min(1024, n_samples // 2 - start)
             t = sample_t(measure, draws, size=m)
             x = sample_data(basis, m, draws)
-            noise = sample_noise(7, m, draws)
+            noise = draws.standard_normal((m, 7))
             a, s = t[:, None], (1 - t)[:, None]
             p, q = target.phi, target.psi
             halves = [

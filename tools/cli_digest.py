@@ -112,8 +112,9 @@ def _sample_runs():
             sample["k"] = 0.8
         yield "sample", {"data": data, "train": {"steps": 40, "batch": 16}, "sample": sample}, 0
     # binned k from k_init 0.9 has k(1 - t) + (1 - k) t below the floor 0.2 past t = 0.875
-    yield "sample", {"data": _MANIFOLD, "train": {"steps": 40, "batch": 16, "k_init": 0.9, "k_bins": 4},
-                     "sample": {"n_samples": 40, "steps": 20, "net": "train", "clamp_floor": 0.2}}, 0
+    yield "sample", {"data": _MANIFOLD, "clamp_floor": 0.2,
+                     "train": {"steps": 40, "batch": 16, "k_init": 0.9, "k_bins": 4},
+                     "sample": {"n_samples": 40, "steps": 20, "net": "train"}}, 0
 
 
 def _target_runs():
@@ -139,12 +140,16 @@ RUNS = [
     ("dynamics", {"data": _INTERLEAVED, "target": {"kind": "k", "k": 0.6},
                   "dynamics": {"mode": "stochastic", "steps": 40, "step_size": 0.3, "batch": 32, "tol": 10.0}}, 0),
     # the velocity loss: constant k under logit-normal time, binned k from k_init 0.9 with the
-    # floor 0.2 active past t = 0.875, and a sampler whose net it trained
+    # floor 0.2 active past t = 0.875, and samplers whose nets it trained, the second with that
+    # floor active in both training and sampling
     ("train", {"data": _MANIFOLD, "time_sampler": _LOGIT_NORMAL,
                "train": {"steps": 60, "batch": 32, "loss_mode": "v_alg1"}}, 0),
-    ("train", {"data": _MANIFOLD, "train": {"steps": 60, "batch": 32, "loss_mode": "v_alg1", "k_bins": 4,
-                                            "k_init": 0.9, "clamp_floor": 0.2}}, 0),
+    ("train", {"data": _MANIFOLD, "clamp_floor": 0.2,
+               "train": {"steps": 60, "batch": 32, "loss_mode": "v_alg1", "k_bins": 4, "k_init": 0.9}}, 0),
     ("sample", {"data": _MANIFOLD, "train": {"steps": 40, "batch": 16, "loss_mode": "v_alg1"},
+                "sample": {"n_samples": 40, "steps": 20, "net": "train"}}, 0),
+    ("sample", {"data": _MANIFOLD, "clamp_floor": 0.2,
+                "train": {"steps": 40, "batch": 16, "loss_mode": "v_alg1", "k_init": 0.9, "k_bins": 4},
                 "sample": {"n_samples": 40, "steps": 20, "net": "train"}}, 0),
     *_target_runs(),
     # the oracle_flow benchmark's exact shape: every other run has D <= 12, and a change of the
